@@ -181,8 +181,7 @@ def main(argv=None) -> int:
     lat = sorted(result.latencies_ns)
     detail = dict(summary, workload=args.workload, seed=args.seed, seconds=args.seconds,
                   trace=args.trace, import_s=import_s, op_p99_ms=percentile(lat, 0.99) / 1e6,
-                  problems=result.problems, errors=result.errors, notes=result.notes,
-                  untraced_layers=tracer.missing if tracer else [])
+                  problems=result.problems, errors=result.errors, notes=result.notes)
     with open(OUT_DIR / f"result-{args.workload}-seed{args.seed}-trace{args.trace}.json",
               "w") as fh:
         json.dump(detail, fh, indent=1)

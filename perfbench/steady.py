@@ -7,7 +7,7 @@ then the next integers).  For every metric it prints the median, the first
 and third quartiles (``statistics.quantiles(values, n=4)``) and their
 distance as a share of the median; the bounds in ``BENCHMARK.json`` were set
 from these spreads.  The summary is also written to
-``perfbench/out/steady-<workload>-trace<t>.json``.
+``perfbench/out/steady-<workload>.json``.
 """
 
 import argparse
@@ -26,14 +26,13 @@ def main(argv=None) -> int:
     p.add_argument("--runs", type=int, default=10)
     p.add_argument("--seconds", type=float, default=20)
     p.add_argument("--first-seed", type=int, default=1)
-    p.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = p.parse_args(argv)
 
     runs = []
     for seed in range(args.first_seed, args.first_seed + args.runs):
         proc = subprocess.run(
             [sys.executable, str(BENCH_DIR / "run.py"), "--workload", args.workload,
-             "--seed", str(seed), "--seconds", str(args.seconds), "--trace", str(args.trace)],
+             "--seed", str(seed), "--seconds", str(args.seconds), "--trace", "0"],
             capture_output=True, text=True, timeout=600,
         )
         if proc.returncode != 0:
@@ -63,7 +62,7 @@ def main(argv=None) -> int:
         print(f"{name:45s} {median:14.6g} {q1:14.6g} {q3:14.6g} {spread:8.4f}  {first['unit']}")
     print(f"correct in every run: {summary['all_correct']}; "
           f"failed shares: {summary['failed_shares']}")
-    out = BENCH_DIR / "out" / f"steady-{args.workload}-trace{args.trace}.json"
+    out = BENCH_DIR / "out" / f"steady-{args.workload}.json"
     out.parent.mkdir(exist_ok=True)
     out.write_text(json.dumps(summary, indent=1))
     return 0

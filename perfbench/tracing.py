@@ -73,7 +73,6 @@ class Tracer:
         self.layers: list[str] = []
         self.spans = array("q")
         self.stack: list[int] = []
-        self.missing: list[str] = []
 
     def _layer_id(self, layer: str) -> int:
         if layer not in self.layers:
@@ -104,23 +103,29 @@ class Tracer:
         return traced
 
     def install(self) -> None:
-        """Wrap every target that this version of the package has."""
+        """Wrap every target.  A target this version of the package lacks
+        raises ``LookupError`` before anything is wrapped: its layer would
+        otherwise read 0, which looks like a speed-up."""
+        missing = []
+        for _, module_name, attr, _ in TARGETS:
+            owner = importlib.import_module(module_name)
+            for part in attr.split("."):
+                if not hasattr(owner, part):
+                    missing.append(f"{module_name}.{attr}")
+                    break
+                owner = getattr(owner, part)
+        if missing:
+            raise LookupError(f"traced targets missing from dualpuf: {', '.join(missing)}")
         modules = [m for name, m in list(sys.modules.items())
                    if name == "dualpuf" or name.startswith("dualpuf.")]
         for layer, module_name, attr, count in TARGETS:
             module = importlib.import_module(module_name)
             owner_name, _, method = attr.rpartition(".")
             if owner_name:
-                owner = getattr(module, owner_name, None)
-                if owner is None or not hasattr(owner, method):
-                    self.missing.append(f"{module_name}.{attr}")
-                    continue
+                owner = getattr(module, owner_name)
                 setattr(owner, method, self.wrap(layer, getattr(owner, method), count))
                 continue
-            original = getattr(module, attr, None)
-            if original is None:
-                self.missing.append(f"{module_name}.{attr}")
-                continue
+            original = getattr(module, attr)
             traced = self.wrap(layer, original, count)
             for mod in modules:
                 for key, value in list(vars(mod).items()):

@@ -33,7 +33,7 @@ BINOMIAL_SIGMAS = 5.0
 # hundred runs.
 NOISE_SIGMA = 0.03
 CLI_SESSIONS = 50
-CLI_STARTS = 5           # child start-ups timed for cli_lifecycle's setup_s
+CLI_STARTS = 15          # child start-ups timed for cli_lifecycle's setup_s
 CLI_TIMEOUT_S = 80
 CLI_MIN_LIFECYCLES = 2   # a lifecycle takes about as long as a run measures
 
@@ -77,6 +77,7 @@ def _repeat_setup(make, result: Result):
     """Run set-up SETUP_REPEATS times; return the last state and the median time."""
     state, times = None, []
     for _ in range(SETUP_REPEATS):
+        state = None  # the previous set-up's objects must not count in peak memory
         clear_lfsr_caches()
         start = time.perf_counter_ns()
         state = make()
@@ -154,6 +155,7 @@ def auth_table(seed: int, seconds: float, workdir: str) -> Result:
         registry = run_registration(device, policy="full", rng_seed=seed + 1)
         save_device(device, tag_path)
         save_registry(registry, registry_path)
+        del device, registry  # only the copies loaded back stay alive
         return load_device(tag_path), load_registry(registry_path)
 
     (device, registry), result.setup_s = _repeat_setup(make, result)
