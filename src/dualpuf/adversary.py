@@ -13,10 +13,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .apuf import ApufInstance, eval_raw_batch, features_from_ints, parity_features
-from .device import PufDevice, _atomic_write
+from .apuf import ApufInstance, eval_raw_batch, features_from_ints
+from .device import PufDevice
 from .errors import EmptyDataset, EmptyStore, InsufficientSample, WidthMismatch
 from .obfuscator import run_rounds
+from .postproc import lane_bits
 from .protocol import CHALLENGE, RESPONSE, SessionTranscript, run_authentication
 from .server import ServerRegistry
 
@@ -52,18 +53,11 @@ class ReplayAttacker:
 
 
 def eavesdrop(attacker: ReplayAttacker, transcript: SessionTranscript) -> ReplayAttacker:
-    """Fold a recorded transcript into the attacker's store.
-
-    Each challenge frame pairs with the next response frame; tick gaps are
-    deliberately not recorded.
-    """
-    pending: int | None = None
+    """Fold a recorded transcript into the attacker's store, pairing frames
+    exactly as the live tap does; tick gaps are deliberately not recorded."""
+    intercept = attacker.tap()
     for frame in transcript.frames:
-        if frame.kind == CHALLENGE:
-            pending = frame.payload
-        elif frame.kind == RESPONSE and pending is not None:
-            attacker.store[pending] = frame.payload
-            pending = None
+        intercept(frame)
     return attacker
 
 
@@ -112,10 +106,9 @@ class AttackReport:
 
 def _recorded_session(recorded) -> tuple[int, int, int]:
     if isinstance(recorded, SessionTranscript):
+        t = recorded.tick_gap()
         cf = recorded.challenge_frames()
-        if len(cf) < 2:
-            raise ValueError("recorded transcript is not a full two-challenge session")
-        return cf[0].payload, cf[1].payload, cf[1].tick - cf[0].tick
+        return cf[0].payload, cf[1].payload, t
     c1, c2, t = recorded
     return int(c1), int(c2), int(t)
 
@@ -203,8 +196,7 @@ class LinearAttackModel:
     holdout_accuracy: float
 
     def predict(self, challenge: int) -> int:
-        phi = parity_features(challenge, self.weights.size - 1)
-        return 1 if float(phi @ self.weights) > 0 else 0
+        return int(self.predict_batch(np.array([challenge]))[0])
 
     def predict_batch(self, challenges: np.ndarray) -> np.ndarray:
         phi = features_from_ints(challenges, self.weights.size - 1)
@@ -245,11 +237,7 @@ def collect_obfuscated_crps(
 
     def voted(_, chosen: np.ndarray) -> np.ndarray:
         mu = features_from_ints(chosen, n) @ weights + offset
-        if sigma == 0:
-            return (mu > 0).astype(np.uint8)
-        draws = rng.standard_normal((chosen.size, voter_t)) * sigma
-        ones = ((mu[:, None] + draws) > 0).sum(axis=1)
-        return (2 * ones > voter_t).astype(np.uint8)
+        return lane_bits(mu, sigma, voter_t, rng)
 
     bits = run_rounds(
         pair.pair[0].feed, pair.pair[1].feed, seeds, mode & 1,
@@ -300,30 +288,6 @@ def train_linear_attack(
     else:
         accuracy = float("nan")
     return LinearAttackModel(weights=w, train_size=len(y_train), holdout_accuracy=accuracy)
-
-
-def save_crp_dataset(crps, path: str) -> None:
-    """Dataset file: one `challenge_hex label` line per record."""
-    crps = list(crps)
-    if not crps:
-        raise EmptyDataset("nothing to save")
-    hex_width = (crps[0].width + 3) // 4
-    lines = [f"{r.challenge:0{hex_width}x} {r.label}" for r in crps]
-    _atomic_write(path, "\n".join(lines) + "\n")
-
-
-def load_crp_dataset(path: str, width: int) -> list[CrpRecord]:
-    out: list[CrpRecord] = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            c_hex, label = line.split()
-            out.append(CrpRecord(int(c_hex, 16), int(label), width))
-    if not out:
-        raise EmptyDataset(f"{path} holds no records")
-    return out
 
 
 # -- metrics -----------------------------------------------------------------

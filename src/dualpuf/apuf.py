@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import WidthMismatch
+from .errors import InvalidParameter, WidthMismatch
 
 DEFAULT_DELTA_UNIT = 0.05
 
@@ -46,17 +46,17 @@ class ApufInstance:
     def __post_init__(self) -> None:
         self.weights = np.asarray(self.weights, dtype=np.float64)
         if self.n_stages < 1:
-            raise ValueError(f"n_stages {self.n_stages} < 1")
+            raise InvalidParameter(f"n_stages {self.n_stages} < 1")
         if self.weights.shape != (self.n_stages + 1,):
             raise WidthMismatch(
                 f"weights shape {self.weights.shape} != ({self.n_stages + 1},)"
             )
         if self.sigma_noise < 0:
-            raise ValueError("sigma_noise must be >= 0")
+            raise InvalidParameter("sigma_noise must be >= 0")
         if self.delta_unit <= 0:
-            raise ValueError("delta_unit must be > 0")
+            raise InvalidParameter("delta_unit must be > 0")
         if self.adjust_up < 0 or self.adjust_low < 0:
-            raise ValueError("adjust counters must be >= 0")
+            raise InvalidParameter("adjust counters must be >= 0")
 
     @property
     def offset(self) -> float:
@@ -157,39 +157,3 @@ def response_probability_one(instance: ApufInstance, challenge: int) -> float:
         return 1.0 if mu > 0 else 0.0
     return 0.5 * (1.0 + math.erf(mu / (instance.sigma_noise * math.sqrt(2.0))))
 
-
-def save_instance(instance: ApufInstance, path: str) -> None:
-    """Write a lane as a self-contained key-value text file."""
-    lines = [
-        f"n_stages = {instance.n_stages}",
-        f"rng_seed = {'' if instance.rng_seed is None else instance.rng_seed}",
-        f"sigma_noise = {instance.sigma_noise!r}",
-        f"delta_unit = {instance.delta_unit!r}",
-        f"adjust_up = {instance.adjust_up}",
-        f"adjust_low = {instance.adjust_low}",
-        "weights = " + " ".join(repr(float(w)) for w in instance.weights),
-    ]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_instance(path: str) -> ApufInstance:
-    """Read back a lane written by save_instance; floats round-trip exactly."""
-    fields: dict[str, str] = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            key, _, value = line.partition("=")
-            fields[key.strip()] = value.strip()
-    seed_text = fields.get("rng_seed", "")
-    return ApufInstance(
-        n_stages=int(fields["n_stages"]),
-        weights=np.array([float(w) for w in fields["weights"].split()]),
-        sigma_noise=float(fields["sigma_noise"]),
-        delta_unit=float(fields["delta_unit"]),
-        adjust_up=int(fields["adjust_up"]),
-        adjust_low=int(fields["adjust_low"]),
-        rng_seed=int(seed_text) if seed_text else None,
-    )

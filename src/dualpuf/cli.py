@@ -5,6 +5,7 @@ attacks, and metrics.  Every run is deterministic given its flags and seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -20,20 +21,20 @@ from .adversary import (
 )
 from .apuf import sample_instance
 from .device import (
+    DEFAULT_VOTER_T,
     DeviceConfig,
-    _atomic_write,
+    atomic_write,
     build_device,
     default_lane_pairs,
     load_device,
     save_device,
+    serialize_response,
 )
 from .errors import SimulationError
 from .lfsr import LfsrSpec, classify, find_primitive
-from .obfuscator import DualLfsrSpec, trace_records
+from .obfuscator import DEFAULT_ROUNDS, DualLfsrSpec, trace_records
 from .protocol import run_authentication, run_registration
-from .server import load_registry
-
-DEFAULT_ROUNDS = 5
+from .server import DEFAULT_T_RANGE, load_registry
 
 
 def _common() -> argparse.ArgumentParser:
@@ -75,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stages", type=int, required=True)
     p.add_argument("--lanes", type=int, default=1)
     p.add_argument("--sigma", type=float, default=0.0)
-    p.add_argument("--voter-t", type=int, default=5)
+    p.add_argument("--voter-t", type=int, default=DEFAULT_VOTER_T)
     p.add_argument("--rounds", type=int, default=DEFAULT_ROUNDS)
     p = device_sub.add_parser("fuse", parents=[common], help="close the raw interface")
     p.add_argument("--device", required=True)
@@ -89,8 +90,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--device", required=True)
     p.add_argument("--policy", choices=("auto", "full", "params"), default="auto")
     p.add_argument("--tau", type=int)
-    p.add_argument("--t-min", type=int, default=2)
-    p.add_argument("--t-max", type=int, default=17)
+    p.add_argument("--t-min", type=int, default=DEFAULT_T_RANGE[0])
+    p.add_argument("--t-max", type=int, default=DEFAULT_T_RANGE[1])
     p = auth_sub.add_parser("run", parents=[common], help="honest sessions")
     p.add_argument("--device", required=True)
     p.add_argument("--registry", required=True)
@@ -126,7 +127,7 @@ def _emit(args, lines: list[str]) -> None:
     text = "\n".join(lines)
     print(text)
     if args.out:
-        _atomic_write(args.out, text + "\n")
+        atomic_write(args.out, text + "\n")
 
 
 def _cmd_lfsr(args) -> list[str]:
@@ -186,10 +187,7 @@ def _cmd_device(args) -> list[str]:
         save_device(device, args.device)
         return ["fused"]
     device = load_device(args.device)
-    bits = device.raw_crp_query(int(args.challenge, 0))
-    value = 0
-    for i, b in enumerate(bits):
-        value |= int(b) << i
+    value = serialize_response(device.raw_crp_query(int(args.challenge, 0)))
     return [f"{value:0{(device.config.k + 3) // 4}x}"]
 
 
@@ -213,7 +211,7 @@ def _cmd_auth(args) -> list[str]:
     device = load_device(args.device)
     registry = load_registry(args.registry)
     if args.tau is not None:
-        registry.tau = args.tau
+        registry = dataclasses.replace(registry, tau=args.tau)
     passes = sum(
         run_authentication(registry, device).passed for _ in range(args.sessions)
     )

@@ -16,15 +16,17 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .apuf import ApufInstance, features_from_ints, sample_instance
-from .errors import InterfaceFused, NonMonotonicTicks, WidthMismatch, ZeroSeed
+from .errors import InterfaceFused, InvalidParameter, NonMonotonicTicks, SimulationError, WidthMismatch
 from .lfsr import LfsrSpec, pick_lfsr_pair
-from .obfuscator import DualLfsrSpec, run_rounds
-from .postproc import AdjustParams, AdjustReport, randomness_adjust, vote_batch
+from .obfuscator import DEFAULT_ROUNDS, DualLfsrSpec, check_external_challenge, lane_feeds, run_rounds
+from .postproc import AdjustParams, AdjustReport, lane_bits, randomness_adjust
 
 DEFAULT_VOTER_T = 5
 
 
-def default_lane_pairs(order: int, k: int, rounds_per_response: int = 5) -> tuple[DualLfsrSpec, ...]:
+def default_lane_pairs(
+    order: int, k: int, rounds_per_response: int = DEFAULT_ROUNDS
+) -> tuple[DualLfsrSpec, ...]:
     """One register pair per lane, cycling through all ordered primitive pairs."""
     return tuple(
         DualLfsrSpec(pick_lfsr_pair(order, i), rounds_per_response) for i in range(k)
@@ -44,7 +46,7 @@ class DeviceConfig:
 
     def __post_init__(self) -> None:
         if self.k < 1:
-            raise ValueError(f"k {self.k} < 1")
+            raise InvalidParameter(f"k {self.k} < 1")
         if len(self.lane_pairs) != self.k:
             raise WidthMismatch(
                 f"{len(self.lane_pairs)} lane pairs for k={self.k} lanes"
@@ -55,7 +57,7 @@ class DeviceConfig:
                     f"lane registers are order {pair.order}, challenge width is {self.n_stages}"
                 )
         if self.voter_t < 1 or self.voter_t % 2 == 0:
-            raise ValueError(f"voter width {self.voter_t} must be odd")
+            raise InvalidParameter(f"voter width {self.voter_t} must be odd")
 
     @property
     def rounds_per_response(self) -> int:
@@ -88,12 +90,26 @@ class PufDevice:
         direct lane mutation; build_device does it once after adjustment)."""
         self._weights = np.stack([lane.weights for lane in self.lanes])
         self._offsets = np.array([lane.offset for lane in self.lanes])
-        self._feeds = (
-            np.array([p.pair[0].feed for p in self.config.lane_pairs], dtype=np.int64),
-            np.array([p.pair[1].feed for p in self.config.lane_pairs], dtype=np.int64),
-        )
+        self._feeds = lane_feeds(self.config.lane_pairs)
 
     # -- enrollment-only raw path -------------------------------------------
+
+    def _naked_rows(self, challenges: np.ndarray, noise_stream) -> np.ndarray:
+        """(k, S) voted naked bits of every lane for S raw challenges.
+
+        The parity features are computed once; the lanes then vote one by
+        one, so noise is drawn per lane, per challenge, per vote, and no
+        (S, k) float array is ever held.
+        """
+        if self.fused:
+            raise InterfaceFused("raw interface is fused")
+        rng = noise_stream if noise_stream is not None else self._noise_rng
+        phi = features_from_ints(challenges, self.config.n_stages)
+        rows = np.empty((self.config.k, challenges.size), dtype=np.uint8)
+        for i in range(self.config.k):
+            mu = phi @ self._weights[i] + self._offsets[i]
+            rows[i] = lane_bits(mu, self.config.sigma_noise, self.config.voter_t, rng)
+        return rows
 
     def raw_crp_query(self, challenge: int, noise_stream: np.random.Generator | None = None) -> np.ndarray:
         """Voted naked response of every lane to one raw challenge.
@@ -101,32 +117,18 @@ class PufDevice:
         Bypasses the obfuscator entirely; the challenge may be zero here.
         Dead once the interface is fused.
         """
-        if self.fused:
-            raise InterfaceFused("raw interface is fused")
         if not 0 <= challenge < 1 << self.config.n_stages:
             raise WidthMismatch(
                 f"challenge {challenge:#x} does not fit {self.config.n_stages} stages"
             )
-        rng = noise_stream if noise_stream is not None else self._noise_rng
-        out = np.empty(self.config.k, dtype=np.uint8)
-        for i, lane in enumerate(self.lanes):
-            out[i] = vote_batch(lane, np.array([challenge]), self.config.voter_t, rng)[0]
-        return out
+        return self._naked_rows(np.array([challenge]), noise_stream)[:, 0]
 
     def raw_crp_table(self, noise_stream: np.random.Generator | None = None) -> dict[int, int]:
         """Full naked-CRP table over every nonzero challenge, as
         challenge -> serialized k-bit response."""
-        if self.fused:
-            raise InterfaceFused("raw interface is fused")
-        rng = noise_stream if noise_stream is not None else self._noise_rng
         challenges = np.arange(1, 1 << self.config.n_stages, dtype=np.int64)
-        rows = np.empty((self.config.k, challenges.size), dtype=np.uint8)
-        for i, lane in enumerate(self.lanes):
-            rows[i] = vote_batch(lane, challenges, self.config.voter_t, rng)
-        packed = np.zeros(challenges.size, dtype=object)
-        for i in range(self.config.k):
-            packed |= rows[i].astype(object) << i
-        return {int(c): int(r) for c, r in zip(challenges, packed)}
+        words = serialize_response(self._naked_rows(challenges, noise_stream))
+        return dict(zip(challenges.tolist(), words))
 
     def fuse(self) -> None:
         """Permanently close the raw interface.  Idempotent."""
@@ -141,24 +143,14 @@ class PufDevice:
         noise_stream: np.random.Generator | None = None,
     ) -> np.ndarray:
         """k-bit obfuscated response, lane 0 first, as a uint8 array."""
-        if not 0 < challenge < 1 << self.config.n_stages:
-            raise ZeroSeed(
-                f"external challenge {challenge:#x} outside the nonzero "
-                f"{self.config.n_stages}-bit range"
-            )
+        check_external_challenge(challenge, self.config.n_stages)
         rng = noise_stream if noise_stream is not None else self._noise_rng
-        sigma = self.config.sigma_noise
-        voter_t = self.config.voter_t
-        weights, offsets = self._weights, self._offsets
+        config = self.config
 
         def voted(_, chosen: np.ndarray) -> np.ndarray:
-            phi = features_from_ints(chosen, self.config.n_stages)
-            mu = np.einsum("ki,ki->k", phi, weights) + offsets
-            if sigma == 0:
-                return (mu > 0).astype(np.uint8)
-            draws = rng.standard_normal((chosen.size, voter_t)) * sigma
-            ones = ((mu[:, None] + draws) > 0).sum(axis=1)
-            return (2 * ones > voter_t).astype(np.uint8)
+            phi = features_from_ints(chosen, config.n_stages)
+            mu = np.einsum("ki,ki->k", phi, self._weights) + self._offsets
+            return lane_bits(mu, config.sigma_noise, config.voter_t, rng)
 
         feed1, feed2 = self._feeds
         return run_rounds(
@@ -187,33 +179,30 @@ class PufDevice:
         return serialize_response(self.respond(frame.payload, mode))
 
 
-def preprocess(device: PufDevice, frame_c1, frame_c2) -> tuple[int, int, int]:
-    """Tick arithmetic of the second challenge: (challenge2, t, mode)."""
-    t = frame_c2.tick - frame_c1.tick
-    if t <= 0:
-        raise NonMonotonicTicks(f"tick gap {t} is not positive")
-    for f in (frame_c1, frame_c2):
-        if not 0 <= f.payload < 1 << device.config.n_stages:
-            raise WidthMismatch(
-                f"payload {f.payload:#x} does not fit {device.config.n_stages} stages"
-            )
-    return frame_c2.payload, t, t & 1
+def serialize_response(bits: np.ndarray):
+    """Parallel-to-serial: lane i's bit becomes bit i of the integer.
+
+    The lane axis is axis 0.  A (k,) array gives one int; a (k, S) array
+    gives a list of S ints.  Python ints keep any k exact, k > 64 included.
+    """
+    bits = np.asarray(bits, dtype=np.uint8)
+    packed = np.packbits(bits.reshape(bits.shape[0], -1).T, axis=-1, bitorder="little")
+    words = [int.from_bytes(row.tobytes(), "little") for row in packed]
+    return words[0] if bits.ndim == 1 else words
 
 
-def serialize_response(bits: np.ndarray) -> int:
-    """Parallel-to-serial: lane i's bit becomes bit i of the integer."""
-    out = 0
-    for i, b in enumerate(np.asarray(bits, dtype=np.uint8)):
-        out |= int(b) << i
-    return out
-
-
-def deserialize_response(value: int, k: int) -> np.ndarray:
-    """Inverse of serialize_response."""
-    if not 0 <= value < 1 << k:
-        raise WidthMismatch(f"response {value:#x} does not fit {k} lanes")
-    # plain int shifts: k = 64 already overflows int64 vector ops
-    return np.fromiter(((value >> i) & 1 for i in range(k)), dtype=np.uint8, count=k)
+def deserialize_response(value, k: int) -> np.ndarray:
+    """Inverse of serialize_response: one int gives a (k,) array, a
+    sequence of S ints gives a (k, S) array."""
+    single = isinstance(value, (int, np.integer))
+    words = [int(value)] if single else [int(v) for v in value]
+    for word in words:
+        if not 0 <= word < 1 << k:
+            raise WidthMismatch(f"response {word:#x} does not fit {k} lanes")
+    width = (k + 7) // 8
+    raw = np.frombuffer(b"".join(w.to_bytes(width, "little") for w in words), dtype=np.uint8)
+    bits = np.unpackbits(raw.reshape(len(words), width), axis=-1, count=k, bitorder="little")
+    return bits[0] if single else np.ascontiguousarray(bits.T)
 
 
 def build_device(config: DeviceConfig, adjust_params: AdjustParams | None = None) -> "PufDevice":
@@ -245,7 +234,9 @@ def build_device(config: DeviceConfig, adjust_params: AdjustParams | None = None
 # -- persistence -------------------------------------------------------------
 
 
-def _atomic_write(path: str, text: str) -> None:
+def atomic_write(path: str, text: str) -> None:
+    """Write text to path through a temporary file and a rename, so a
+    reader never sees a half-written file."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
@@ -258,7 +249,8 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _pair_to_json(pair: DualLfsrSpec) -> dict:
+def pair_to_json(pair: DualLfsrSpec) -> dict:
+    """JSON form of a register pair, shared by device and registry files."""
     return {
         "masks": [pair.pair[0].mask, pair.pair[1].mask],
         "order": pair.order,
@@ -266,7 +258,8 @@ def _pair_to_json(pair: DualLfsrSpec) -> dict:
     }
 
 
-def _pair_from_json(obj: dict) -> DualLfsrSpec:
+def pair_from_json(obj: dict) -> DualLfsrSpec:
+    """Inverse of pair_to_json."""
     a, b = obj["masks"]
     return DualLfsrSpec(
         (LfsrSpec(obj["order"], a), LfsrSpec(obj["order"], b)),
@@ -282,7 +275,7 @@ def save_device(device: PufDevice, path: str) -> None:
         "voter_t": device.config.voter_t,
         "sigma_noise": device.config.sigma_noise,
         "device_seed": device.config.device_seed,
-        "lane_pairs": [_pair_to_json(p) for p in device.config.lane_pairs],
+        "lane_pairs": [pair_to_json(p) for p in device.config.lane_pairs],
         "fused": device.fused,
         "lanes": [
             {
@@ -294,29 +287,35 @@ def save_device(device: PufDevice, path: str) -> None:
             for lane in device.lanes
         ],
     }
-    _atomic_write(path, json.dumps(doc, indent=1))
+    atomic_write(path, json.dumps(doc, indent=1))
 
 
 def load_device(path: str) -> PufDevice:
-    with open(path) as fh:
-        doc = json.load(fh)
-    config = DeviceConfig(
-        k=doc["k"],
-        n_stages=doc["n_stages"],
-        lane_pairs=tuple(_pair_from_json(p) for p in doc["lane_pairs"]),
-        voter_t=doc["voter_t"],
-        sigma_noise=doc["sigma_noise"],
-        device_seed=doc["device_seed"],
-    )
-    lanes = [
-        ApufInstance(
+    """Read back a tag written by save_device.  A document that is not
+    JSON, lacks a key or holds a value of the wrong type or range raises
+    SimulationError."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+        config = DeviceConfig(
+            k=doc["k"],
             n_stages=doc["n_stages"],
-            weights=np.array(entry["weights"]),
+            lane_pairs=tuple(pair_from_json(p) for p in doc["lane_pairs"]),
+            voter_t=doc["voter_t"],
             sigma_noise=doc["sigma_noise"],
-            adjust_up=entry["adjust_up"],
-            adjust_low=entry["adjust_low"],
-            delta_unit=entry["delta_unit"],
+            device_seed=doc["device_seed"],
         )
-        for entry in doc["lanes"]
-    ]
-    return PufDevice(config=config, lanes=lanes, fused=doc["fused"])
+        lanes = [
+            ApufInstance(
+                n_stages=doc["n_stages"],
+                weights=np.array(entry["weights"]),
+                sigma_noise=doc["sigma_noise"],
+                adjust_up=entry["adjust_up"],
+                adjust_low=entry["adjust_low"],
+                delta_unit=entry["delta_unit"],
+            )
+            for entry in doc["lanes"]
+        ]
+        return PufDevice(config=config, lanes=lanes, fused=doc["fused"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SimulationError(f"malformed device file {path}: {exc!r}") from exc

@@ -10,6 +10,10 @@ class SimulationError(Exception):
     """Base class for all expected domain errors."""
 
 
+class InvalidParameter(SimulationError, ValueError):
+    """A configuration value outside its valid range."""
+
+
 class ZeroSeed(SimulationError):
     """All-zero seed rejected: zero is the LFSR's stuck state."""
 
@@ -52,10 +56,6 @@ class NonMonotonicTicks(SimulationError):
 
 class IncompleteTable(SimulationError):
     """A naked-CRP table is missing at least one nonzero challenge."""
-
-
-class MissingEntry(SimulationError):
-    """Table-mode registry has no entry for a queried challenge."""
 
 
 class ChannelTimeout(SimulationError):

@@ -13,19 +13,21 @@ mode is the session's parity bit (1 selects the original wiring, 0 the
 swapped one).  A response is the XOR fold of rounds_per_response voted bits
 produced this way.
 
-The scalar operations here are the reference semantics; run_rounds is the
-vectorised engine the device, server, and attack harnesses share.
+run_rounds is the one selection engine: the device, server, attack
+harnesses and trace_records all run it.  generate_response and
+challenge_trace restate the rule one register step at a time; they are the
+scalar reference the tests compare the engine against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .apuf import ApufInstance
-from .errors import WidthMismatch
-from .lfsr import LfsrSpec, LfsrState, is_m_sequence, make_lfsr, step
+from .errors import InvalidParameter, WidthMismatch, ZeroSeed
+from .lfsr import LfsrSpec, is_m_sequence, make_lfsr, step
 from .postproc import vote, xor_fold
 
 DEFAULT_ROUNDS = 5
@@ -43,51 +45,44 @@ class DualLfsrSpec:
         if a.order != b.order:
             raise WidthMismatch(f"register orders differ: {a.order} vs {b.order}")
         if a == b:
-            raise ValueError(f"registers must be distinct, both are {a}")
+            raise InvalidParameter(f"registers must be distinct, both are {a}")
         for spec in (a, b):
             if not is_m_sequence(spec):
-                raise ValueError(f"{spec} does not generate a maximal-period sequence")
+                raise InvalidParameter(f"{spec} does not generate a maximal-period sequence")
         if self.rounds_per_response < 1:
-            raise ValueError("rounds_per_response must be >= 1")
+            raise InvalidParameter("rounds_per_response must be >= 1")
 
     @property
     def order(self) -> int:
         return self.pair[0].order
 
 
-@dataclass(frozen=True)
-class ObfuscatorState:
-    """Selection-loop snapshot between rounds."""
-
-    state1: LfsrState
-    state2: LfsrState
-    round_no: int
-    prev_response: int
-    mode: int
-
-
-def seed_obfuscator(spec: DualLfsrSpec, external_challenge: int, mode: int) -> ObfuscatorState:
-    """Load both registers with the external challenge; no shift yet."""
-    return ObfuscatorState(
-        state1=make_lfsr(spec.pair[0], external_challenge),
-        state2=make_lfsr(spec.pair[1], external_challenge),
-        round_no=0,
-        prev_response=0,
-        mode=mode & 1,
+def lane_feeds(lane_pairs) -> tuple[np.ndarray, np.ndarray]:
+    """Per-lane feed patterns of the first and second registers, as the
+    int64 arrays run_rounds broadcasts over the lane axis."""
+    return (
+        np.array([p.pair[0].feed for p in lane_pairs], dtype=np.int64),
+        np.array([p.pair[1].feed for p in lane_pairs], dtype=np.int64),
     )
 
 
-def next_real_challenge(state: ObfuscatorState) -> tuple[int, ObfuscatorState]:
-    """Shift both registers, then read the selected one.
+def check_external_challenge(challenge: int, order: int) -> None:
+    """Reject an external challenge outside the nonzero order-bit range:
+    zero is the registers' stuck state."""
+    if not 0 < challenge < 1 << order:
+        raise ZeroSeed(
+            f"external challenge {challenge:#x} outside the nonzero {order}-bit range"
+        )
 
-    Selection looks only at the previous response bit, which the caller
-    updates after evaluating this challenge.
-    """
-    s1 = step(state.state1)
-    s2 = step(state.state2)
-    chosen = s1 if state.prev_response ^ state.mode == 1 else s2
-    advanced = replace(state, state1=s1, state2=s2, round_no=state.round_no + 1)
-    return chosen.bits, advanced
+
+def _history(spec: DualLfsrSpec, response_bits) -> list[int]:
+    """Per-round vote history, checked against the spec's round count."""
+    bits = [int(b) & 1 for b in response_bits]
+    if len(bits) != spec.rounds_per_response:
+        raise WidthMismatch(
+            f"need {spec.rounds_per_response} response bits, got {len(bits)}"
+        )
+    return bits
 
 
 def generate_response(
@@ -103,14 +98,15 @@ def generate_response(
         raise WidthMismatch(
             f"arbiter has {apuf.n_stages} stages, registers are order {spec.order}"
         )
-    state = seed_obfuscator(spec, external_challenge, mode)
-    bits = []
+    mode &= 1
+    s1 = make_lfsr(spec.pair[0], external_challenge)
+    s2 = make_lfsr(spec.pair[1], external_challenge)
+    prev, votes = 0, []
     for _ in range(spec.rounds_per_response):
-        challenge, state = next_real_challenge(state)
-        r = vote(apuf, challenge, voter_t, noise_stream)
-        state = replace(state, prev_response=r)
-        bits.append(r)
-    return xor_fold(bits)
+        s1, s2 = step(s1), step(s2)
+        prev = vote(apuf, (s1 if prev ^ mode == 1 else s2).bits, voter_t, noise_stream)
+        votes.append(prev)
+    return xor_fold(votes)
 
 
 def challenge_trace(
@@ -125,17 +121,15 @@ def challenge_trace(
     response_bits[j-1] (0 for round 1), exactly as generate_response would
     behave if its votes came out equal to response_bits.
     """
-    response_bits = [int(b) & 1 for b in response_bits]
-    if len(response_bits) != spec.rounds_per_response:
-        raise WidthMismatch(
-            f"need {spec.rounds_per_response} response bits, got {len(response_bits)}"
-        )
-    state = seed_obfuscator(spec, external_challenge, mode)
-    out = []
-    for r in response_bits:
-        challenge, state = next_real_challenge(state)
-        state = replace(state, prev_response=r)
-        out.append(challenge)
+    history = _history(spec, response_bits)
+    mode &= 1
+    s1 = make_lfsr(spec.pair[0], external_challenge)
+    s2 = make_lfsr(spec.pair[1], external_challenge)
+    prev, out = 0, []
+    for r in history:
+        s1, s2 = step(s1), step(s2)
+        out.append((s1 if prev ^ mode == 1 else s2).bits)
+        prev = r
     return out
 
 
@@ -145,23 +139,24 @@ def trace_records(
     mode: int,
     response_bits,
 ) -> list[str]:
-    """Waveform dump, one line per round: round M prev chosen_lfsr challenge_bits."""
-    response_bits = [int(b) & 1 for b in response_bits]
-    if len(response_bits) != spec.rounds_per_response:
-        raise WidthMismatch(
-            f"need {spec.rounds_per_response} response bits, got {len(response_bits)}"
-        )
-    state = seed_obfuscator(spec, external_challenge, mode)
-    lines = []
-    for round_no, r in enumerate(response_bits, start=1):
-        prev = state.prev_response
-        challenge, state = next_real_challenge(state)
-        chosen = 1 if prev ^ mode == 1 else 2
-        lines.append(
-            f"{round_no} {mode & 1} {prev} {chosen} {challenge:0{spec.order}b}"
-        )
-        state = replace(state, prev_response=r)
-    return lines
+    """Waveform dump, one line per round: round M prev chosen_lfsr challenge_bits.
+
+    The challenges come from run_rounds with a round function that replays
+    the given vote history.
+    """
+    history = _history(spec, response_bits)
+    check_external_challenge(external_challenge, spec.order)
+    mode &= 1
+    _, challenges = run_rounds(
+        spec.pair[0].feed, spec.pair[1].feed, external_challenge, mode, len(history),
+        lambda round_no, _: np.uint8(history[round_no]), collect_challenges=True,
+    )
+    prevs = [0] + history[:-1]
+    return [
+        f"{round_no} {mode} {prev} {1 if prev ^ mode == 1 else 2} "
+        f"{int(challenge):0{spec.order}b}"
+        for round_no, (prev, challenge) in enumerate(zip(prevs, challenges), start=1)
+    ]
 
 
 def run_rounds(

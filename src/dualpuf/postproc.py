@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .apuf import ApufInstance, eval_raw_batch, evaluate_raw
-from .errors import EmptyInput, EvenVoterWidth, NoConvergence
+from .apuf import ApufInstance, eval_raw_batch, evaluate_raw, features_from_ints
+from .errors import EmptyInput, EvenVoterWidth, InvalidParameter, NoConvergence
 
 DEFAULT_PULSE_COUNT = 96
 DEFAULT_WINDOW_HALFWIDTH = 6
@@ -36,14 +36,14 @@ class AdjustParams:
 
     def __post_init__(self) -> None:
         if self.pulse_count % 2:
-            raise ValueError(f"pulse_count {self.pulse_count} must be even")
+            raise InvalidParameter(f"pulse_count {self.pulse_count} must be even")
         if not 0 < self.window_halfwidth < self.pulse_count / 2:
-            raise ValueError(
+            raise InvalidParameter(
                 f"window halfwidth {self.window_halfwidth} outside "
                 f"(0, {self.pulse_count / 2})"
             )
         if self.max_rounds < 1:
-            raise ValueError("max_rounds must be >= 1")
+            raise InvalidParameter("max_rounds must be >= 1")
 
     @property
     def band(self) -> tuple[int, int]:
@@ -123,21 +123,38 @@ def vote(
     return 1 if 2 * ones > voter_t else 0
 
 
+def lane_bits(
+    mu: np.ndarray,
+    sigma: float = 0.0,
+    voter_t: int = 1,
+    noise_stream: np.random.Generator | None = None,
+) -> np.ndarray:
+    """Voted lane bits for an array of delay sums of any shape.
+
+    At sigma 0 the bit is the sign of mu and no noise is drawn.  Otherwise
+    one block of shape mu.shape + (voter_t,) is drawn in C order, so the
+    stream runs element by element and vote by vote, and each bit is the
+    majority of its voter_t noisy evaluations.
+    """
+    if voter_t < 1 or voter_t % 2 == 0:
+        raise EvenVoterWidth(f"voter width {voter_t} must be odd and >= 1")
+    if sigma == 0:
+        return (mu > 0).astype(np.uint8)
+    draws = noise_stream.standard_normal(mu.shape + (voter_t,)) * sigma
+    ones = ((mu[..., None] + draws) > 0).sum(axis=-1)
+    return (2 * ones > voter_t).astype(np.uint8)
+
+
 def vote_batch(
     instance: ApufInstance,
     challenges: np.ndarray,
     voter_t: int,
     noise_stream: np.random.Generator,
 ) -> np.ndarray:
-    """Voted bits for a whole challenge array, one column of draws per vote."""
-    if voter_t < 1 or voter_t % 2 == 0:
-        raise EvenVoterWidth(f"voter width {voter_t} must be odd and >= 1")
-    challenges = np.asarray(challenges)
-    draws = noise_stream.standard_normal((challenges.size, voter_t)) * instance.sigma_noise
-    ones = np.zeros(challenges.size, dtype=np.int64)
-    for col in range(voter_t):
-        ones += eval_raw_batch(instance, challenges, draws[:, col])
-    return (2 * ones > voter_t).astype(np.uint8)
+    """Voted bits of one lane for a whole challenge array."""
+    phi = features_from_ints(np.asarray(challenges), instance.n_stages)
+    mu = phi @ instance.weights + instance.offset
+    return lane_bits(mu, instance.sigma_noise, voter_t, noise_stream)
 
 
 def xor_fold(bits) -> int:

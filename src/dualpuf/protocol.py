@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .device import PufDevice, deserialize_response, _atomic_write
+from .device import PufDevice, atomic_write, deserialize_response
 from .errors import ChannelTimeout, InterfaceFused, NonMonotonicTicks
 from .server import (
     DEFAULT_T_RANGE,
@@ -86,7 +86,7 @@ class SessionTranscript:
     def save(self, path: str) -> None:
         lines = [f.line() for f in self.frames]
         lines.append(f"{self.d1} {self.d2} {int(self.passed)}")
-        _atomic_write(path, "\n".join(lines) + "\n")
+        atomic_write(path, "\n".join(lines) + "\n")
 
     @classmethod
     def load(cls, path: str) -> "SessionTranscript":

@@ -16,9 +16,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .apuf import ApufInstance, features_from_ints
-from .device import _atomic_write, _pair_from_json, _pair_to_json, deserialize_response
-from .errors import IncompleteTable, MissingEntry, WidthMismatch, ZeroSeed
-from .obfuscator import DualLfsrSpec, run_rounds
+from .device import (
+    DEFAULT_VOTER_T,
+    atomic_write,
+    deserialize_response,
+    pair_from_json,
+    pair_to_json,
+    serialize_response,
+)
+from .errors import IncompleteTable, InvalidParameter, SimulationError, WidthMismatch
+from .obfuscator import DualLfsrSpec, check_external_challenge, lane_feeds, run_rounds
+from .postproc import lane_bits
 
 TABLE_MODE = "table"
 MODEL_MODE = "model"
@@ -42,30 +50,31 @@ class ServerRegistry:
     tau: int
     t_range: tuple[int, int]
     rng_seed: int
-    voter_t: int = 5
+    voter_t: int = DEFAULT_VOTER_T
     table: np.ndarray | None = None      # (k, 2^N) uint8, row 0 of axis 1 unused
     weights: np.ndarray | None = None    # (k, N+1)
     offsets: np.ndarray | None = None    # (k,)
 
     def __post_init__(self) -> None:
         if self.mode not in (TABLE_MODE, MODEL_MODE):
-            raise ValueError(f"unknown registry mode {self.mode!r}")
+            raise InvalidParameter(f"unknown registry mode {self.mode!r}")
         if not 0 <= self.tau < self.k:
-            raise ValueError(f"tau {self.tau} outside [0, k={self.k})")
+            raise InvalidParameter(f"tau {self.tau} outside [0, k={self.k})")
         t_min, t_max = self.t_range
         if not 1 <= t_min <= t_max:
-            raise ValueError(f"bad t range [{t_min}, {t_max}]")
+            raise InvalidParameter(f"bad t range [{t_min}, {t_max}]")
         if len(self.lane_pairs) != self.k:
             raise WidthMismatch(f"{len(self.lane_pairs)} lane pairs for k={self.k}")
         if self.mode == TABLE_MODE and self.n_stages > MAX_TABLE_ORDER:
-            raise ValueError(
+            raise InvalidParameter(
                 f"table mode caps at order {MAX_TABLE_ORDER}, got {self.n_stages}"
             )
+        if self.mode == TABLE_MODE and np.shape(self.table) != (self.k, 1 << self.n_stages):
+            raise WidthMismatch(
+                f"table shape {np.shape(self.table)} for k={self.k} at order {self.n_stages}"
+            )
         self._rng = np.random.default_rng(self.rng_seed)
-        self._feeds = (
-            np.array([p.pair[0].feed for p in self.lane_pairs], dtype=np.int64),
-            np.array([p.pair[1].feed for p in self.lane_pairs], dtype=np.int64),
-        )
+        self._feeds = lane_feeds(self.lane_pairs)
 
     @property
     def rounds_per_response(self) -> int:
@@ -78,7 +87,7 @@ def register_from_ttp(
     tau: int,
     t_range: tuple[int, int] = DEFAULT_T_RANGE,
     rng_seed: int = 0,
-    voter_t: int = 5,
+    voter_t: int = DEFAULT_VOTER_T,
 ) -> ServerRegistry:
     """Build a registry from enrollment material.
 
@@ -91,19 +100,15 @@ def register_from_ttp(
     n = lane_pairs[0].order
     if isinstance(lane_data, dict):
         size = 1 << n
-        table = np.zeros((k, size), dtype=np.uint8)
-        missing = 0
-        for c in range(1, size):
-            if c not in lane_data:
-                missing += 1
-                continue
-            table[:, c] = deserialize_response(lane_data[c], k)
+        missing = sum(c not in lane_data for c in range(1, size))
         if missing:
             raise IncompleteTable(f"{missing} of {size - 1} challenges missing")
+        # column 0 is the unused zero challenge
+        words = [0] + [lane_data[c] for c in range(1, size)]
         return ServerRegistry(
             mode=TABLE_MODE, k=k, n_stages=n, lane_pairs=lane_pairs,
             tau=tau, t_range=t_range, rng_seed=rng_seed, voter_t=voter_t,
-            table=table,
+            table=deserialize_response(words, k),
         )
     lanes: list[ApufInstance] = list(lane_data)
     if len(lanes) != k:
@@ -118,11 +123,7 @@ def register_from_ttp(
 
 def predict_response(registry: ServerRegistry, challenge: int, mode: int) -> np.ndarray:
     """R_m: the tag response the server expects, lane 0 first."""
-    if not 0 < challenge < 1 << registry.n_stages:
-        raise ZeroSeed(
-            f"external challenge {challenge:#x} outside the nonzero "
-            f"{registry.n_stages}-bit range"
-        )
+    check_external_challenge(challenge, registry.n_stages)
     lane_idx = np.arange(registry.k)
 
     if registry.mode == TABLE_MODE:
@@ -136,7 +137,7 @@ def predict_response(registry: ServerRegistry, challenge: int, mode: int) -> np.
 
         def naked(_, chosen: np.ndarray) -> np.ndarray:
             phi = features_from_ints(chosen, registry.n_stages)
-            return ((np.einsum("ki,ki->k", phi, weights) + offsets) > 0).astype(np.uint8)
+            return lane_bits(np.einsum("ki,ki->k", phi, weights) + offsets)
 
     feed1, feed2 = registry._feeds
     return run_rounds(
@@ -165,19 +166,12 @@ def compare(r_m: np.ndarray, r_p: np.ndarray, tau: int) -> int:
     return 1 if int((r_m ^ r_p).sum()) <= tau else 0
 
 
-def table_lookup(registry: ServerRegistry, challenge: int) -> np.ndarray:
-    """Naked k-bit table row; table mode only."""
-    if registry.mode != TABLE_MODE:
-        raise MissingEntry("registry holds no table")
-    if not 0 < challenge < 1 << registry.n_stages:
-        raise MissingEntry(f"challenge {challenge:#x} outside the table")
-    return registry.table[:, challenge]
-
-
 # -- persistence -------------------------------------------------------------
 
 
 def save_registry(registry: ServerRegistry, path: str) -> None:
+    """Persist a registry as a JSON document; a table is one hex word per
+    challenge, lane 0 in bit 0."""
     doc = {
         "mode": registry.mode,
         "k": registry.k,
@@ -186,63 +180,38 @@ def save_registry(registry: ServerRegistry, path: str) -> None:
         "tau": registry.tau,
         "t_range": list(registry.t_range),
         "rng_seed": registry.rng_seed,
-        "lane_pairs": [_pair_to_json(p) for p in registry.lane_pairs],
+        "lane_pairs": [pair_to_json(p) for p in registry.lane_pairs],
     }
     if registry.mode == TABLE_MODE:
-        # one hex word per challenge, lane 0 in bit 0
-        packed = []
-        for c in range(registry.table.shape[1]):
-            value = 0
-            for i in range(registry.k):
-                value |= int(registry.table[i, c]) << i
-            packed.append(f"{value:x}")
-        doc["table"] = packed
+        doc["table"] = [f"{word:x}" for word in serialize_response(registry.table)]
     else:
         doc["weights"] = [[float(w) for w in row] for row in registry.weights]
         doc["offsets"] = [float(o) for o in registry.offsets]
-    _atomic_write(path, json.dumps(doc))
+    atomic_write(path, json.dumps(doc))
 
 
 def load_registry(path: str) -> ServerRegistry:
-    with open(path) as fh:
-        doc = json.load(fh)
-    kwargs = dict(
-        mode=doc["mode"],
-        k=doc["k"],
-        n_stages=doc["n_stages"],
-        lane_pairs=tuple(_pair_from_json(p) for p in doc["lane_pairs"]),
-        tau=doc["tau"],
-        t_range=tuple(doc["t_range"]),
-        rng_seed=doc["rng_seed"],
-        voter_t=doc["voter_t"],
-    )
-    if doc["mode"] == TABLE_MODE:
-        k, size = doc["k"], 1 << doc["n_stages"]
-        table = np.zeros((k, size), dtype=np.uint8)
-        for c, word in enumerate(doc["table"]):
-            table[:, c] = deserialize_response(int(word, 16), k)
-        kwargs["table"] = table
-    else:
-        kwargs["weights"] = np.array(doc["weights"])
-        kwargs["offsets"] = np.array(doc["offsets"])
-    return ServerRegistry(**kwargs)
-
-
-def save_crp_table(table: dict[int, int], path: str, n_stages: int, k: int) -> None:
-    """Naked-CRP table file: one `challenge_hex response_hex` line per entry."""
-    cw = (n_stages + 3) // 4
-    rw = (k + 3) // 4
-    lines = [f"{c:0{cw}x} {r:0{rw}x}" for c, r in sorted(table.items())]
-    _atomic_write(path, "\n".join(lines) + "\n")
-
-
-def load_crp_table(path: str) -> dict[int, int]:
-    table: dict[int, int] = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            c_hex, r_hex = line.split()
-            table[int(c_hex, 16)] = int(r_hex, 16)
-    return table
+    """Read back a registry written by save_registry.  A document that is
+    not JSON, lacks a key or holds a value of the wrong type, range or
+    shape raises SimulationError."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+        kwargs = dict(
+            mode=doc["mode"],
+            k=doc["k"],
+            n_stages=doc["n_stages"],
+            lane_pairs=tuple(pair_from_json(p) for p in doc["lane_pairs"]),
+            tau=doc["tau"],
+            t_range=tuple(doc["t_range"]),
+            rng_seed=doc["rng_seed"],
+            voter_t=doc["voter_t"],
+        )
+        if doc["mode"] == TABLE_MODE:
+            kwargs["table"] = deserialize_response([int(w, 16) for w in doc["table"]], doc["k"])
+        else:
+            kwargs["weights"] = np.array(doc["weights"])
+            kwargs["offsets"] = np.array(doc["offsets"])
+        return ServerRegistry(**kwargs)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SimulationError(f"malformed registry file {path}: {exc!r}") from exc

@@ -14,10 +14,8 @@ from dualpuf.adversary import (
     collect_naked_crps,
     collect_obfuscated_crps,
     eavesdrop,
-    load_crp_dataset,
     puf_metrics,
     replay_attack,
-    save_crp_dataset,
     train_linear_attack,
 )
 from dualpuf.apuf import ApufInstance, eval_raw_batch, sample_instance
@@ -181,19 +179,6 @@ def test_collect_obfuscated_crps_match_the_external_interface():
     assert all(r.challenge >= 1 and r.width == 8 for r in crps)
     for record in crps[:50]:
         assert record.label == int(device.respond(record.challenge, 1)[2])
-
-
-def test_dataset_file_round_trip(tmp_path):
-    crps = collect_naked_crps(sample_instance(8, rng_seed=1), 50, rng_seed=3)
-    path = tmp_path / "crps.txt"
-    save_crp_dataset(crps, str(path))
-    assert load_crp_dataset(str(path), width=8) == crps
-    with pytest.raises(EmptyDataset):
-        save_crp_dataset([], str(tmp_path / "none.txt"))
-    empty = tmp_path / "empty.txt"
-    empty.write_text("\n")
-    with pytest.raises(EmptyDataset):
-        load_crp_dataset(str(empty), width=8)
 
 
 def test_training_input_validation():

@@ -1,5 +1,5 @@
 """Arbiter lane model: parity transform, raw evaluation, compensation
-offsets, the Gaussian response-probability oracle, and lane persistence."""
+offsets, and the Gaussian response-probability oracle."""
 
 import math
 
@@ -16,11 +16,9 @@ from dualpuf.apuf import (
     eval_raw_batch,
     evaluate_raw,
     features_from_ints,
-    load_instance,
     parity_features,
     response_probability_one,
     sample_instance,
-    save_instance,
 )
 from dualpuf.errors import WidthMismatch
 
@@ -152,20 +150,3 @@ def test_response_probability_matches_monte_carlo():
     assert p + response_probability_one(mirrored, 0) == pytest.approx(1.0, abs=1e-12)
     assert p == pytest.approx(0.5 * (1 + math.erf(1 / math.sqrt(2))))
 
-
-def test_instance_persistence_round_trip(tmp_path):
-    inst = sample_instance(8, 123, sigma_noise=0.25, delta_unit=0.07, bias=0.4)
-    inst.adjust_up = 3
-    inst.adjust_low = 1
-    path = tmp_path / "lane.txt"
-    save_instance(inst, str(path))
-    back = load_instance(str(path))
-    assert back.n_stages == 8
-    assert np.array_equal(back.weights, inst.weights)  # exact floats
-    assert (back.sigma_noise, back.delta_unit) == (0.25, 0.07)
-    assert (back.adjust_up, back.adjust_low) == (3, 1)
-    assert back.rng_seed == 123
-
-    anon = ApufInstance(3, np.arange(4, dtype=float), 0.0)
-    save_instance(anon, str(path))
-    assert load_instance(str(path)).rng_seed is None

@@ -1,5 +1,6 @@
 """Command-line behavior, via dispatch() plus real-process smoke tests."""
 
+import json
 import os
 import shutil
 import subprocess
@@ -160,6 +161,67 @@ def test_exit_codes(capsys, tmp_path):
     capsys.readouterr()
     code, _, err = run_cli(capsys, "device", "build", "--stages", "8")
     assert code == 1 and err.startswith("error:")
+
+
+# -- invalid flags and malformed files: error line and exit 1 -------------------
+
+
+def assert_cli_error(capsys, *argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == []
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def built_tag(capsys, tmp_path, register=False):
+    """Paths of a k=8, n=8 tag file and, when asked, its registry file."""
+    dev, reg = str(tmp_path / "dev.json"), str(tmp_path / "reg.json")
+    assert run_cli(capsys, "device", "build", "--stages", "8", "--lanes", "8",
+                   "--seed", "2", "--out", dev)[0] == 0
+    if register:
+        assert run_cli(capsys, "auth", "register", "--device", dev, "--out", reg)[0] == 0
+    return dev, reg
+
+
+def drop_key(path, key):
+    doc = json.loads(Path(path).read_text())
+    del doc[key]
+    Path(path).write_text(json.dumps(doc))
+
+
+def test_register_rejects_tau_of_k_or_more(capsys, tmp_path):
+    dev, reg = built_tag(capsys, tmp_path)
+    assert_cli_error(capsys, "auth", "register", "--device", dev, "--out", reg,
+                     "--tau", "99")
+    assert not json.loads(Path(dev).read_text())["fused"]
+
+
+def test_build_rejects_an_even_voter(capsys, tmp_path):
+    assert_cli_error(capsys, "device", "build", "--stages", "8", "--voter-t", "4",
+                     "--out", str(tmp_path / "dev.json"))
+
+
+def test_build_rejects_zero_lanes(capsys, tmp_path):
+    assert_cli_error(capsys, "device", "build", "--stages", "8", "--lanes", "0",
+                     "--out", str(tmp_path / "dev.json"))
+
+
+def test_run_rejects_tau_of_k_or_more(capsys, tmp_path):
+    dev, reg = built_tag(capsys, tmp_path, register=True)
+    assert_cli_error(capsys, "auth", "run", "--device", dev, "--registry", reg,
+                     "--sessions", "3", "--tau", "99")
+
+
+def test_device_file_missing_a_key(capsys, tmp_path):
+    dev, _ = built_tag(capsys, tmp_path)
+    drop_key(dev, "k")
+    assert_cli_error(capsys, "device", "crp", "--device", dev, "--challenge", "1")
+
+
+def test_registry_file_missing_a_key(capsys, tmp_path):
+    dev, reg = built_tag(capsys, tmp_path, register=True)
+    drop_key(reg, "tau")
+    assert_cli_error(capsys, "auth", "run", "--device", dev, "--registry", reg,
+                     "--sessions", "3")
 
 
 def source_tree_env():

@@ -16,7 +16,6 @@ from dualpuf.device import (
     default_lane_pairs,
     deserialize_response,
     load_device,
-    preprocess,
     save_device,
     serialize_response,
 )
@@ -26,15 +25,9 @@ from dualpuf.errors import (
     WidthMismatch,
     ZeroSeed,
 )
-from dualpuf.lfsr import LfsrSpec
-from dualpuf.obfuscator import (
-    DualLfsrSpec,
-    challenge_trace,
-    generate_response,
-    next_real_challenge,
-    seed_obfuscator,
-)
-from dualpuf.apuf import evaluate_raw, sample_instance
+from dualpuf.lfsr import LfsrSpec, make_lfsr, step
+from dualpuf.obfuscator import DualLfsrSpec, challenge_trace, generate_response
+from dualpuf.apuf import eval_raw_batch, evaluate_raw, sample_instance
 from dualpuf.postproc import xor_fold
 from dualpuf.protocol import CHALLENGE, READER_TO_TAG, Frame
 
@@ -95,6 +88,24 @@ def test_raw_table_covers_all_nonzero_challenges():
         assert table[challenge] == serialize_response(dev.raw_crp_query(challenge))
 
 
+def test_raw_table_matches_the_per_lane_vote_loop():
+    # reference: one vote_batch call per lane, each evaluating the raw
+    # arbiter once per vote column, packed bit by bit
+    dev = make_device(k=5, sigma_noise=0.3)
+    table = dev.raw_crp_table(np.random.default_rng(21))
+    rng = np.random.default_rng(21)
+    challenges = np.arange(1, 256)
+    t = dev.config.voter_t
+    expected = dict.fromkeys(challenges.tolist(), 0)
+    for i, lane in enumerate(dev.lanes):
+        draws = rng.standard_normal((challenges.size, t)) * lane.sigma_noise
+        ones = sum(eval_raw_batch(lane, challenges, draws[:, col]) for col in range(t))
+        for c, bit in zip(challenges.tolist(), (2 * ones > t).tolist()):
+            expected[c] |= int(bit) << i
+    assert table == expected
+    assert len(set(table.values())) > 1
+
+
 def test_fuse_is_permanent_and_idempotent():
     dev = make_device()
     before = dev.respond(0x3C, 1)
@@ -126,14 +137,13 @@ def test_respond_composes_register_selection_and_voting():
                 pair, lane, challenge, mode, dev.config.voter_t, rng
             )
         # lane 0 unrolled: XOR of voted naked bits along the traced challenges
-        state = seed_obfuscator(dev.config.lane_pairs[0], challenge, mode)
-        votes, seen = [], []
+        pair = dev.config.lane_pairs[0]
+        s1, s2 = make_lfsr(pair.pair[0], challenge), make_lfsr(pair.pair[1], challenge)
+        bit, votes, seen = 0, [], []
         for _ in range(5):
-            real, state = next_real_challenge(state)
+            s1, s2 = step(s1), step(s2)
+            real = (s1 if bit ^ mode == 1 else s2).bits
             bit = evaluate_raw(dev.lanes[0], real)
-            state = state.__class__(
-                state.state1, state.state2, state.round_no, bit, state.mode
-            )
             votes.append(bit)
             seen.append(real)
         assert challenge_trace(dev.config.lane_pairs[0], challenge, mode, votes) == seen
@@ -159,6 +169,18 @@ def test_lanes_are_independent():
 def test_serialize_round_trip(bits):
     value = serialize_response(np.array(bits, dtype=np.uint8))
     assert deserialize_response(value, len(bits)).tolist() == bits
+
+
+@pytest.mark.parametrize("k", [1, 8, 64, 65])
+def test_serialize_round_trip_2d(k):
+    bits = np.random.default_rng(k).integers(0, 2, size=(k, 300), dtype=np.uint8)
+    bits[:, 0] = 1  # the all-ones word, 2^k - 1
+    words = serialize_response(bits)
+    assert words == [serialize_response(bits[:, j]) for j in range(300)]
+    assert words[0] == (1 << k) - 1
+    assert np.array_equal(deserialize_response(words, k), bits)
+    with pytest.raises(WidthMismatch):
+        deserialize_response(words + [1 << k], k)
 
 
 def test_serialize_lane_zero_is_lsb():
@@ -195,16 +217,6 @@ def test_answer_challenge_extracts_mode_from_tick_gap():
     )
     with pytest.raises(NonMonotonicTicks):
         dev.answer_challenge(frame_at(16, 0x33))
-
-
-def test_preprocess_tick_arithmetic():
-    dev = make_device()
-    assert preprocess(dev, frame_at(2, 0x10), frame_at(9, 0x20)) == (0x20, 7, 1)
-    assert preprocess(dev, frame_at(2, 0x10), frame_at(6, 0x20)) == (0x20, 4, 0)
-    with pytest.raises(NonMonotonicTicks):
-        preprocess(dev, frame_at(5, 0x10), frame_at(5, 0x20))
-    with pytest.raises(WidthMismatch):
-        preprocess(dev, frame_at(2, 0x10), frame_at(9, 1 << 8))
 
 
 # -- persistence ---------------------------------------------------------------

@@ -13,9 +13,7 @@ from dualpuf.obfuscator import (
     DualLfsrSpec,
     challenge_trace,
     generate_response,
-    next_real_challenge,
     run_rounds,
-    seed_obfuscator,
     trace_records,
 )
 from dualpuf.postproc import xor_fold
@@ -26,14 +24,13 @@ VOTES = (0, 0, 1, 1, 0)
 
 def reference_loop(spec, apuf, external_challenge, mode):
     """Hand-rolled noiseless selection loop collecting votes and challenges."""
-    state = seed_obfuscator(spec, external_challenge, mode)
-    votes, challenges = [], []
+    s1 = make_lfsr(spec.pair[0], external_challenge)
+    s2 = make_lfsr(spec.pair[1], external_challenge)
+    bit, votes, challenges = 0, [], []
     for _ in range(spec.rounds_per_response):
-        challenge, state = next_real_challenge(state)
+        s1, s2 = step(s1), step(s2)
+        challenge = (s1 if bit ^ mode == 1 else s2).bits
         bit = evaluate_raw(apuf, challenge)
-        state = state.__class__(
-            state.state1, state.state2, state.round_no, bit, state.mode
-        )
         votes.append(bit)
         challenges.append(challenge)
     return votes, challenges
@@ -51,23 +48,27 @@ def test_pair_validation():
 
 
 def test_seed_obfuscator_state():
-    state = seed_obfuscator(PAIR, 0b001, 1)
-    assert (state.state1.bits, state.state2.bits) == (1, 1)
-    assert (state.round_no, state.prev_response, state.mode) == (0, 0, 1)
-    with pytest.raises(ZeroSeed):
-        seed_obfuscator(PAIR, 0, 1)
+    # both registers load the external challenge itself; zero and
+    # out-of-range challenges are rejected by the oracle and the engine trace
+    assert make_lfsr(PAIR.pair[0], 0b001).bits == make_lfsr(PAIR.pair[1], 0b001).bits == 1
+    for bad in (0, 1 << 3):
+        with pytest.raises(ZeroSeed):
+            challenge_trace(PAIR, bad, 1, VOTES)
+        with pytest.raises(ZeroSeed):
+            trace_records(PAIR, bad, 1, VOTES)
 
 
 def test_selection_rule_single_step():
     # post-shift register values from seed 001: 101 (first), 110 (second)
-    for prev, mode, expected in ((0, 1, 0b101), (0, 0, 0b110), (1, 0, 0b101), (1, 1, 0b110)):
-        state = seed_obfuscator(PAIR, 0b001, mode)
-        state = state.__class__(state.state1, state.state2, 0, prev, state.mode)
-        challenge, advanced = next_real_challenge(state)
-        assert challenge == expected
-        assert advanced.round_no == 1
-        assert advanced.prev_response == prev  # not updated here
-        assert advanced.state1.bits == 0b101 and advanced.state2.bits == 0b110
+    # after one shift, 111 and 011 after two; round 1 always selects with
+    # prev 0, round 2 with the round-1 vote
+    cases = ((0, 1, 0b101, 0b111), (0, 0, 0b110, 0b011), (1, 0, 0b110, 0b111), (1, 1, 0b101, 0b011))
+    for prev, mode, first, second in cases:
+        history = (prev, 0, 0, 0, 0)
+        trace = challenge_trace(PAIR, 0b001, mode, history)
+        assert trace[:2] == [first, second]
+        records = trace_records(PAIR, 0b001, mode, history)
+        assert [int(line.split()[4], 2) for line in records] == trace
 
 
 def test_challenge_trace_oracle():

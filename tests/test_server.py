@@ -1,17 +1,21 @@
 """Reader-side registry: enrollment material, prediction, session draws,
 comparison, and persistence."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
 from conftest import make_device
-from dualpuf.device import serialize_response
+from dualpuf.device import save_device
 from dualpuf.errors import (
     IncompleteTable,
-    MissingEntry,
+    SimulationError,
     WidthMismatch,
     ZeroSeed,
 )
+from dualpuf.protocol import run_registration
 from dualpuf.server import (
     DEFAULT_T_RANGE,
     MODEL_MODE,
@@ -20,13 +24,10 @@ from dualpuf.server import (
     compare,
     default_tau,
     gen_session,
-    load_crp_table,
     load_registry,
     predict_response,
     register_from_ttp,
-    save_crp_table,
     save_registry,
-    table_lookup,
 )
 
 
@@ -147,12 +148,7 @@ def test_table_lookup():
     raw = {c: dev.raw_crp_query(c) for c in (1, 99, 255)}
     registry = table_registry(dev)
     for challenge, bits in raw.items():
-        assert np.array_equal(table_lookup(registry, challenge), bits)
-    for bad in (0, 256):
-        with pytest.raises(MissingEntry):
-            table_lookup(registry, bad)
-    with pytest.raises(MissingEntry):
-        table_lookup(model_registry(make_device()), 5)
+        assert np.array_equal(registry.table[:, challenge], bits)
 
 
 def test_registry_persistence_round_trip(tmp_path):
@@ -188,14 +184,42 @@ def test_registry_persistence_round_trip(tmp_path):
         ]
 
 
-def test_crp_table_file_round_trip(tmp_path):
-    dev = make_device(k=5)
-    table = dev.raw_crp_table()
-    path = tmp_path / "crps.txt"
-    save_crp_table(table, str(path), n_stages=8, k=5)
-    assert load_crp_table(str(path)) == table
-    first = path.read_text().splitlines()[0].split()
-    assert first[0] == "01" and len(first) == 2
+def test_malformed_registry_files_raise_simulation_errors(tmp_path):
+    path = tmp_path / "r.json"
+    save_registry(table_registry(make_device()), str(path))
+    doc = json.loads(path.read_text())
+    broken = [
+        {key: value for key, value in doc.items() if key != "tau"},
+        {**doc, "table": doc["table"][:-1]},
+        {**doc, "table": doc["table"][:-1] + ["zz"]},
+        {**doc, "table": doc["table"][:-1] + ["1" + "0" * 4]},  # wider than k=4
+        {**doc, "k": "4"},
+        [doc],
+    ]
+    for bad in broken:
+        path.write_text(json.dumps(bad))
+        with pytest.raises(SimulationError):
+            load_registry(str(path))
+    path.write_text("{")
+    with pytest.raises(SimulationError):
+        load_registry(str(path))
+
+
+def test_file_formats_are_pinned(tmp_path):
+    # sha256 of files written for fixed seeds by the release that introduced
+    # these formats; a codec change that moves one byte fails here
+    pins = {
+        "tag.json": "be1058abc66a6d06faffc76735f816acc765ccc8783ba60e396204013245d34a",
+        "table.json": "c25ee2332d46206db146b6a3ee735a2bfe2a13e682c1542d2f29c421e0a79054",
+        "model.json": "6a39939cb556fb23960fd09d6352ddb8b9f5eb0f61eebc569b92f533d411bd34",
+    }
+    dev = make_device(k=8, n_stages=8, device_seed=7, sigma_noise=0.3)
+    save_device(dev, str(tmp_path / "tag.json"))
+    run_registration(dev, str(tmp_path / "table.json"), policy="full", rng_seed=1)
+    dev = make_device(k=8, n_stages=8, device_seed=7, sigma_noise=0.3)
+    run_registration(dev, str(tmp_path / "model.json"), policy="params", rng_seed=1)
+    for name, digest in pins.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
 def test_prediction_does_not_mutate_the_registry():
