@@ -16,9 +16,7 @@ from .adversary import (
 )
 from .apuf import (
     ApufInstance,
-    evaluate_raw,
     parity_features,
-    response_probability_one,
     sample_instance,
 )
 from .device import (
@@ -34,27 +32,20 @@ from .device import (
 from .errors import SimulationError
 from .lfsr import (
     LfsrSpec,
-    LfsrState,
     classify,
     find_primitive,
     is_m_sequence,
-    make_lfsr,
     period,
     pick_lfsr_pair,
-    step,
 )
 from .obfuscator import (
     DualLfsrSpec,
-    challenge_trace,
-    generate_response,
     trace_records,
 )
 from .postproc import (
     AdjustParams,
     AdjustReport,
     randomness_adjust,
-    vote,
-    xor_fold,
 )
 from .protocol import (
     AuthResult,
@@ -88,7 +79,6 @@ __all__ = [
     "DualLfsrSpec",
     "Frame",
     "LfsrSpec",
-    "LfsrState",
     "LinearAttackModel",
     "MetricsRecord",
     "PufDevice",
@@ -98,7 +88,6 @@ __all__ = [
     "SimChannel",
     "SimulationError",
     "build_device",
-    "challenge_trace",
     "classify",
     "collect_naked_crps",
     "collect_obfuscated_crps",
@@ -107,14 +96,11 @@ __all__ = [
     "default_tau",
     "deserialize_response",
     "eavesdrop",
-    "evaluate_raw",
     "find_primitive",
     "gen_session",
-    "generate_response",
     "is_m_sequence",
     "load_device",
     "load_registry",
-    "make_lfsr",
     "parity_features",
     "period",
     "pick_lfsr_pair",
@@ -123,16 +109,12 @@ __all__ = [
     "randomness_adjust",
     "register_from_ttp",
     "replay_attack",
-    "response_probability_one",
     "run_authentication",
     "run_registration",
     "sample_instance",
     "save_device",
     "save_registry",
     "serialize_response",
-    "step",
     "trace_records",
     "train_linear_attack",
-    "vote",
-    "xor_fold",
 ]

@@ -12,11 +12,13 @@ adjust_up pulls delta down, so it corrects an excess of 1-responses.
 
 Challenge bit C_j is bit j of the challenge integer (C_0 = LSB), which wires
 LFSR flip-flop D_1 to stage 0.
+
+Evaluation works on challenge arrays; the one-challenge-at-a-time reference
+that the tests compare it against lives in tests/reference.py.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,30 +92,19 @@ def sample_instance(
     )
 
 
-def challenge_bits(challenge: int, n_stages: int) -> np.ndarray:
-    """Unpack a challenge integer into its N challenge bits, C_0 first."""
-    if not 0 <= challenge < 1 << n_stages:
-        raise WidthMismatch(f"challenge {challenge:#x} does not fit {n_stages} stages")
-    return (challenge >> np.arange(n_stages)) & 1
-
-
 def bits_from_ints(challenges: np.ndarray, n_stages: int) -> np.ndarray:
     """Bit matrix for a whole challenge array; output shape (..., N)."""
     ch = np.asarray(challenges, dtype=np.int64)
     return ((ch[..., None] >> np.arange(n_stages)) & 1).astype(np.int8)
 
 
-def parity_features(challenge, n_stages: int | None = None) -> np.ndarray:
+def parity_features(bits) -> np.ndarray:
     """Parity transform: phi_i = prod_{j>=i} (1 - 2 C_j), phi_N = 1.
 
-    Accepts a challenge integer (with n_stages) or a bit array whose last
-    axis is the challenge; returns floats in {-1, +1} with one extra column.
+    Takes a bit array whose last axis is the challenge; returns floats in
+    {-1, +1} with one extra column.
     """
-    if isinstance(challenge, (int, np.integer)):
-        bits = challenge_bits(int(challenge), n_stages)
-    else:
-        bits = np.asarray(challenge)
-    x = 1.0 - 2.0 * bits
+    x = 1.0 - 2.0 * np.asarray(bits)
     suffix = np.cumprod(x[..., ::-1], axis=-1)[..., ::-1]
     ones = np.ones(suffix.shape[:-1] + (1,))
     return np.concatenate([suffix, ones], axis=-1)
@@ -124,36 +115,13 @@ def features_from_ints(challenges: np.ndarray, n_stages: int) -> np.ndarray:
     return parity_features(bits_from_ints(challenges, n_stages))
 
 
-def delta_raw(instance: ApufInstance, challenge: int, noise_draw: float = 0.0) -> float:
-    """Delay difference seen by the arbiter for one evaluation."""
-    phi = parity_features(challenge, instance.n_stages)
-    return float(instance.weights @ phi) + noise_draw + instance.offset
-
-
-def evaluate_raw(instance: ApufInstance, challenge: int, noise_draw: float = 0.0) -> int:
-    """Single arbiter decision; caller supplies the noise draw (0 = noiseless)."""
-    return 1 if delta_raw(instance, challenge, noise_draw) > 0 else 0
-
-
 def eval_raw_batch(
     instance: ApufInstance,
     challenges: np.ndarray,
     noise_draws: np.ndarray | float = 0.0,
 ) -> np.ndarray:
-    """Vectorised evaluate_raw over a challenge integer array."""
+    """Arbiter decisions of one lane for a challenge integer array; the
+    caller supplies the noise draws (0 = noiseless)."""
     phi = features_from_ints(challenges, instance.n_stages)
     delta = phi @ instance.weights + noise_draws + instance.offset
     return (delta > 0).astype(np.uint8)
-
-
-def response_probability_one(instance: ApufInstance, challenge: int) -> float:
-    """Closed-form P(bit = 1) under Gaussian evaluation noise.
-
-    With sigma_noise = 0 the distribution is degenerate; the sign indicator
-    is returned instead of raising, so the function stays total.
-    """
-    mu = delta_raw(instance, challenge)
-    if instance.sigma_noise == 0:
-        return 1.0 if mu > 0 else 0.0
-    return 0.5 * (1.0 + math.erf(mu / (instance.sigma_noise * math.sqrt(2.0))))
-

@@ -290,10 +290,10 @@ def dispatch(argv) -> int:
             lines = _cmd_attack(args)
         else:
             lines = _cmd_metrics(args)
+        _emit(args, lines)
     except SimulationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _emit(args, lines)
     return 0
 
 

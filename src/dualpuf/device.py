@@ -236,17 +236,21 @@ def build_device(config: DeviceConfig, adjust_params: AdjustParams | None = None
 
 def atomic_write(path: str, text: str) -> None:
     """Write text to path through a temporary file and a rename, so a
-    reader never sees a half-written file."""
+    reader never sees a half-written file.  A path that cannot be written
+    raises SimulationError."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise SimulationError(f"cannot write {path}: {exc!r}") from exc
 
 
 def pair_to_json(pair: DualLfsrSpec) -> dict:
@@ -291,9 +295,9 @@ def save_device(device: PufDevice, path: str) -> None:
 
 
 def load_device(path: str) -> PufDevice:
-    """Read back a tag written by save_device.  A document that is not
-    JSON, lacks a key or holds a value of the wrong type or range raises
-    SimulationError."""
+    """Read back a tag written by save_device.  A file that cannot be read,
+    is not JSON, lacks a key or holds a value of the wrong type or range
+    raises SimulationError."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -317,5 +321,5 @@ def load_device(path: str) -> PufDevice:
             for entry in doc["lanes"]
         ]
         return PufDevice(config=config, lanes=lanes, fused=doc["fused"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SimulationError(f"malformed device file {path}: {exc!r}") from exc
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise SimulationError(f"cannot load device file {path}: {exc!r}") from exc

@@ -38,10 +38,6 @@ class EvenVoterWidth(SimulationError):
     """Majority voting needs an odd number of votes."""
 
 
-class EmptyInput(SimulationError):
-    """An operation that folds over bits received none."""
-
-
 class NoConvergence(SimulationError):
     """Randomness adjustment did not reach the accept band in time."""
 

@@ -110,17 +110,6 @@ class LfsrSpec:
 
 
 @dataclass(frozen=True)
-class LfsrState:
-    """A register snapshot: spec plus current n-bit contents."""
-
-    spec: LfsrSpec
-    bits: int
-
-    def bits_str(self) -> str:
-        return f"{self.bits:0{self.spec.order}b}"
-
-
-@dataclass(frozen=True)
 class SequenceClassification:
     """Partition of all 2^n states into useless / useful / additional cycles.
 
@@ -138,26 +127,6 @@ class SequenceClassification:
     @property
     def additional_count(self) -> int:
         return sum(len(c) for c in self.additional)
-
-
-def make_lfsr(spec: LfsrSpec, seed: int) -> LfsrState:
-    """Load a register with ``seed``.  Zero is rejected: it never leaves the
-    useless state, so it can never drive the PUF."""
-    if seed == 0:
-        raise ZeroSeed("seed 0 is the stuck all-zero state")
-    if not 0 < seed < 1 << spec.order:
-        raise ZeroSeed(f"seed {seed:#x} outside the {spec.order}-bit register range")
-    return LfsrState(spec, seed)
-
-
-def step(state: LfsrState) -> LfsrState:
-    """One Galois shift."""
-    return LfsrState(state.spec, step_bits(state.spec, state.bits))
-
-
-def step_bits(spec: LfsrSpec, bits: int) -> int:
-    """Shift raw register bits without wrapping them in a state object."""
-    return (bits >> 1) ^ (spec.feed if bits & 1 else 0)
 
 
 def step_array(feed: "np.ndarray | int", bits: np.ndarray) -> np.ndarray:
@@ -217,7 +186,10 @@ def classify(spec: LfsrSpec) -> SequenceClassification:
 @functools.lru_cache(maxsize=4096)
 def is_m_sequence(spec: LfsrSpec) -> bool:
     """True iff the polynomial is primitive: one cycle covers every nonzero
-    state, so the period from any nonzero seed is 2^n - 1."""
+    state, so the period from any nonzero seed is 2^n - 1.  The check walks
+    the whole period, so the order is capped at MAX_CLASSIFY_ORDER."""
+    if spec.order > MAX_CLASSIFY_ORDER:
+        raise OrderTooLarge(f"period check caps at order {MAX_CLASSIFY_ORDER}, got {spec.order}")
     return period(spec, 1) == (1 << spec.order) - 1
 
 

@@ -14,9 +14,9 @@ swapped one).  A response is the XOR fold of rounds_per_response voted bits
 produced this way.
 
 run_rounds is the one selection engine: the device, server, attack
-harnesses and trace_records all run it.  generate_response and
-challenge_trace restate the rule one register step at a time; they are the
-scalar reference the tests compare the engine against.
+harnesses and trace_records all run it.  The scalar reference that restates
+the rule one register shift at a time, and that the tests compare the engine
+against, lives in tests/reference.py.
 """
 
 from __future__ import annotations
@@ -25,10 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .apuf import ApufInstance
 from .errors import InvalidParameter, WidthMismatch, ZeroSeed
-from .lfsr import LfsrSpec, is_m_sequence, make_lfsr, step
-from .postproc import vote, xor_fold
+from .lfsr import LfsrSpec, is_m_sequence
 
 DEFAULT_ROUNDS = 5
 
@@ -75,64 +73,6 @@ def check_external_challenge(challenge: int, order: int) -> None:
         )
 
 
-def _history(spec: DualLfsrSpec, response_bits) -> list[int]:
-    """Per-round vote history, checked against the spec's round count."""
-    bits = [int(b) & 1 for b in response_bits]
-    if len(bits) != spec.rounds_per_response:
-        raise WidthMismatch(
-            f"need {spec.rounds_per_response} response bits, got {len(bits)}"
-        )
-    return bits
-
-
-def generate_response(
-    spec: DualLfsrSpec,
-    apuf: ApufInstance,
-    external_challenge: int,
-    mode: int,
-    voter_t: int,
-    noise_stream: np.random.Generator,
-) -> int:
-    """One full response: rounds_per_response voted bits, XOR folded."""
-    if apuf.n_stages != spec.order:
-        raise WidthMismatch(
-            f"arbiter has {apuf.n_stages} stages, registers are order {spec.order}"
-        )
-    mode &= 1
-    s1 = make_lfsr(spec.pair[0], external_challenge)
-    s2 = make_lfsr(spec.pair[1], external_challenge)
-    prev, votes = 0, []
-    for _ in range(spec.rounds_per_response):
-        s1, s2 = step(s1), step(s2)
-        prev = vote(apuf, (s1 if prev ^ mode == 1 else s2).bits, voter_t, noise_stream)
-        votes.append(prev)
-    return xor_fold(votes)
-
-
-def challenge_trace(
-    spec: DualLfsrSpec,
-    external_challenge: int,
-    mode: int,
-    response_bits,
-) -> list[int]:
-    """Challenge sequence the selection rule emits for a given vote history.
-
-    Pure reconstruction with no arbiter: round j's selector is
-    response_bits[j-1] (0 for round 1), exactly as generate_response would
-    behave if its votes came out equal to response_bits.
-    """
-    history = _history(spec, response_bits)
-    mode &= 1
-    s1 = make_lfsr(spec.pair[0], external_challenge)
-    s2 = make_lfsr(spec.pair[1], external_challenge)
-    prev, out = 0, []
-    for r in history:
-        s1, s2 = step(s1), step(s2)
-        out.append((s1 if prev ^ mode == 1 else s2).bits)
-        prev = r
-    return out
-
-
 def trace_records(
     spec: DualLfsrSpec,
     external_challenge: int,
@@ -144,7 +84,11 @@ def trace_records(
     The challenges come from run_rounds with a round function that replays
     the given vote history.
     """
-    history = _history(spec, response_bits)
+    history = [int(b) & 1 for b in response_bits]
+    if len(history) != spec.rounds_per_response:
+        raise WidthMismatch(
+            f"need {spec.rounds_per_response} response bits, got {len(history)}"
+        )
     check_external_challenge(external_challenge, spec.order)
     mode &= 1
     _, challenges = run_rounds(

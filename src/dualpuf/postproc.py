@@ -1,10 +1,14 @@
-"""Post-processing: initialization-time randomness adjustment, the temporal
-majority voter, and XOR folding of per-round bits.
+"""Post-processing: initialization-time randomness adjustment and the
+temporal majority voter.
 
 The adjustment loop is a successive approximation on the lane's compensation
 counters: each round feeds a burst of fresh random challenges through the raw
 arbiter, counts zero responses, and nudges one counter by a single unit until
 the zero count falls strictly inside the acceptance window.
+
+lane_bits is the one voter, for arrays of any shape; the XOR fold of the
+round bits happens in obfuscator.run_rounds.  The one-vote-at-a-time
+reference that the tests compare them against lives in tests/reference.py.
 """
 
 from __future__ import annotations
@@ -13,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .apuf import ApufInstance, eval_raw_batch, evaluate_raw, features_from_ints
-from .errors import EmptyInput, EvenVoterWidth, InvalidParameter, NoConvergence
+from .apuf import ApufInstance, eval_raw_batch, features_from_ints
+from .errors import EvenVoterWidth, InvalidParameter, NoConvergence
 
 DEFAULT_PULSE_COUNT = 96
 DEFAULT_WINDOW_HALFWIDTH = 6
@@ -109,20 +113,6 @@ def randomness_adjust(instance: ApufInstance, params: AdjustParams) -> AdjustRep
     )
 
 
-def vote(
-    instance: ApufInstance,
-    challenge: int,
-    voter_t: int,
-    noise_stream: np.random.Generator,
-) -> int:
-    """Majority bit over voter_t independent noisy evaluations."""
-    if voter_t < 1 or voter_t % 2 == 0:
-        raise EvenVoterWidth(f"voter width {voter_t} must be odd and >= 1")
-    draws = noise_stream.standard_normal(voter_t) * instance.sigma_noise
-    ones = sum(evaluate_raw(instance, challenge, float(d)) for d in draws)
-    return 1 if 2 * ones > voter_t else 0
-
-
 def lane_bits(
     mu: np.ndarray,
     sigma: float = 0.0,
@@ -155,14 +145,3 @@ def vote_batch(
     phi = features_from_ints(np.asarray(challenges), instance.n_stages)
     mu = phi @ instance.weights + instance.offset
     return lane_bits(mu, instance.sigma_noise, voter_t, noise_stream)
-
-
-def xor_fold(bits) -> int:
-    """Parity of a nonempty bit sequence."""
-    bits = list(bits)
-    if not bits:
-        raise EmptyInput("xor_fold of an empty sequence")
-    out = 0
-    for b in bits:
-        out ^= int(b)
-    return out & 1

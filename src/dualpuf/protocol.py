@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .device import PufDevice, atomic_write, deserialize_response
-from .errors import ChannelTimeout, InterfaceFused, NonMonotonicTicks
+from .errors import ChannelTimeout, InterfaceFused, NonMonotonicTicks, SimulationError
 from .server import (
     DEFAULT_T_RANGE,
     ServerRegistry,
@@ -90,19 +90,24 @@ class SessionTranscript:
 
     @classmethod
     def load(cls, path: str) -> "SessionTranscript":
+        """Read back a transcript written by save.  A file that cannot be
+        read or holds a malformed line raises SimulationError."""
         frames: list[Frame] = []
         d1 = d2 = 0
         passed = False
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                tokens = line.split()
-                if len(tokens) == 3:
-                    d1, d2, passed = int(tokens[0]), int(tokens[1]), bool(int(tokens[2]))
-                else:
-                    frames.append(Frame.parse(line))
+        try:
+            with open(path) as fh:
+                for line in fh:
+                    line = line.strip()
+                    if not line:
+                        continue
+                    tokens = line.split()
+                    if len(tokens) == 3:
+                        d1, d2, passed = int(tokens[0]), int(tokens[1]), bool(int(tokens[2]))
+                    else:
+                        frames.append(Frame.parse(line))
+        except (OSError, ValueError) as exc:
+            raise SimulationError(f"cannot load transcript {path}: {exc!r}") from exc
         return cls(frames=frames, d1=d1, d2=d2, passed=passed)
 
 

@@ -73,6 +73,14 @@ class ServerRegistry:
             raise WidthMismatch(
                 f"table shape {np.shape(self.table)} for k={self.k} at order {self.n_stages}"
             )
+        if self.mode == MODEL_MODE and (
+            np.shape(self.weights) != (self.k, self.n_stages + 1)
+            or np.shape(self.offsets) != (self.k,)
+        ):
+            raise WidthMismatch(
+                f"weights shape {np.shape(self.weights)}, offsets shape "
+                f"{np.shape(self.offsets)} for k={self.k} at order {self.n_stages}"
+            )
         self._rng = np.random.default_rng(self.rng_seed)
         self._feeds = lane_feeds(self.lane_pairs)
 
@@ -191,9 +199,9 @@ def save_registry(registry: ServerRegistry, path: str) -> None:
 
 
 def load_registry(path: str) -> ServerRegistry:
-    """Read back a registry written by save_registry.  A document that is
-    not JSON, lacks a key or holds a value of the wrong type, range or
-    shape raises SimulationError."""
+    """Read back a registry written by save_registry.  A file that cannot
+    be read, is not JSON, lacks a key or holds a value of the wrong type,
+    range or shape raises SimulationError."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -213,5 +221,5 @@ def load_registry(path: str) -> ServerRegistry:
             kwargs["weights"] = np.array(doc["weights"])
             kwargs["offsets"] = np.array(doc["offsets"])
         return ServerRegistry(**kwargs)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SimulationError(f"malformed registry file {path}: {exc!r}") from exc
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise SimulationError(f"cannot load registry file {path}: {exc!r}") from exc

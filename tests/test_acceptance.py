@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+import reference
 from dualpuf.adversary import (
     ReplayAttacker,
     collect_naked_crps,
@@ -23,7 +24,6 @@ from dualpuf.apuf import (
     ApufInstance,
     eval_raw_batch,
     features_from_ints,
-    response_probability_one,
     sample_instance,
 )
 from dualpuf.device import (
@@ -39,9 +39,7 @@ from dualpuf.lfsr import (
     classify,
     find_primitive,
     is_m_sequence,
-    make_lfsr,
     period,
-    step,
 )
 from dualpuf.obfuscator import run_rounds
 from dualpuf.postproc import AdjustParams, randomness_adjust, vote_batch
@@ -90,12 +88,14 @@ def test_criterion_01_primitive_search_is_maximal():
 
 
 def test_criterion_02_reference_cycle_replay():
-    spec = LfsrSpec(3, 0b1011)
-    state = make_lfsr(spec, 0b001)
-    walked = []
-    for _ in range(7):
-        state = step(state)
-        walked.append(state.bits)
+    # the package's own shift: with both registers on one polynomial every
+    # round reads that register, seven shifts from seed 001
+    feed = LfsrSpec(3, 0b1011).feed
+    _, states = run_rounds(
+        feed, feed, 0b001, 1, 7, lambda _, c: np.zeros_like(c, dtype=np.uint8),
+        collect_challenges=True,
+    )
+    walked = [int(state) for state in states]
     assert walked[0] == 0b101  # first shift
     assert walked == [0b101, 0b111, 0b110, 0b011, 0b100, 0b010, 0b001]
     _record("criterion 02 PASS: 7-state reference cycle reproduced exactly")
@@ -157,7 +157,7 @@ def test_criterion_05_voter_suppresses_noise_like_the_binomial():
         probe = ApufInstance(
             n_stages=8, weights=np.r_[np.zeros(8), 1.0], sigma_noise=sigma
         )
-        return response_probability_one(probe, 0)
+        return reference.p_one(probe, 0)
 
     for _ in range(200):
         mid = sum(lane_sigma) / 2

@@ -1,5 +1,6 @@
-"""Arbiter lane model: parity transform, raw evaluation, compensation
-offsets, and the Gaussian response-probability oracle."""
+"""Arbiter lane model: parity transform, raw evaluation and compensation
+offsets against the scalar reference, and the closed-form response
+probability that criterion 05 relies on."""
 
 import math
 
@@ -8,19 +9,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import reference
 from dualpuf.apuf import (
     ApufInstance,
     bits_from_ints,
-    challenge_bits,
-    delta_raw,
     eval_raw_batch,
-    evaluate_raw,
     features_from_ints,
     parity_features,
-    response_probability_one,
     sample_instance,
 )
 from dualpuf.errors import WidthMismatch
+from dualpuf.postproc import lane_bits, vote_batch
 
 bit_vectors = st.lists(st.integers(0, 1), min_size=1, max_size=12)
 
@@ -48,16 +47,13 @@ def test_sample_instance_deterministic_and_biased():
 
 
 def test_challenge_bits_oracle():
-    assert challenge_bits(0b1101, 4).tolist() == [1, 0, 1, 1]  # low bit first
-    with pytest.raises(WidthMismatch):
-        challenge_bits(16, 4)
-    with pytest.raises(WidthMismatch):
-        challenge_bits(-1, 4)
+    assert bits_from_ints(0b1101, 4).tolist() == [1, 0, 1, 1]  # low bit first
+    assert bits_from_ints([[0b1101, 0]], 4).shape == (1, 2, 4)
 
 
 def test_parity_features_oracle():
-    assert parity_features(0, 3).tolist() == [1.0, 1.0, 1.0, 1.0]
-    assert parity_features(0b101, 3).tolist() == [1.0, -1.0, -1.0, 1.0]
+    assert features_from_ints(0, 3).tolist() == [1.0, 1.0, 1.0, 1.0]
+    assert features_from_ints(0b101, 3).tolist() == [1.0, -1.0, -1.0, 1.0]
 
 
 @given(bit_vectors)
@@ -72,13 +68,13 @@ def test_parity_features_recurrence(bits):
 @given(st.integers(2, 12), st.integers(0, 4095))
 def test_top_bit_flip_negates_all_but_constant(n, raw):
     challenge = raw % (1 << n)
-    phi = parity_features(challenge, n)
-    flipped = parity_features(challenge ^ (1 << (n - 1)), n)
+    phi = features_from_ints(challenge, n)
+    flipped = features_from_ints(challenge ^ (1 << (n - 1)), n)
     assert np.array_equal(flipped[:n], -phi[:n])
     assert flipped[n] == 1.0
     # responses under the flip agree with direct recomputation
     inst = sample_instance(n, 17)
-    assert evaluate_raw(inst, challenge ^ (1 << (n - 1))) == int(
+    assert eval_raw_batch(inst, challenge ^ (1 << (n - 1))) == int(
         inst.weights @ flipped > 0
     )
 
@@ -88,24 +84,24 @@ def test_batch_helpers_match_scalar():
     challenges = rng.integers(0, 1 << 6, size=40)
     assert np.array_equal(
         bits_from_ints(challenges, 6),
-        np.stack([challenge_bits(int(c), 6) for c in challenges]),
+        np.array([reference.challenge_bits(int(c), 6) for c in challenges]),
     )
     assert np.array_equal(
         features_from_ints(challenges, 6),
-        np.stack([parity_features(int(c), 6) for c in challenges]),
+        np.array([reference.parity_features(int(c), 6) for c in challenges]),
     )
     inst = sample_instance(6, 3)
     noise = rng.standard_normal(40)
     assert np.array_equal(
         eval_raw_batch(inst, challenges, noise),
-        np.array([evaluate_raw(inst, int(c), float(d)) for c, d in zip(challenges, noise)]),
+        np.array([reference.evaluate(inst, int(c), float(d)) for c, d in zip(challenges, noise)]),
     )
 
 
 def test_exact_tie_yields_zero():
     inst = ApufInstance(4, np.zeros(5), 0.0)
-    assert delta_raw(inst, 9) == 0.0
-    assert evaluate_raw(inst, 9) == 0
+    assert reference.delta(inst, 9) == 0.0
+    assert eval_raw_batch(inst, np.array([9])).tolist() == [0]
 
 
 def test_compensation_is_monotone():
@@ -114,12 +110,12 @@ def test_compensation_is_monotone():
     up_bits = []
     for up in range(8):
         probe = ApufInstance(8, inst.weights, 0.0, adjust_up=up, delta_unit=0.3)
-        up_bits.append(evaluate_raw(probe, challenge))
+        up_bits.append(int(eval_raw_batch(probe, challenge)))
     assert up_bits == sorted(up_bits, reverse=True)  # non-increasing
     low_bits = []
     for low in range(8):
         probe = ApufInstance(8, inst.weights, 0.0, adjust_low=low, delta_unit=0.3)
-        low_bits.append(evaluate_raw(probe, challenge))
+        low_bits.append(int(eval_raw_batch(probe, challenge)))
     assert low_bits == sorted(low_bits)  # non-decreasing
     probe = ApufInstance(8, inst.weights, 0.0, adjust_up=2, adjust_low=5)
     assert probe.offset == pytest.approx(3 * 0.05)
@@ -132,21 +128,15 @@ def test_noiseless_evaluation_repeats():
 
 
 def test_response_probability_degenerate_indicator():
-    up = ApufInstance(2, np.array([0.0, 0.0, 1.0]), 0.0)
-    down = ApufInstance(2, np.array([0.0, 0.0, -1.0]), 0.0)
-    tie = ApufInstance(2, np.zeros(3), 0.0)
-    assert response_probability_one(up, 0) == 1.0
-    assert response_probability_one(down, 0) == 0.0
-    assert response_probability_one(tie, 0) == 0.0  # tie counts as 0
+    # at sigma 0 a lane bit is the sign indicator of the delay, a tie is 0
+    assert lane_bits(np.array([1.0, -1.0, 0.0])).tolist() == [1, 0, 0]
 
 
 def test_response_probability_matches_monte_carlo():
     inst = ApufInstance(2, np.array([0.0, 0.0, 1.0]), 1.0)  # margin +1, sigma 1
-    p = response_probability_one(inst, 0)
-    draws = np.random.default_rng(6).standard_normal(200_000)
-    empirical = float((1.0 + draws > 0).mean())
-    assert abs(p - empirical) < 0.005
+    p = reference.p_one(inst, 0)
+    bits = vote_batch(inst, np.zeros(200_000, dtype=np.int64), 1, np.random.default_rng(6))
+    assert abs(p - float(bits.mean())) < 0.005
     mirrored = ApufInstance(2, np.array([0.0, 0.0, -1.0]), 1.0)
-    assert p + response_probability_one(mirrored, 0) == pytest.approx(1.0, abs=1e-12)
+    assert p + reference.p_one(mirrored, 0) == pytest.approx(1.0, abs=1e-12)
     assert p == pytest.approx(0.5 * (1 + math.erf(1 / math.sqrt(2))))
-

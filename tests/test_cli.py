@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -222,6 +223,38 @@ def test_registry_file_missing_a_key(capsys, tmp_path):
     drop_key(reg, "tau")
     assert_cli_error(capsys, "auth", "run", "--device", dev, "--registry", reg,
                      "--sessions", "3")
+
+
+def test_model_registry_with_short_weight_rows(capsys, tmp_path):
+    dev, reg = built_tag(capsys, tmp_path)
+    assert run_cli(capsys, "auth", "register", "--device", dev, "--out", reg,
+                   "--policy", "params")[0] == 0
+    doc = json.loads(Path(reg).read_text())
+    doc["weights"] = [row[:-1] for row in doc["weights"]]
+    Path(reg).write_text(json.dumps(doc))
+    assert_cli_error(capsys, "auth", "run", "--device", dev, "--registry", reg,
+                     "--sessions", "3")
+
+
+def test_missing_and_unwritable_files(capsys, tmp_path):
+    dev, reg = built_tag(capsys, tmp_path, register=True)
+    missing = str(tmp_path / "missing.json")
+    assert_cli_error(capsys, "device", "crp", "--device", missing, "--challenge", "1")
+    assert_cli_error(capsys, "auth", "run", "--device", dev, "--registry", missing)
+    assert_cli_error(capsys, "device", "build", "--stages", "8",
+                     "--out", str(tmp_path / "no" / "such" / "dir" / "tag.json"))
+    # a report copy that cannot be written fails after the report is printed
+    code, out, err = run_cli(capsys, "lfsr", "primitive", "--order", "3",
+                             "--out", str(tmp_path / "no" / "report.txt"))
+    assert code == 1 and out == ["0b1011 0b1101"]
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_trace_refuses_a_period_check_beyond_order_24(capsys):
+    t0 = time.perf_counter()
+    assert_cli_error(capsys, "lfsr", "trace", "--poly", "0x1000000af",
+                     "--poly2", "0x1000000c5", "--challenge", "1", "--bits", "00000")
+    assert time.perf_counter() - t0 < 5.0
 
 
 def source_tree_env():

@@ -2,12 +2,14 @@
 obfuscated response path, session bookkeeping, and persistence."""
 
 import copy
+import itertools
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import reference
 from conftest import make_device
 from dualpuf.device import (
     DeviceConfig,
@@ -25,10 +27,9 @@ from dualpuf.errors import (
     WidthMismatch,
     ZeroSeed,
 )
-from dualpuf.lfsr import LfsrSpec, make_lfsr, step
-from dualpuf.obfuscator import DualLfsrSpec, challenge_trace, generate_response
-from dualpuf.apuf import eval_raw_batch, evaluate_raw, sample_instance
-from dualpuf.postproc import xor_fold
+from dualpuf.lfsr import LfsrSpec
+from dualpuf.obfuscator import DualLfsrSpec
+from dualpuf.apuf import eval_raw_batch
 from dualpuf.protocol import CHALLENGE, READER_TO_TAG, Frame
 
 
@@ -127,27 +128,22 @@ def test_respond_rejects_out_of_range_challenges():
 
 
 def test_respond_composes_register_selection_and_voting():
+    # every lane against the scalar reference, noiseless at k=4
     dev = make_device()
-    rng = np.random.default_rng(0)
     for challenge, mode in ((0x5A, 1), (0x5A, 0), (0x01, 1), (0xF3, 0)):
         response = dev.respond(challenge, mode)
         for i, lane in enumerate(dev.lanes):
             pair = dev.config.lane_pairs[i]
-            assert response[i] == generate_response(
-                pair, lane, challenge, mode, dev.config.voter_t, rng
-            )
-        # lane 0 unrolled: XOR of voted naked bits along the traced challenges
-        pair = dev.config.lane_pairs[0]
-        s1, s2 = make_lfsr(pair.pair[0], challenge), make_lfsr(pair.pair[1], challenge)
-        bit, votes, seen = 0, [], []
-        for _ in range(5):
-            s1, s2 = step(s1), step(s2)
-            real = (s1 if bit ^ mode == 1 else s2).bits
-            bit = evaluate_raw(dev.lanes[0], real)
-            votes.append(bit)
-            seen.append(real)
-        assert challenge_trace(dev.config.lane_pairs[0], challenge, mode, votes) == seen
-        assert response[0] == xor_fold(votes)
+            assert response[i] == reference.response(pair, lane, challenge, mode)
+    # with voting noise at k=1 the tag draws round by round and vote by
+    # vote, as the reference does; the noise flips about a fifth of these
+    noisy = make_device(k=1, sigma_noise=0.4)
+    pair, lane, voter_t = noisy.config.lane_pairs[0], noisy.lanes[0], noisy.config.voter_t
+    for challenge, mode in itertools.product(range(1, 256), (0, 1)):
+        bit = noisy.respond(challenge, mode, np.random.default_rng(challenge))
+        assert bit[0] == reference.response(
+            pair, lane, challenge, mode, voter_t, np.random.default_rng(challenge)
+        )
 
 
 def test_lanes_are_independent():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import reference
 from dualpuf.errors import (
     InsufficientPrimitives,
     MalformedPolynomial,
@@ -17,13 +18,11 @@ from dualpuf.lfsr import (
     classify,
     find_primitive,
     is_m_sequence,
-    make_lfsr,
     period,
     pick_lfsr_pair,
-    step,
     step_array,
-    step_bits,
 )
+from dualpuf.obfuscator import DualLfsrSpec, check_external_challenge
 
 
 def valid_specs(max_order=10):
@@ -83,39 +82,38 @@ def test_string_forms():
     assert spec.poly_str() == "x^3+x+1"
     assert spec.mask_str() == "0b1011"
     assert str(spec) == "x^3+x+1 (0b1011)"
-    assert make_lfsr(spec, 1).bits_str() == "001"
 
 
 # -- stepping --------------------------------------------------------------
 
 
 def test_seed_rejection():
-    spec = LfsrSpec(3, 0b1011)
+    # a register is loaded only with a nonzero challenge that fits its order
     for bad in (0, 8, -1):
         with pytest.raises(ZeroSeed):
-            make_lfsr(spec, bad)
+            check_external_challenge(bad, 3)
 
 
 def test_known_seven_state_cycle():
     # all seven nonzero 3-bit states on one cycle, first shift 001 -> 101
-    spec = LfsrSpec(3, 0b1011)
-    state = make_lfsr(spec, 0b001)
+    feed = np.int64(LfsrSpec(3, 0b1011).feed)
+    state = np.int64(0b001)
     seen = []
     for _ in range(7):
-        state = step(state)
-        seen.append(state.bits)
+        state = step_array(feed, state)
+        seen.append(int(state))
     assert seen == [0b101, 0b111, 0b110, 0b011, 0b100, 0b010, 0b001]
 
 
 @given(valid_specs())
 def test_zero_is_a_fixed_point(spec):
-    assert step_bits(spec, 0) == 0
+    assert step_array(np.int64(spec.feed), np.int64(0)) == 0
 
 
 @given(valid_specs(), st.lists(st.integers(0, 1023), min_size=1, max_size=32))
 def test_step_array_matches_scalar(spec, raw):
     states = np.array([s % (1 << spec.order) for s in raw], dtype=np.int64)
-    expected = np.array([step_bits(spec, int(s)) for s in states])
+    expected = np.array([reference.shift(spec.feed, int(s)) for s in states])
     assert np.array_equal(step_array(np.int64(spec.feed), states), expected)
 
 
@@ -152,16 +150,13 @@ def test_find_primitive_sorted_and_maximal():
 
 
 def test_primitive_walk_visits_all_nonzero_states():
+    # from seed 1 a primitive register walks one cycle through every
+    # nonzero state before it returns
     for order in (3, 4, 5, 6):
         full = set(range(1, 1 << order))
         for spec in find_primitive(order):
-            visited = set()
-            s = 1
-            for _ in range(len(full)):
-                visited.add(s)
-                s = step_bits(spec, s)
-                assert s != 0
-            assert visited == full and s == 1
+            (cycle,) = classify(spec).useful
+            assert cycle[0] == 1 and set(cycle) == full
 
 
 def test_find_primitive_order_bounds():
@@ -173,6 +168,16 @@ def test_find_primitive_order_bounds():
 def test_is_m_sequence():
     assert is_m_sequence(LfsrSpec(3, 0b1011))
     assert not is_m_sequence(LfsrSpec(3, 0b1111))
+
+
+def test_period_check_order_cap():
+    # the check walks the whole period, so it refuses orders above 24
+    # instead of hanging, and so does a register pair built from them
+    a, b = LfsrSpec(25, (1 << 25) | 0b1001), LfsrSpec(25, (1 << 25) | 0b11)
+    with pytest.raises(OrderTooLarge):
+        is_m_sequence(a)
+    with pytest.raises(OrderTooLarge):
+        DualLfsrSpec((a, b))
 
 
 # -- classification ---------------------------------------------------------

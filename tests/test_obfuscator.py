@@ -1,39 +1,27 @@
-"""Dual-register challenge generation: selection rule, traces, the scalar
-reference loop, and the shared vectorised engine."""
+"""Dual-register challenge generation: selection rule, traces, and the
+shared vectorised engine against the scalar reference."""
 
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from dualpuf.apuf import ApufInstance, evaluate_raw, features_from_ints, sample_instance
+import reference
+from dualpuf.apuf import features_from_ints, sample_instance
 from dualpuf.errors import WidthMismatch, ZeroSeed
-from dualpuf.lfsr import LfsrSpec, pick_lfsr_pair, step, make_lfsr
-from dualpuf.obfuscator import (
-    DualLfsrSpec,
-    challenge_trace,
-    generate_response,
-    run_rounds,
-    trace_records,
-)
-from dualpuf.postproc import xor_fold
+from dualpuf.lfsr import LfsrSpec, pick_lfsr_pair
+from dualpuf.obfuscator import DualLfsrSpec, run_rounds, trace_records
 
 PAIR = DualLfsrSpec((LfsrSpec(3, 0b1011), LfsrSpec(3, 0b1101)))
 VOTES = (0, 0, 1, 1, 0)
 
 
-def reference_loop(spec, apuf, external_challenge, mode):
-    """Hand-rolled noiseless selection loop collecting votes and challenges."""
-    s1 = make_lfsr(spec.pair[0], external_challenge)
-    s2 = make_lfsr(spec.pair[1], external_challenge)
-    bit, votes, challenges = 0, [], []
-    for _ in range(spec.rounds_per_response):
-        s1, s2 = step(s1), step(s2)
-        challenge = (s1 if bit ^ mode == 1 else s2).bits
-        bit = evaluate_raw(apuf, challenge)
-        votes.append(bit)
-        challenges.append(challenge)
-    return votes, challenges
+def traced(spec, external_challenge, mode, votes):
+    """Challenge column of trace_records for a vote history."""
+    lines = trace_records(spec, external_challenge, mode, votes)
+    return [int(line.split()[4], 2) for line in lines]
 
 
 def test_pair_validation():
@@ -48,12 +36,8 @@ def test_pair_validation():
 
 
 def test_seed_obfuscator_state():
-    # both registers load the external challenge itself; zero and
-    # out-of-range challenges are rejected by the oracle and the engine trace
-    assert make_lfsr(PAIR.pair[0], 0b001).bits == make_lfsr(PAIR.pair[1], 0b001).bits == 1
+    # zero and out-of-range external challenges never load the registers
     for bad in (0, 1 << 3):
-        with pytest.raises(ZeroSeed):
-            challenge_trace(PAIR, bad, 1, VOTES)
         with pytest.raises(ZeroSeed):
             trace_records(PAIR, bad, 1, VOTES)
 
@@ -65,32 +49,31 @@ def test_selection_rule_single_step():
     cases = ((0, 1, 0b101, 0b111), (0, 0, 0b110, 0b011), (1, 0, 0b110, 0b111), (1, 1, 0b101, 0b011))
     for prev, mode, first, second in cases:
         history = (prev, 0, 0, 0, 0)
-        trace = challenge_trace(PAIR, 0b001, mode, history)
+        trace = traced(PAIR, 0b001, mode, history)
         assert trace[:2] == [first, second]
-        records = trace_records(PAIR, 0b001, mode, history)
-        assert [int(line.split()[4], 2) for line in records] == trace
+        assert trace == reference.rounds(PAIR, 0b001, mode, lambda r, _: history[r])[0]
 
 
 def test_challenge_trace_oracle():
-    assert challenge_trace(PAIR, 0b001, 1, VOTES) == [0b101, 0b111, 0b110, 0b101, 0b100]
-    assert challenge_trace(PAIR, 0b001, 0, VOTES) == [0b110, 0b011, 0b111, 0b011, 0b100]
+    assert traced(PAIR, 0b001, 1, VOTES) == [0b101, 0b111, 0b110, 0b101, 0b100]
+    assert traced(PAIR, 0b001, 0, VOTES) == [0b110, 0b011, 0b111, 0b011, 0b100]
 
 
 def test_all_zero_votes_follow_one_free_running_register():
     # constant selector pins one register; both keep shifting regardless
     run1 = [0b101, 0b111, 0b110, 0b011, 0b100]
     run2 = [0b110, 0b011, 0b111, 0b101, 0b100]
-    assert challenge_trace(PAIR, 0b001, 1, (0,) * 5) == run1
-    assert challenge_trace(PAIR, 0b001, 0, (0,) * 5) == run2
-    state = make_lfsr(PAIR.pair[0], 0b001)
+    assert traced(PAIR, 0b001, 1, (0,) * 5) == run1
+    assert traced(PAIR, 0b001, 0, (0,) * 5) == run2
+    state = 0b001
     for expected in run1:
-        state = step(state)
-        assert state.bits == expected
+        state = reference.shift(PAIR.pair[0].feed, state)
+        assert state == expected
 
 
 def test_mode_swap_visible_from_round_one():
-    trace1 = challenge_trace(PAIR, 0b001, 1, (0,) * 5)
-    trace0 = challenge_trace(PAIR, 0b001, 0, (0,) * 5)
+    trace1 = traced(PAIR, 0b001, 1, (0,) * 5)
+    trace0 = traced(PAIR, 0b001, 0, (0,) * 5)
     assert trace1[0] != trace0[0]
 
 
@@ -109,41 +92,22 @@ def test_trace_records_format():
 
 def test_width_mismatches():
     with pytest.raises(WidthMismatch):
-        challenge_trace(PAIR, 0b001, 1, (0, 1))
-    with pytest.raises(WidthMismatch):
-        generate_response(
-            PAIR, sample_instance(4, 0), 0b001, 1, 1, np.random.default_rng(0)
-        )
-
-
-def test_generate_response_matches_reference_loop():
-    inst = sample_instance(3, 7)
-    rng = np.random.default_rng(0)
-    for idx, seed, mode in itertools.product((0, 1), range(1, 8), (0, 1)):
-        spec = DualLfsrSpec(pick_lfsr_pair(3, idx))
-        votes, challenges = reference_loop(spec, inst, seed, mode)
-        assert generate_response(spec, inst, seed, mode, 5, rng) == xor_fold(votes)
-        # the trace reconstructed from the realized votes is the sequence
-        # the loop actually consumed
-        assert challenge_trace(spec, seed, mode, votes) == challenges
+        trace_records(PAIR, 0b001, 1, (0, 1))
 
 
 def test_histories_alter_the_following_selection():
     # two vote histories first differing at position d steer different
     # registers at round d+2; the emitted values differ exactly when the
     # registers hold different states there
+    histories = list(itertools.product((0, 1), repeat=5))
     for idx, seed, mode in itertools.product((0, 1), range(1, 8), (0, 1)):
         spec = DualLfsrSpec(pick_lfsr_pair(3, idx))
-        s1 = make_lfsr(spec.pair[0], seed)
-        s2 = make_lfsr(spec.pair[1], seed)
-        regs = []
-        for _ in range(5):
-            s1, s2 = step(s1), step(s2)
-            regs.append((s1.bits, s2.bits))
-        for a, b in itertools.combinations(itertools.product((0, 1), repeat=5), 2):
+        # all-zero votes read the first register in mode 1, the second in mode 0
+        regs = list(zip(traced(spec, seed, 1, (0,) * 5), traced(spec, seed, 0, (0,) * 5)))
+        traces = {h: traced(spec, seed, mode, h) for h in histories}
+        for a, b in itertools.combinations(histories, 2):
             d = next(i for i in range(5) if a[i] != b[i])
-            ta = challenge_trace(spec, seed, mode, a)
-            tb = challenge_trace(spec, seed, mode, b)
+            ta, tb = traces[a], traces[b]
             assert ta[: d + 1] == tb[: d + 1]
             if d + 1 < 5:
                 # selected registers differ at round d+2
@@ -153,19 +117,22 @@ def test_histories_alter_the_following_selection():
 def test_register_collision_witness():
     # both registers reach 100 on the fifth shift from seed 001, so a vote
     # difference at position 4 cannot show in the challenge value
-    assert challenge_trace(PAIR, 0b001, 1, (0, 0, 0, 0, 0)) == challenge_trace(
-        PAIR, 0b001, 1, (0, 0, 0, 1, 0)
-    )
+    assert traced(PAIR, 0b001, 1, (0, 0, 0, 0, 0)) == traced(PAIR, 0b001, 1, (0, 0, 0, 1, 0))
     # a difference at position 0 shows at round 2, where 111 != 011
-    assert challenge_trace(PAIR, 0b001, 1, (1, 0, 0, 0, 0))[1] != challenge_trace(
-        PAIR, 0b001, 1, (0, 0, 0, 0, 0)
-    )[1]
+    assert traced(PAIR, 0b001, 1, (1, 0, 0, 0, 0))[1] != traced(PAIR, 0b001, 1, (0, 0, 0, 0, 0))[1]
+
+
+@given(st.lists(st.integers(0, 1), min_size=1, max_size=20))
+def test_run_rounds_folds_round_bits_by_parity(bits):
+    folded = run_rounds(
+        PAIR.pair[0].feed, PAIR.pair[1].feed, 1, 1, len(bits), lambda r, _: np.uint8(bits[r])
+    )
+    assert int(folded) == sum(bits) % 2
 
 
 def test_engine_matches_scalar_loop_exhaustively():
     inst = sample_instance(3, 7)
     weights = inst.weights
-    rng = np.random.default_rng(0)
 
     def noiseless(_, chosen):
         phi = features_from_ints(chosen, 3)
@@ -183,11 +150,14 @@ def test_engine_matches_scalar_loop_exhaustively():
             noiseless,
             collect_challenges=True,
         )
-        for i, seed in enumerate(seeds):
-            expected = generate_response(spec, inst, int(seed), mode, 5, rng)
-            assert int(folded[i]) == expected
-            votes, challenges = reference_loop(spec, inst, int(seed), mode)
+        for i, seed in enumerate(seeds.tolist()):
+            challenges, votes = reference.rounds(
+                spec, seed, mode, lambda _, c: reference.evaluate(inst, c)
+            )
+            assert int(folded[i]) == sum(votes) % 2
             assert [int(r[i]) for r in per_round] == challenges
+            # the trace replaying the realized votes is the sequence consumed
+            assert traced(spec, seed, mode, votes) == challenges
 
 
 def test_engine_broadcasts_lane_and_batch_axes():
@@ -203,9 +173,6 @@ def test_engine_broadcasts_lane_and_batch_axes():
 
     folded = run_rounds(feed1, feed2, seeds, 1, 5, noiseless)
     assert folded.shape == (3, 4)
-    rng = np.random.default_rng(0)
     for i, spec in enumerate(specs):
-        for j, seed in enumerate(seeds[0]):
-            assert int(folded[i, j]) == generate_response(
-                spec, inst, int(seed), 1, 5, rng
-            )
+        for j, seed in enumerate(seeds[0].tolist()):
+            assert int(folded[i, j]) == reference.response(spec, inst, seed, 1)

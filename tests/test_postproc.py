@@ -1,20 +1,18 @@
-"""Initialization-time randomness adjustment, the temporal majority voter,
-and XOR folding."""
+"""Initialization-time randomness adjustment and the temporal majority
+voter, against the scalar reference."""
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from dualpuf.apuf import ApufInstance, evaluate_raw, sample_instance
-from dualpuf.errors import EmptyInput, EvenVoterWidth, NoConvergence
+import reference
+from dualpuf.apuf import ApufInstance, eval_raw_batch, sample_instance
+from dualpuf.errors import EvenVoterWidth, NoConvergence
 from dualpuf.postproc import (
     AdjustParams,
     AdjustReport,
+    lane_bits,
     randomness_adjust,
-    vote,
     vote_batch,
-    xor_fold,
 )
 
 
@@ -118,23 +116,24 @@ def test_vote_rejects_even_or_empty_width():
     rng = np.random.default_rng(0)
     for bad in (0, 2, 4):
         with pytest.raises(EvenVoterWidth):
-            vote(inst, 1, bad, rng)
+            lane_bits(np.array([0.5]), 0.0, bad, rng)
         with pytest.raises(EvenVoterWidth):
             vote_batch(inst, np.array([1]), bad, rng)
 
 
 def test_vote_majority_with_scripted_noise():
-    inst = ApufInstance(2, np.array([0.0, 0.0, 1.0]), 1.0)  # margin +1
-    assert vote(inst, 0, 5, ScriptedRng([[-2, -2, 0.5, 0.5, 0.5]])) == 1
-    assert vote(inst, 0, 5, ScriptedRng([[-2, -2, -2, 0.5, 0.5]])) == 0
+    mu = np.array([1.0])  # margin +1, sigma 1
+    assert lane_bits(mu, 1.0, 5, ScriptedRng([[-2, -2, 0.5, 0.5, 0.5]])).tolist() == [1]
+    assert lane_bits(mu, 1.0, 5, ScriptedRng([[-2, -2, -2, 0.5, 0.5]])).tolist() == [0]
 
 
 def test_vote_batch_matches_scalar_stream():
     inst = sample_instance(6, 9, sigma_noise=0.5)
-    challenge = 0x2B
-    scalar = vote(inst, challenge, 5, np.random.default_rng(9))
-    batched = vote_batch(inst, np.array([challenge]), 5, np.random.default_rng(9))
-    assert batched.tolist() == [scalar]
+    challenges = np.arange(64)
+    rng = np.random.default_rng(9)
+    scalar = [reference.vote(inst, int(c), 5, rng) for c in challenges]
+    batched = vote_batch(inst, challenges, 5, np.random.default_rng(9))
+    assert batched.tolist() == scalar
 
 
 def test_vote_noiseless_equals_raw():
@@ -142,9 +141,8 @@ def test_vote_noiseless_equals_raw():
     rng = np.random.default_rng(1)
     challenges = rng.integers(0, 64, size=30)
     voted = vote_batch(inst, challenges, 5, rng)
-    raw = np.array([evaluate_raw(inst, int(c)) for c in challenges])
-    assert np.array_equal(voted, raw)
-    assert vote(inst, 17, 1, rng) == evaluate_raw(inst, 17)
+    assert np.array_equal(voted, eval_raw_batch(inst, challenges))
+    assert voted.tolist() == [reference.vote(inst, int(c), 5, rng) for c in challenges]
 
 
 def test_wider_voter_suppresses_noise():
@@ -158,18 +156,3 @@ def test_wider_voter_suppresses_noise():
     assert abs(err[1] - 0.1587) < 0.01
     assert abs(err[5] - 0.0311) < 0.007  # binomial majority-of-5 oracle
     assert err[11] <= err[1]
-
-
-# -- fold --------------------------------------------------------------------
-
-
-def test_xor_fold_rejects_empty():
-    with pytest.raises(EmptyInput):
-        xor_fold([])
-
-
-@given(st.lists(st.integers(0, 1), min_size=1, max_size=20))
-def test_xor_fold_is_parity(bits):
-    assert xor_fold(bits) == sum(bits) % 2
-    assert xor_fold(np.array(bits, dtype=np.uint8)) == sum(bits) % 2
-    assert xor_fold(b for b in bits) == sum(bits) % 2

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import make_device
 from dualpuf.adversary import ReplayAttacker
 from dualpuf.device import serialize_response
-from dualpuf.errors import ChannelTimeout, InterfaceFused, NonMonotonicTicks
+from dualpuf.errors import ChannelTimeout, InterfaceFused, NonMonotonicTicks, SimulationError
 from dualpuf.protocol import (
     CHALLENGE,
     READER_TO_TAG,
@@ -67,6 +67,16 @@ def test_transcript_round_trip_and_tick_gap(tmp_path):
     back = SessionTranscript.load(str(path))
     assert back.frames == frames
     assert (back.d1, back.d2, back.passed) == (1, 0, False)
+
+
+def test_unreadable_transcripts_raise_simulation_errors(tmp_path):
+    path = tmp_path / "session.txt"
+    with pytest.raises(SimulationError):
+        SessionTranscript.load(str(path))
+    for bad in ("0 reader->tag CHALLENGE zz\n", "0 reader->tag\n", "1 x 0\n"):
+        path.write_text(bad)
+        with pytest.raises(SimulationError):
+            SessionTranscript.load(str(path))
 
 
 def test_tick_gap_needs_two_challenges():

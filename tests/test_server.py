@@ -196,6 +196,11 @@ def test_malformed_registry_files_raise_simulation_errors(tmp_path):
         {**doc, "k": "4"},
         [doc],
     ]
+    # a parameter registry with the last weight dropped from every row
+    save_registry(model_registry(make_device()), str(path))
+    doc = json.loads(path.read_text())
+    broken.append({**doc, "weights": [row[:-1] for row in doc["weights"]]})
+    broken.append({**doc, "offsets": doc["offsets"][:-1]})
     for bad in broken:
         path.write_text(json.dumps(bad))
         with pytest.raises(SimulationError):
@@ -203,6 +208,8 @@ def test_malformed_registry_files_raise_simulation_errors(tmp_path):
     path.write_text("{")
     with pytest.raises(SimulationError):
         load_registry(str(path))
+    with pytest.raises(SimulationError):
+        load_registry(str(tmp_path / "missing.json"))
 
 
 def test_file_formats_are_pinned(tmp_path):

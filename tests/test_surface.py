@@ -1,5 +1,5 @@
-"""Package surface: modules share only public names, and every name the
-package exports resolves."""
+"""Package surface: modules share only public names, every name the package
+exports resolves, and the exported names are pinned."""
 
 import ast
 from pathlib import Path
@@ -25,3 +25,57 @@ def test_no_module_imports_another_modules_private_names():
 def test_every_exported_name_resolves():
     assert len(set(dualpuf.__all__)) == len(dualpuf.__all__)
     assert [name for name in dualpuf.__all__ if not hasattr(dualpuf, name)] == []
+
+
+def test_public_names_are_pinned():
+    # adding or removing a public name means editing this list on purpose
+    assert sorted(dualpuf.__all__) == [
+        "AdjustParams",
+        "AdjustReport",
+        "ApufInstance",
+        "AttackReport",
+        "AuthResult",
+        "CrpRecord",
+        "DeviceConfig",
+        "DualLfsrSpec",
+        "Frame",
+        "LfsrSpec",
+        "LinearAttackModel",
+        "MetricsRecord",
+        "PufDevice",
+        "ReplayAttacker",
+        "ServerRegistry",
+        "SessionTranscript",
+        "SimChannel",
+        "SimulationError",
+        "build_device",
+        "classify",
+        "collect_naked_crps",
+        "collect_obfuscated_crps",
+        "compare",
+        "default_lane_pairs",
+        "default_tau",
+        "deserialize_response",
+        "eavesdrop",
+        "find_primitive",
+        "gen_session",
+        "is_m_sequence",
+        "load_device",
+        "load_registry",
+        "parity_features",
+        "period",
+        "pick_lfsr_pair",
+        "predict_response",
+        "puf_metrics",
+        "randomness_adjust",
+        "register_from_ttp",
+        "replay_attack",
+        "run_authentication",
+        "run_registration",
+        "sample_instance",
+        "save_device",
+        "save_registry",
+        "serialize_response",
+        "trace_records",
+        "train_linear_attack",
+    ]
