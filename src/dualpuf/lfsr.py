@@ -18,6 +18,8 @@ all-zero state fixed.
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 import re
 from dataclasses import dataclass
 
@@ -30,9 +32,12 @@ from .errors import (
     ZeroSeed,
 )
 
-#: enumeration bounds, chosen for desk-scale memory and time
+#: classify enumerates all 2^n states and find_primitive all 2^(n-1)
+#: candidate masks, so both stop at desk-scale memory and time
 MAX_CLASSIFY_ORDER = 24
 MAX_PRIMITIVE_ORDER = 20
+#: the widest register that run_rounds' int64 arithmetic holds
+MAX_PERIOD_CHECK_ORDER = 62
 
 _POLY_TERM = re.compile(r"^(?:x(?:\^(\d+))?|1)$")
 
@@ -183,52 +188,126 @@ def classify(spec: LfsrSpec) -> SequenceClassification:
     )
 
 
+def _times_x(a, mask, order):
+    """a·x mod g, for a of degree below n."""
+    a = a * 2
+    return a ^ mask * (a >> order & 1)
+
+
+def _mulmod(a, b, mask, order):
+    """a·b mod g by shift-and-add over the bits of b, top bit first.
+
+    Only ``^ * >> &`` touch the operands, so a Python int or an int64 array
+    of masks (one product per candidate) goes through the same code.
+    """
+    product = a & 0
+    for i in range(order - 1, -1, -1):
+        product = _times_x(product, mask, order) ^ a * (b >> i & 1)
+    return product
+
+
+def _x_power(exponent: int, mask, order: int):
+    """x^exponent mod g by square-and-multiply."""
+    result = 1
+    for bit in f"{exponent:b}":
+        result = _mulmod(result, result, mask, order)
+        if bit == "1":
+            result = _times_x(result, mask, order)
+    return result
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin over the first twelve primes: exact below 3.1·10^23."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2:
+        return False
+    for p in bases:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        y = pow(a, d, n)
+        if y in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            y = y * y % n
+            if y == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _split(n: int) -> list[int]:
+    """Prime factors of n with multiplicity, by Pollard's rho with Floyd's
+    cycle finding, retrying with the next constant when a walk fails."""
+    if n == 1:
+        return []
+    if _is_prime(n):
+        return [n]
+    for c in itertools.count(1):
+        x, y, d = 2, 2, 1
+        while d == 1:
+            x = (x * x + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+            d = math.gcd(x - y, n)
+        if d != n:
+            return _split(d) + _split(n // d)
+
+
+@functools.lru_cache(maxsize=None)
+def _mersenne_factors(order: int) -> tuple[int, ...]:
+    """Prime factors of 2^order - 1 with multiplicity, ascending."""
+    n, small = (1 << order) - 1, []
+    for p in range(3, 1 << 10, 2):
+        while n % p == 0:
+            n //= p
+            small.append(p)
+    return tuple(sorted(small + _split(n)))
+
+
 @functools.lru_cache(maxsize=4096)
 def is_m_sequence(spec: LfsrSpec) -> bool:
     """True iff the polynomial is primitive: one cycle covers every nonzero
-    state, so the period from any nonzero seed is 2^n - 1.  The check walks
-    the whole period, so the order is capped at MAX_CLASSIFY_ORDER."""
-    if spec.order > MAX_CLASSIFY_ORDER:
-        raise OrderTooLarge(f"period check caps at order {MAX_CLASSIFY_ORDER}, got {spec.order}")
-    return period(spec, 1) == (1 << spec.order) - 1
+    state, so the period from any nonzero seed is 2^n - 1.
+
+    A shift multiplies the state by x^-1 mod g, so the period through seed 1
+    is the order of x mod g.  That order is 2^n - 1 iff x^(2^n) = x (x is
+    invertible, as g_0 = 1) and x^((2^n - 1)/p) != 1 for every prime p
+    dividing 2^n - 1.  The order is capped at MAX_PERIOD_CHECK_ORDER.
+    """
+    if spec.order > MAX_PERIOD_CHECK_ORDER:
+        raise OrderTooLarge(
+            f"period check caps at order {MAX_PERIOD_CHECK_ORDER}, got {spec.order}"
+        )
+    full = (1 << spec.order) - 1
+    return _x_power(full + 1, spec.mask, spec.order) == 2 and all(
+        _x_power(full // p, spec.mask, spec.order) != 1
+        for p in set(_mersenne_factors(spec.order))
+    )
 
 
 @functools.lru_cache(maxsize=64)
 def find_primitive(order: int) -> tuple[LfsrSpec, ...]:
     """All primitive polynomials of the given order, ascending by mask.
 
-    Brute force over every candidate mask with g_0 = g_n = 1: walk each
-    candidate from seed 1 and keep those whose first return happens exactly
-    at step 2^n - 1.  All candidates are walked in lockstep as numpy
-    vectors, dropping each one the moment its cycle closes.
+    The order test of is_m_sequence, run over every candidate mask with
+    g_0 = g_n = 1 at once as int64 arrays: keep the candidates with
+    x^(2^n) = x, then for each prime p of 2^n - 1 drop those with
+    x^((2^n - 1)/p) = 1.
     """
     if not 2 <= order <= MAX_PRIMITIVE_ORDER:
         raise OrderTooLarge(
             f"primitive search caps at order {MAX_PRIMITIVE_ORDER}, got {order}"
         )
-    base = 1 | 1 << order
-    masks = base + (np.arange(1 << order - 1, dtype=np.int64) << 1)
-    target = (1 << order) - 1
-
-    alive_idx = np.arange(masks.size)
-    feeds = (masks >> 1).astype(np.int32)
-    state = np.ones(masks.size, dtype=np.int32)
-    first_return = np.zeros(masks.size, dtype=np.int64)
-    step_no = 0
-    while alive_idx.size:
-        step_no += 1
-        state = (state >> 1) ^ (feeds * (state & 1))
-        hit = state == 1
-        if hit.any():
-            first_return[alive_idx[hit]] = step_no
-            keep = ~hit
-            alive_idx = alive_idx[keep]
-            feeds = feeds[keep]
-            state = state[keep]
-        if step_no > target:  # permutation guarantees return; guard anyway
-            raise AssertionError("cycle through seed 1 exceeded state count")
-    hits = masks[first_return == target]
-    return tuple(LfsrSpec(order, int(m)) for m in hits)
+    masks = (1 | 1 << order) + (np.arange(1 << order - 1, dtype=np.int64) << 1)
+    masks = masks[_x_power(1 << order, masks, order) == 2]
+    for p in set(_mersenne_factors(order)):
+        masks = masks[_x_power(((1 << order) - 1) // p, masks, order) != 1]
+    return tuple(LfsrSpec(order, int(m)) for m in masks)
 
 
 def pick_lfsr_pair(order: int, instance_index: int) -> tuple[LfsrSpec, LfsrSpec]:

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import dualpuf
+import reference
 from conftest import make_device
 from dualpuf.cli import dispatch
 from dualpuf.device import serialize_response
@@ -250,11 +251,22 @@ def test_missing_and_unwritable_files(capsys, tmp_path):
     assert err.startswith("error:") and "Traceback" not in err
 
 
-def test_trace_refuses_a_period_check_beyond_order_24(capsys):
-    t0 = time.perf_counter()
-    assert_cli_error(capsys, "lfsr", "trace", "--poly", "0x1000000af",
-                     "--poly2", "0x1000000c5", "--challenge", "1", "--bits", "00000")
-    assert time.perf_counter() - t0 < 5.0
+def test_trace_period_check_up_to_order_62(capsys):
+    bits = [0, 1, 1, 0, 1]
+    for poly, poly2 in (("0x1000000af", "0x1000000c5"),
+                        ("0x4000000000000069", "0x40000000000000af")):
+        pair = DualLfsrSpec((LfsrSpec.parse(poly), LfsrSpec.parse(poly2)))
+        for mode in (0, 1):
+            t0 = time.perf_counter()
+            code, out, _ = run_cli(capsys, "lfsr", "trace", "--poly", poly, "--poly2", poly2,
+                                   "--challenge", "0x2b", "--mode", str(mode),
+                                   "--bits", "".join(map(str, bits)))
+            assert code == 0 and time.perf_counter() - t0 < 5.0
+            expected, _ = reference.rounds(pair, 0x2B, mode, lambda i, _: bits[i])
+            assert [int(line.split()[4], 2) for line in out] == expected
+    # order 63 no longer fits run_rounds' int64 registers
+    assert_cli_error(capsys, "lfsr", "trace", "--poly", hex(1 << 63 | 0b11),
+                     "--poly2", hex(1 << 63 | 0b1001), "--challenge", "1", "--bits", "00000")
 
 
 def source_tree_env():

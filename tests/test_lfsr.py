@@ -1,12 +1,17 @@
 """Register engine: polynomial parsing, stepping, cycle analysis, and
 primitive-polynomial discovery."""
 
+import hashlib
+import math
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import reference
+from dualpuf.device import default_lane_pairs
 from dualpuf.errors import (
     InsufficientPrimitives,
     MalformedPolynomial,
@@ -15,6 +20,8 @@ from dualpuf.errors import (
 )
 from dualpuf.lfsr import (
     LfsrSpec,
+    _is_prime,
+    _mersenne_factors,
     classify,
     find_primitive,
     is_m_sequence,
@@ -25,9 +32,9 @@ from dualpuf.lfsr import (
 from dualpuf.obfuscator import DualLfsrSpec, check_external_challenge
 
 
-def valid_specs(max_order=10):
+def valid_specs(max_order=10, min_order=2):
     """Strategy over well-formed polynomials: unit low and high taps."""
-    return st.integers(2, max_order).flatmap(
+    return st.integers(min_order, max_order).flatmap(
         lambda n: st.integers(0, (1 << (n - 1)) - 1).map(
             lambda mid: LfsrSpec(n, 1 | (mid << 1) | (1 << n))
         )
@@ -171,13 +178,88 @@ def test_is_m_sequence():
 
 
 def test_period_check_order_cap():
-    # the check walks the whole period, so it refuses orders above 24
-    # instead of hanging, and so does a register pair built from them
-    a, b = LfsrSpec(25, (1 << 25) | 0b1001), LfsrSpec(25, (1 << 25) | 0b11)
+    # 62 is the widest register run_rounds' int64 arithmetic holds, so the
+    # check refuses order 63, and so does a register pair built from it
+    wide = (LfsrSpec.from_mask(0x4000000000000069), LfsrSpec.from_mask(0x40000000000000AF))
+    assert all(is_m_sequence(spec) for spec in wide)
+    DualLfsrSpec(wide)
+    a, b = LfsrSpec(63, (1 << 63) | 0b11), LfsrSpec(63, (1 << 63) | 0b1001)
     with pytest.raises(OrderTooLarge):
         is_m_sequence(a)
     with pytest.raises(OrderTooLarge):
         DualLfsrSpec((a, b))
+
+
+# -- the algebraic test against the period walk ------------------------------
+
+#: sha256 of the space-separated decimal masks the period walk found for
+#: each order; pins find_primitive, and with it every pick_lfsr_pair result
+WALK_DIGESTS = {
+    2: "7902699be42c8a8e46fbbb4501726517e86b22c56a189f7625a6da49081b2451",
+    3: "7607bf4a316a91426c8fa4ae5fd2e050ac54c19ae5d001f3a625dee04647a6f8",
+    4: "35884a02ead8325719a1c3dd21172643247b83dbc40ce83586a98c6396c62ec3",
+    5: "1d284a49271cd20b53d91848c2ffc0ff26d591cf30f6fd87de59ddd6b8f82338",
+    6: "47ab37e6e2e69f44ddeec03ba316e97971ba4898713a564f647b33447cd4d26d",
+    7: "ecee80dfbc1e7cda9559007c3990f97844b74a501aad9552eae27a0f83ca95c4",
+    8: "4819f475bad7f662bf6f094c908722c1fcf8a5291694df17cb392bf3ec1ea9c6",
+    9: "8381ede81f51cf39f665106fa9b9a489aa952bb1cfdc1a540058840d66cbc2c0",
+    10: "f6fa4abec8a06ec88c36987a26ce111c3017b7f5bb03784bb41155c186242c04",
+    11: "881234a80d79aed86f6f4d13801816e4766a8a4f5db77987718cdf38b63dc6c4",
+    12: "782703cd2e9aa4b4e69e5ce9a5ca771e060900c0eae8c6311c9b2c72e24173f6",
+    13: "9d6e801aec18288a63f15ea37006f930f069ae3b5c5271d741fb639cf6c36408",
+    14: "d1026190d5723e6b40e1e4d8ce5d979c23afa1d65acc7896d3c660a4013af8fd",
+    15: "8c08c3b0f78599fc88b913d7e413bbe8acbdf3cfea81bc256f23eaf9dd7a6407",
+    16: "9d0c457fad30f807a65f5cb5f48931646e3d8e85beaa58f42f105e6c72cb7565",
+}
+
+
+def test_find_primitive_matches_the_walk():
+    for order, digest in WALK_DIGESTS.items():
+        text = " ".join(str(spec.mask) for spec in find_primitive(order))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_is_m_sequence_matches_the_walk_exhaustively():
+    for order in range(2, 11):
+        for mid in range(1 << order - 1):
+            spec = LfsrSpec(order, 1 | mid << 1 | 1 << order)
+            assert is_m_sequence(spec) == (period(spec, 1) == (1 << order) - 1)
+
+
+@given(valid_specs(max_order=14, min_order=11))
+def test_is_m_sequence_matches_the_walk(spec):
+    assert is_m_sequence(spec) == (period(spec, 1) == (1 << spec.order) - 1)
+
+
+def test_mersenne_factors():
+    for order in range(2, 63):
+        primes = _mersenne_factors(order)
+        assert list(primes) == sorted(primes)
+        assert math.prod(primes) == (1 << order) - 1
+        assert all(_is_prime(p) for p in primes)
+    assert _mersenne_factors(61) == (2**61 - 1,)
+    assert _mersenne_factors(62) == (3, 715827883, 2147483647)
+
+
+def test_is_prime():
+    sieve = [True] * 2000
+    sieve[0] = sieve[1] = False
+    for i in range(2, 45):
+        sieve[i * i::i] = [False] * len(sieve[i * i::i])
+    assert [n for n in range(2000) if _is_prime(n)] == [n for n in range(2000) if sieve[n]]
+    # strong pseudoprimes to the prime bases up to 7 and up to 23
+    assert not _is_prime(3215031751)
+    assert not _is_prime(3825123056546413051)
+    assert _is_prime(2**61 - 1)
+
+
+def test_provisioning_at_order_20():
+    t0 = time.perf_counter()
+    assert len(find_primitive(20)) == 24000  # phi(2^20 - 1) / 20
+    pairs = default_lane_pairs(20, 64)
+    assert len(pairs) == 64 and len(set(pairs)) == 64
+    assert all(p.order == 20 and p.pair[0] != p.pair[1] for p in pairs)
+    assert time.perf_counter() - t0 < 60.0
 
 
 # -- classification ---------------------------------------------------------
