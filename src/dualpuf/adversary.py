@@ -17,7 +17,7 @@ from .apuf import ApufInstance, eval_raw_batch, features_from_ints
 from .device import PufDevice
 from .errors import EmptyDataset, EmptyStore, InsufficientSample, WidthMismatch
 from .obfuscator import run_rounds
-from .postproc import lane_bits
+from .postproc import voted_round
 from .protocol import CHALLENGE, RESPONSE, SessionTranscript, run_authentication
 from .server import ServerRegistry
 
@@ -104,29 +104,20 @@ class AttackReport:
         return "\n".join(f"{name:<{width}}  {value}" for name, value in rows)
 
 
-def _recorded_session(recorded) -> tuple[int, int, int]:
-    if isinstance(recorded, SessionTranscript):
-        t = recorded.tick_gap()
-        cf = recorded.challenge_frames()
-        return cf[0].payload, cf[1].payload, t
-    c1, c2, t = recorded
-    return int(c1), int(c2), int(t)
-
-
 def replay_attack(
     attacker: ReplayAttacker,
     registry: ServerRegistry,
     sessions: int,
     reuse_challenges: bool = True,
-    recorded=None,
+    recorded: SessionTranscript | None = None,
     parity_policy: str = "random",
     rng_seed: int = 0,
 ) -> AttackReport:
     """Run authentication sessions answered purely from the attacker's store.
 
     reuse_challenges forces the server to reissue the recorded session's
-    (C1, C2) with a fresh t each time (recorded: a SessionTranscript or a
-    (C1, C2, t) triple); otherwise the server draws fresh challenges.
+    (C1, C2) with a fresh t each time (recorded: the session's
+    SessionTranscript); otherwise the server draws fresh challenges.
     parity_policy constrains the fresh t against the recorded one: "random"
     draws uniformly from the registry's range, "match"/"flip" force its
     parity.  The recorded t is harness ground truth for the breakdown; the
@@ -140,7 +131,8 @@ def replay_attack(
     t_min, t_max = registry.t_range
     t_values = np.arange(t_min, t_max + 1)
     if recorded is not None:
-        c1_rec, c2_rec, t_rec = _recorded_session(recorded)
+        t_rec = recorded.tick_gap()
+        c1_rec, c2_rec = (f.payload for f in recorded.challenge_frames()[:2])
 
     outcomes: list[tuple[int, int, int]] = []
     for _ in range(sessions):
@@ -231,14 +223,8 @@ def collect_obfuscated_crps(
     n = device.config.n_stages
     seeds = rng.integers(1, 1 << n, size=count)
     pair = device.config.lane_pairs[lane]
-    inst = device.lanes[lane]
-    weights, offset = inst.weights, inst.offset
-    sigma, voter_t = device.config.sigma_noise, device.config.voter_t
-
-    def voted(_, chosen: np.ndarray) -> np.ndarray:
-        mu = features_from_ints(chosen, n) @ weights + offset
-        return lane_bits(mu, sigma, voter_t, rng)
-
+    inst, config = device.lanes[lane], device.config
+    voted = voted_round(inst.weights, inst.offset, config.sigma_noise, config.voter_t, rng)
     bits = run_rounds(
         pair.pair[0].feed, pair.pair[1].feed, seeds, mode & 1,
         pair.rounds_per_response, voted,

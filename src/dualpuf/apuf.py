@@ -13,13 +13,14 @@ adjust_up pulls delta down, so it corrects an excess of 1-responses.
 Challenge bit C_j is bit j of the challenge integer (C_0 = LSB), which wires
 LFSR flip-flop D_1 to stage 0.
 
-Evaluation works on challenge arrays; the one-challenge-at-a-time reference
-that the tests compare it against lives in tests/reference.py.
+delay_sums is the one reduction w . phi + b behind every evaluator; the
+one-challenge-at-a-time reference that the tests compare it against lives in
+tests/reference.py.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,7 +44,6 @@ class ApufInstance:
     adjust_up: int = 0
     adjust_low: int = 0
     delta_unit: float = DEFAULT_DELTA_UNIT
-    rng_seed: int | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         self.weights = np.asarray(self.weights, dtype=np.float64)
@@ -82,13 +82,11 @@ def sample_instance(
     rng = np.random.default_rng(rng_seed)
     weights = rng.standard_normal(n_stages + 1)
     weights[n_stages] += bias
-    seed_repr = rng_seed if isinstance(rng_seed, int) else None
     return ApufInstance(
         n_stages=n_stages,
         weights=weights,
         sigma_noise=sigma_noise,
         delta_unit=delta_unit,
-        rng_seed=seed_repr,
     )
 
 
@@ -115,6 +113,13 @@ def features_from_ints(challenges: np.ndarray, n_stages: int) -> np.ndarray:
     return parity_features(bits_from_ints(challenges, n_stages))
 
 
+def delay_sums(phi: np.ndarray, weights: np.ndarray, offsets) -> np.ndarray:
+    """w . phi + b over the last axis in any broadcast layout: (k,) lanes,
+    (S,) challenges of one lane, or (S, k); each sum comes out bit-identical
+    in all of them."""
+    return np.einsum("...i,...i->...", phi, weights) + offsets
+
+
 def eval_raw_batch(
     instance: ApufInstance,
     challenges: np.ndarray,
@@ -123,5 +128,5 @@ def eval_raw_batch(
     """Arbiter decisions of one lane for a challenge integer array; the
     caller supplies the noise draws (0 = noiseless)."""
     phi = features_from_ints(challenges, instance.n_stages)
-    delta = phi @ instance.weights + noise_draws + instance.offset
+    delta = delay_sums(phi, instance.weights, instance.offset) + noise_draws
     return (delta > 0).astype(np.uint8)

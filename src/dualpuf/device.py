@@ -11,15 +11,15 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .apuf import ApufInstance, features_from_ints, sample_instance
+from .apuf import ApufInstance, delay_sums, features_from_ints, sample_instance
 from .errors import InterfaceFused, InvalidParameter, NonMonotonicTicks, SimulationError, WidthMismatch
 from .lfsr import LfsrSpec, pick_lfsr_pair
 from .obfuscator import DEFAULT_ROUNDS, DualLfsrSpec, check_external_challenge, lane_feeds, run_rounds
-from .postproc import AdjustParams, AdjustReport, lane_bits, randomness_adjust
+from .postproc import AdjustParams, AdjustReport, lane_bits, randomness_adjust, voted_round
 
 DEFAULT_VOTER_T = 5
 
@@ -87,7 +87,7 @@ class PufDevice:
 
     def refresh_caches(self) -> None:
         """Rebuild the vectorised views of lane parameters (call after any
-        direct lane mutation; build_device does it once after adjustment)."""
+        direct lane mutation; __post_init__ builds them once)."""
         self._weights = np.stack([lane.weights for lane in self.lanes])
         self._offsets = np.array([lane.offset for lane in self.lanes])
         self._feeds = lane_feeds(self.config.lane_pairs)
@@ -107,7 +107,7 @@ class PufDevice:
         phi = features_from_ints(challenges, self.config.n_stages)
         rows = np.empty((self.config.k, challenges.size), dtype=np.uint8)
         for i in range(self.config.k):
-            mu = phi @ self._weights[i] + self._offsets[i]
+            mu = delay_sums(phi, self._weights[i], self._offsets[i])
             rows[i] = lane_bits(mu, self.config.sigma_noise, self.config.voter_t, rng)
         return rows
 
@@ -146,15 +146,10 @@ class PufDevice:
         check_external_challenge(challenge, self.config.n_stages)
         rng = noise_stream if noise_stream is not None else self._noise_rng
         config = self.config
-
-        def voted(_, chosen: np.ndarray) -> np.ndarray:
-            phi = features_from_ints(chosen, config.n_stages)
-            mu = np.einsum("ki,ki->k", phi, self._weights) + self._offsets
-            return lane_bits(mu, config.sigma_noise, config.voter_t, rng)
-
+        voted = voted_round(self._weights, self._offsets, config.sigma_noise, config.voter_t, rng)
         feed1, feed2 = self._feeds
         return run_rounds(
-            feed1, feed2, challenge, mode & 1, self.config.rounds_per_response, voted
+            feed1, feed2, challenge, mode & 1, config.rounds_per_response, voted
         )
 
     # -- protocol responder interface ----------------------------------------
@@ -205,7 +200,7 @@ def deserialize_response(value, k: int) -> np.ndarray:
     return bits[0] if single else np.ascontiguousarray(bits.T)
 
 
-def build_device(config: DeviceConfig, adjust_params: AdjustParams | None = None) -> "PufDevice":
+def build_device(config: DeviceConfig) -> "PufDevice":
     """Manufacture and initialize a tag.
 
     Lane weights come from per-lane children of the device seed; each lane
@@ -213,7 +208,6 @@ def build_device(config: DeviceConfig, adjust_params: AdjustParams | None = None
     Returns an unfused device.  Reports of the per-lane adjustment are kept
     on the device as build_reports.
     """
-    base = adjust_params if adjust_params is not None else AdjustParams()
     children = np.random.SeedSequence(config.device_seed).spawn(2 * config.k)
     lanes = []
     reports: list[AdjustReport] = []
@@ -224,7 +218,7 @@ def build_device(config: DeviceConfig, adjust_params: AdjustParams | None = None
             sigma_noise=config.sigma_noise,
         )
         seed_int = int(children[2 * i + 1].generate_state(1)[0])
-        reports.append(randomness_adjust(lane, replace(base, rng_seed=seed_int)))
+        reports.append(randomness_adjust(lane, AdjustParams(rng_seed=seed_int)))
         lanes.append(lane)
     device = PufDevice(config=config, lanes=lanes)
     device.build_reports = reports

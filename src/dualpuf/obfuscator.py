@@ -82,7 +82,7 @@ def trace_records(
     """Waveform dump, one line per round: round M prev chosen_lfsr challenge_bits.
 
     The challenges come from run_rounds with a round function that replays
-    the given vote history.
+    the given vote history and records each round's chosen challenge.
     """
     history = [int(b) & 1 for b in response_bits]
     if len(history) != spec.rounds_per_response:
@@ -91,14 +91,19 @@ def trace_records(
         )
     check_external_challenge(external_challenge, spec.order)
     mode &= 1
-    _, challenges = run_rounds(
-        spec.pair[0].feed, spec.pair[1].feed, external_challenge, mode, len(history),
-        lambda round_no, _: np.uint8(history[round_no]), collect_challenges=True,
+    challenges: list[int] = []
+
+    def replay(round_no: int, chosen: np.ndarray) -> np.uint8:
+        challenges.append(int(chosen))
+        return np.uint8(history[round_no])
+
+    run_rounds(
+        spec.pair[0].feed, spec.pair[1].feed, external_challenge, mode, len(history), replay
     )
     prevs = [0] + history[:-1]
     return [
         f"{round_no} {mode} {prev} {1 if prev ^ mode == 1 else 2} "
-        f"{int(challenge):0{spec.order}b}"
+        f"{challenge:0{spec.order}b}"
         for round_no, (prev, challenge) in enumerate(zip(prevs, challenges), start=1)
     ]
 
@@ -110,15 +115,13 @@ def run_rounds(
     mode,
     rounds: int,
     round_eval,
-    collect_challenges: bool = False,
-):
+) -> np.ndarray:
     """Vectorised selection loop over any broadcastable lane/batch layout.
 
     feed1, feed2, seed, and mode broadcast together to the working shape;
     round_eval(round_index, chosen_states) maps an int64 challenge array of
     that shape to a uint8 bit array of the same shape.  Returns the XOR fold
-    of the round bits, plus the per-round challenge arrays when
-    collect_challenges is set.
+    of the round bits.
     """
     feed1, feed2, seed, mode = (
         np.asarray(a, dtype=np.int64) for a in (feed1, feed2, seed, mode)
@@ -128,16 +131,11 @@ def run_rounds(
     s2 = s1.copy()
     prev = np.zeros(shape, dtype=np.int64)
     folded = np.zeros(shape, dtype=np.uint8)
-    challenges = []
     for round_no in range(rounds):
         s1 = (s1 >> 1) ^ (feed1 * (s1 & 1))
         s2 = (s2 >> 1) ^ (feed2 * (s2 & 1))
         chosen = np.where(prev ^ mode == 1, s1, s2)
-        if collect_challenges:
-            challenges.append(chosen)
         bits = round_eval(round_no, chosen)
         folded ^= bits
         prev = bits.astype(np.int64)
-    if collect_challenges:
-        return folded, challenges
     return folded

@@ -6,9 +6,10 @@ counters: each round feeds a burst of fresh random challenges through the raw
 arbiter, counts zero responses, and nudges one counter by a single unit until
 the zero count falls strictly inside the acceptance window.
 
-lane_bits is the one voter, for arrays of any shape; the XOR fold of the
-round bits happens in obfuscator.run_rounds.  The one-vote-at-a-time
-reference that the tests compare them against lives in tests/reference.py.
+lane_bits is the one voter, for arrays of any shape, and voted_round the one
+round function of obfuscator.run_rounds, which XOR-folds the round bits.
+The one-vote-at-a-time reference that the tests compare them against lives
+in tests/reference.py.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .apuf import ApufInstance, eval_raw_batch, features_from_ints
+from .apuf import ApufInstance, delay_sums, eval_raw_batch, features_from_ints
 from .errors import EvenVoterWidth, InvalidParameter, NoConvergence
 
 DEFAULT_PULSE_COUNT = 96
@@ -135,6 +136,25 @@ def lane_bits(
     return (2 * ones > voter_t).astype(np.uint8)
 
 
+def voted_round(
+    weights: np.ndarray,
+    offsets,
+    sigma: float = 0.0,
+    voter_t: int = 1,
+    noise_stream: np.random.Generator | None = None,
+):
+    """The run_rounds round function: voted bits, at the chosen challenges,
+    of the lanes that weights and offsets describe (broadcast as in
+    delay_sums)."""
+    n_stages = np.shape(weights)[-1] - 1
+
+    def voted(_, chosen: np.ndarray) -> np.ndarray:
+        mu = delay_sums(features_from_ints(chosen, n_stages), weights, offsets)
+        return lane_bits(mu, sigma, voter_t, noise_stream)
+
+    return voted
+
+
 def vote_batch(
     instance: ApufInstance,
     challenges: np.ndarray,
@@ -142,6 +162,7 @@ def vote_batch(
     noise_stream: np.random.Generator,
 ) -> np.ndarray:
     """Voted bits of one lane for a whole challenge array."""
-    phi = features_from_ints(np.asarray(challenges), instance.n_stages)
-    mu = phi @ instance.weights + instance.offset
-    return lane_bits(mu, instance.sigma_noise, voter_t, noise_stream)
+    voted = voted_round(
+        instance.weights, instance.offset, instance.sigma_noise, voter_t, noise_stream
+    )
+    return voted(0, np.asarray(challenges))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .apuf import ApufInstance, features_from_ints
+from .apuf import ApufInstance
 from .device import (
     DEFAULT_VOTER_T,
     atomic_write,
@@ -26,7 +26,7 @@ from .device import (
 )
 from .errors import IncompleteTable, InvalidParameter, SimulationError, WidthMismatch
 from .obfuscator import DualLfsrSpec, check_external_challenge, lane_feeds, run_rounds
-from .postproc import lane_bits
+from .postproc import voted_round
 
 TABLE_MODE = "table"
 MODEL_MODE = "model"
@@ -132,20 +132,14 @@ def register_from_ttp(
 def predict_response(registry: ServerRegistry, challenge: int, mode: int) -> np.ndarray:
     """R_m: the tag response the server expects, lane 0 first."""
     check_external_challenge(challenge, registry.n_stages)
-    lane_idx = np.arange(registry.k)
-
     if registry.mode == TABLE_MODE:
-        table = registry.table
+        table, lane_idx = registry.table, np.arange(registry.k)
 
         def naked(_, chosen: np.ndarray) -> np.ndarray:
             return table[lane_idx, chosen]
 
     else:
-        weights, offsets = registry.weights, registry.offsets
-
-        def naked(_, chosen: np.ndarray) -> np.ndarray:
-            phi = features_from_ints(chosen, registry.n_stages)
-            return lane_bits(np.einsum("ki,ki->k", phi, weights) + offsets)
+        naked = voted_round(registry.weights, registry.offsets)
 
     feed1, feed2 = registry._feeds
     return run_rounds(

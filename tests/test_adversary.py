@@ -141,14 +141,6 @@ def test_replay_campaign_parity_breakdown():
     )
     assert (fresh.trials, fresh.successes) == (200, 0)
 
-    # a bare (C1, C2, t) triple is as good as the transcript
-    triple = honest.session[:2] + (honest.transcript.tick_gap(),)
-    again = replay_attack(
-        attacker, registry, 400, recorded=triple,
-        parity_policy="random", rng_seed=3,
-    )
-    assert again == random
-
 
 def test_report_accessors():
     empty = AttackReport(0, 0, 0, 0, 0, 0, outcomes=())

@@ -10,9 +10,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import reference
+from conftest import make_device
 from dualpuf.apuf import (
     ApufInstance,
     bits_from_ints,
+    delay_sums,
     eval_raw_batch,
     features_from_ints,
     parity_features,
@@ -140,3 +142,23 @@ def test_response_probability_matches_monte_carlo():
     mirrored = ApufInstance(2, np.array([0.0, 0.0, -1.0]), 1.0)
     assert p + reference.p_one(mirrored, 0) == pytest.approx(1.0, abs=1e-12)
     assert p == pytest.approx(0.5 * (1 + math.erf(1 / math.sqrt(2))))
+
+
+def test_delay_sums_are_bit_identical_in_every_layout():
+    # the tag sums (k,) lanes at one challenge each, the harvest one lane's
+    # (S,) challenges; at zero noise the reader and the tag agree only if
+    # every layout rounds each lane's sum the same way
+    dev = make_device(k=64, n_stages=12, device_seed=7)
+    weights = np.stack([lane.weights for lane in dev.lanes])
+    offsets = np.array([lane.offset for lane in dev.lanes])
+    challenges = np.arange(1, 1 << 12)
+    phi = features_from_ints(challenges, 12)
+    grid = delay_sums(phi[:, None, :], weights, offsets)
+    assert grid.shape == (challenges.size, 64)
+    for i in range(64):
+        assert np.array_equal(grid[:, i], delay_sums(phi, weights[i], offsets[i]))
+    lanes = np.arange(64)
+    for s in range(challenges.size):
+        rows = (s + lanes) % challenges.size  # a different challenge per lane
+        per_challenge = delay_sums(features_from_ints(challenges[rows], 12), weights, offsets)
+        assert np.array_equal(per_challenge, grid[rows, lanes])

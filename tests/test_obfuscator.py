@@ -135,20 +135,21 @@ def test_engine_matches_scalar_loop_exhaustively():
     weights = inst.weights
 
     def noiseless(_, chosen):
+        per_round.append(chosen)
         phi = features_from_ints(chosen, 3)
         return (phi @ weights > 0).astype(np.uint8)
 
     for idx, mode in itertools.product((0, 1), (0, 1)):
         spec = DualLfsrSpec(pick_lfsr_pair(3, idx))
         seeds = np.arange(1, 8)
-        folded, per_round = run_rounds(
+        per_round = []
+        folded = run_rounds(
             spec.pair[0].feed,
             spec.pair[1].feed,
             seeds,
             mode,
             5,
             noiseless,
-            collect_challenges=True,
         )
         for i, seed in enumerate(seeds.tolist()):
             challenges, votes = reference.rounds(

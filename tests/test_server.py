@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import make_device
+from dualpuf.adversary import collect_obfuscated_crps
 from dualpuf.device import save_device
 from dualpuf.errors import (
     IncompleteTable,
@@ -106,6 +107,20 @@ def test_prediction_matches_the_tag():
         assert np.array_equal(
             predict_response(registry, challenge, mode), dev.respond(challenge, mode)
         )
+
+
+def test_tag_readers_and_attacker_agree_on_every_challenge_at_zero_noise():
+    dev = make_device(k=8)
+    by_table, by_model = table_registry(dev), model_registry(dev)
+    challenges = range(1, 256)
+    for mode in (0, 1):
+        tag = np.array([dev.respond(c, mode) for c in challenges])
+        assert np.array_equal(tag, [predict_response(by_table, c, mode) for c in challenges])
+        assert np.array_equal(tag, [predict_response(by_model, c, mode) for c in challenges])
+        for lane in range(dev.config.k):
+            crps = collect_obfuscated_crps(dev, 4000, mode=mode, rng_seed=lane, lane=lane)
+            assert {r.challenge for r in crps} == set(challenges)
+            assert all(r.label == tag[r.challenge - 1, lane] for r in crps)
 
 
 def test_prediction_rejects_out_of_range():

@@ -22,6 +22,43 @@ def test_no_module_imports_another_modules_private_names():
     assert offenders == []
 
 
+def test_only_the_delay_sum_reduction_multiplies_lane_weights():
+    # lane weights meet parity features in apuf.delay_sums alone, so the
+    # tag, the readers and the attacker cannot round a delay sum apart; the
+    # attacker's own linear unit holds no lane weights
+    allowed = {
+        ("apuf.py", "delay_sums"),
+        ("adversary.py", "LinearAttackModel.predict_batch"),
+        ("adversary.py", "train_linear_attack"),
+    }
+    offenders = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        functions = []
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                functions.append((node.name, node))
+            elif isinstance(node, ast.ClassDef):
+                functions += [
+                    (f"{node.name}.{item.name}", item)
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                ]
+        exempt = [
+            range(node.lineno, node.end_lineno + 1)
+            for name, node in functions
+            if (path.name, name) in allowed
+        ]
+        for node in ast.walk(tree):
+            product = isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+            product |= isinstance(node, ast.Call) and "einsum" in (
+                getattr(node.func, "attr", None), getattr(node.func, "id", None)
+            )
+            if product and not any(node.lineno in lines for lines in exempt):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
 def test_every_exported_name_resolves():
     assert len(set(dualpuf.__all__)) == len(dualpuf.__all__)
     assert [name for name in dualpuf.__all__ if not hasattr(dualpuf, name)] == []
