@@ -15,7 +15,7 @@ import numpy as np
 
 from .apuf import ApufInstance, eval_raw_batch, features_from_ints
 from .device import PufDevice
-from .errors import EmptyDataset, EmptyStore, InsufficientSample, WidthMismatch
+from .errors import EmptyDataset, EmptyStore, InsufficientSample, InvalidParameter, WidthMismatch
 from .obfuscator import run_rounds
 from .postproc import voted_round
 from .protocol import CHALLENGE, RESPONSE, SessionTranscript, run_authentication
@@ -191,7 +191,7 @@ class LinearAttackModel:
         return int(self.predict_batch(np.array([challenge]))[0])
 
     def predict_batch(self, challenges: np.ndarray) -> np.ndarray:
-        phi = features_from_ints(challenges, self.weights.size - 1)
+        phi = features_from_ints(challenges, self.weights.size - 1).astype(np.float64)
         return (phi @ self.weights > 0).astype(np.uint8)
 
     def record_lines(self) -> list[str]:
@@ -248,13 +248,13 @@ def train_linear_attack(
     if not crps:
         raise EmptyDataset("no CRP records to train on")
     if not 0 < split < 1:
-        raise ValueError(f"split {split} outside (0, 1)")
+        raise InvalidParameter(f"split {split} outside (0, 1)")
     n = crps[0].width
     if any(r.width != n for r in crps):
         raise WidthMismatch("mixed challenge widths in the dataset")
     challenges = np.array([r.challenge for r in crps], dtype=np.int64)
     labels = np.array([r.label for r in crps], dtype=np.float64)
-    phi = features_from_ints(challenges, n)
+    phi = features_from_ints(challenges, n).astype(np.float64)
 
     order = np.random.default_rng(rng_seed).permutation(len(crps))
     cut = int(round(split * len(crps)))

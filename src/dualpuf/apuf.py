@@ -13,9 +13,17 @@ adjust_up pulls delta down, so it corrects an excess of 1-responses.
 Challenge bit C_j is bit j of the challenge integer (C_0 = LSB), which wires
 LFSR flip-flop D_1 to stage 0.
 
-delay_sums is the one reduction w . phi + b behind every evaluator; the
-one-challenge-at-a-time reference that the tests compare it against lives in
-tests/reference.py.
+features_from_ints is the one parity-feature kernel.  phi_i is +1 or -1
+according to the parity of the challenge bits j >= i, which is bit i of the
+inverse Gray code C ^ C>>1 ^ C>>2 ^ ...; bit N of that code is 0, so
+phi_N = +1.  The kernel computes the code with log2(N) shifts and unpacks
+it into int8 +-1, so phi is exact by construction.
+
+delay_sums is the one reduction w . phi + b behind every evaluator.  Each
+int8 entry of phi converts to exactly +-1.0, so the sums equal those of a
+float64 phi bit for bit, in every layout the evaluators use.  The
+one-challenge-at-a-time reference that the tests compare both against lives
+in tests/reference.py.
 """
 
 from __future__ import annotations
@@ -90,27 +98,26 @@ def sample_instance(
     )
 
 
-def bits_from_ints(challenges: np.ndarray, n_stages: int) -> np.ndarray:
-    """Bit matrix for a whole challenge array; output shape (..., N)."""
-    ch = np.asarray(challenges, dtype=np.int64)
-    return ((ch[..., None] >> np.arange(n_stages)) & 1).astype(np.int8)
-
-
 def parity_features(bits) -> np.ndarray:
-    """Parity transform: phi_i = prod_{j>=i} (1 - 2 C_j), phi_N = 1.
-
-    Takes a bit array whose last axis is the challenge; returns floats in
-    {-1, +1} with one extra column.
-    """
-    x = 1.0 - 2.0 * np.asarray(bits)
-    suffix = np.cumprod(x[..., ::-1], axis=-1)[..., ::-1]
-    ones = np.ones(suffix.shape[:-1] + (1,))
-    return np.concatenate([suffix, ones], axis=-1)
+    """Parity transform of a bit array whose last axis is the challenge
+    (C_0 first): phi_i = prod_{j>=i} (1 - 2 C_j), phi_N = 1, as int8 +-1
+    with one extra column.  Packs the bits and runs features_from_ints."""
+    bits = np.asarray(bits, dtype=np.int64)
+    n_stages = bits.shape[-1]
+    return features_from_ints((bits << np.arange(n_stages)).sum(axis=-1), n_stages)
 
 
-def features_from_ints(challenges: np.ndarray, n_stages: int) -> np.ndarray:
-    """Parity features for a challenge integer array; shape (..., N+1)."""
-    return parity_features(bits_from_ints(challenges, n_stages))
+def features_from_ints(challenges, n_stages: int) -> np.ndarray:
+    """Parity features for a challenge integer array, as int8 +-1; shape
+    (..., N+1).  Only the low n_stages bits of a challenge count."""
+    code = np.asarray(challenges, dtype=np.int64) & ((1 << n_stages) - 1)
+    shift = 1
+    while shift < n_stages:
+        code ^= code >> shift
+        shift <<= 1
+    octets = code.astype("<i8", copy=False)[..., None].view(np.uint8)
+    bits = np.unpackbits(octets, axis=-1, count=n_stages + 1, bitorder="little")
+    return 1 - 2 * bits.view(np.int8)
 
 
 def delay_sums(phi: np.ndarray, weights: np.ndarray, offsets) -> np.ndarray:

@@ -30,7 +30,7 @@ from .device import (
     save_device,
     serialize_response,
 )
-from .errors import SimulationError
+from .errors import InvalidParameter, SimulationError
 from .lfsr import LfsrSpec, classify, find_primitive
 from .obfuscator import DEFAULT_ROUNDS, DualLfsrSpec, trace_records
 from .protocol import run_authentication, run_registration
@@ -130,6 +130,14 @@ def _emit(args, lines: list[str]) -> None:
         atomic_write(args.out, text + "\n")
 
 
+def _int_literal(text: str, flag: str) -> int:
+    """An integer flag written as any int literal (31, 0x1f, 0b11111)."""
+    try:
+        return int(text, 0)
+    except ValueError:
+        raise InvalidParameter(f"{flag} {text!r} is not an integer literal") from None
+
+
 def _cmd_lfsr(args) -> list[str]:
     if args.command == "primitive":
         return [" ".join(spec.mask_str() for spec in find_primitive(args.order))]
@@ -160,8 +168,10 @@ def _cmd_lfsr(args) -> list[str]:
         (LfsrSpec.parse(args.poly), LfsrSpec.parse(args.poly2)),
         rounds_per_response=len(args.bits),
     )
+    if not set(args.bits) <= {"0", "1"}:
+        raise InvalidParameter(f"--bits {args.bits!r} is not a string of 0s and 1s")
     bits = [int(b) for b in args.bits]
-    return trace_records(pair, int(args.challenge, 0), args.mode, bits)
+    return trace_records(pair, _int_literal(args.challenge, "--challenge"), args.mode, bits)
 
 
 def _cmd_device(args) -> list[str]:
@@ -187,7 +197,7 @@ def _cmd_device(args) -> list[str]:
         save_device(device, args.device)
         return ["fused"]
     device = load_device(args.device)
-    value = serialize_response(device.raw_crp_query(int(args.challenge, 0)))
+    value = serialize_response(device.raw_crp_query(_int_literal(args.challenge, "--challenge")))
     return [f"{value:0{(device.config.k + 3) // 4}x}"]
 
 
@@ -239,6 +249,10 @@ def _cmd_attack(args) -> list[str]:
             return report.record_lines()
         return report.format_table().split("\n")
 
+    if args.train < 1 or args.test < 1:
+        raise InvalidParameter(
+            f"--train {args.train} and --test {args.test} must each be at least 1"
+        )
     total = args.train + args.test
     split = args.train / total
     if args.obfuscated:

@@ -105,10 +105,12 @@ class PufDevice:
             raise InterfaceFused("raw interface is fused")
         rng = noise_stream if noise_stream is not None else self._noise_rng
         phi = features_from_ints(challenges, self.config.n_stages)
-        rows = np.empty((self.config.k, challenges.size), dtype=np.uint8)
-        for i in range(self.config.k):
-            mu = delay_sums(phi, self._weights[i], self._offsets[i])
-            rows[i] = lane_bits(mu, self.config.sigma_noise, self.config.voter_t, rng)
+        config = self.config
+        rows = np.empty((config.k, challenges.size), dtype=np.uint8)
+        for i in range(config.k):
+            # each challenge is one evaluation with a single alternative
+            mu = delay_sums(phi, self._weights[i], self._offsets[i])[:, None]
+            rows[i] = lane_bits(mu, config.sigma_noise, config.voter_t, rng)[:, 0]
         return rows
 
     def raw_crp_query(self, challenge: int, noise_stream: np.random.Generator | None = None) -> np.ndarray:

@@ -13,10 +13,18 @@ mode is the session's parity bit (1 selects the original wiring, 0 the
 swapped one).  A response is the XOR fold of rounds_per_response voted bits
 produced this way.
 
-run_rounds is the one selection engine: the device, server, attack
-harnesses and trace_records all run it.  The scalar reference that restates
-the rule one register shift at a time, and that the tests compare the engine
-against, lives in tests/reference.py.
+Both registers run free: their states never depend on the votes, only the
+choice between them does.  run_rounds, the one selection engine that the
+device, server, attack harnesses and trace_records all run, therefore works
+in two phases.  It first shifts both registers through all rounds and hands
+the whole (rounds, 2, *shape) array of candidate challenges (axis 1: first,
+second register) to one evaluator call, which returns a uint8 bit for every
+candidate.  It then walks the selection rule over those bits and XOR-folds
+the selected ones.  postproc.voted_round, the evaluator of the tag, the
+model reader and the attacker, draws one block of noise per call and lets
+the two candidates of a round share it.  The scalar reference that
+restates the rule one register shift at a time, and that the tests compare
+the engine against, lives in tests/reference.py.
 """
 
 from __future__ import annotations
@@ -81,31 +89,33 @@ def trace_records(
 ) -> list[str]:
     """Waveform dump, one line per round: round M prev chosen_lfsr challenge_bits.
 
-    The challenges come from run_rounds with a round function that replays
-    the given vote history and records each round's chosen challenge.
+    The candidate challenges come from run_rounds with an evaluator that
+    records them and answers the given vote history.
     """
-    history = [int(b) & 1 for b in response_bits]
+    history = [int(b) for b in response_bits]
     if len(history) != spec.rounds_per_response:
         raise WidthMismatch(
             f"need {spec.rounds_per_response} response bits, got {len(history)}"
         )
+    if any(bit not in (0, 1) for bit in history):
+        raise InvalidParameter(f"response bits {history} must each be 0 or 1")
     check_external_challenge(external_challenge, spec.order)
     mode &= 1
-    challenges: list[int] = []
+    recorded: list[np.ndarray] = []
 
-    def replay(round_no: int, chosen: np.ndarray) -> np.uint8:
-        challenges.append(int(chosen))
-        return np.uint8(history[round_no])
+    def replay(candidates: np.ndarray) -> np.ndarray:
+        recorded.append(candidates)
+        return np.array([[bit, bit] for bit in history], dtype=np.uint8)
 
     run_rounds(
         spec.pair[0].feed, spec.pair[1].feed, external_challenge, mode, len(history), replay
     )
     prevs = [0] + history[:-1]
-    return [
-        f"{round_no} {mode} {prev} {1 if prev ^ mode == 1 else 2} "
-        f"{challenge:0{spec.order}b}"
-        for round_no, (prev, challenge) in enumerate(zip(prevs, challenges), start=1)
-    ]
+    lines = []
+    for round_no, (prev, pair) in enumerate(zip(prevs, recorded[0].tolist()), start=1):
+        chosen = 1 if prev ^ mode == 1 else 2
+        lines.append(f"{round_no} {mode} {prev} {chosen} {pair[chosen - 1]:0{spec.order}b}")
+    return lines
 
 
 def run_rounds(
@@ -114,28 +124,33 @@ def run_rounds(
     seed,
     mode,
     rounds: int,
-    round_eval,
+    evaluate,
 ) -> np.ndarray:
-    """Vectorised selection loop over any broadcastable lane/batch layout.
+    """Vectorised selection engine over any broadcastable lane/batch layout.
 
-    feed1, feed2, seed, and mode broadcast together to the working shape;
-    round_eval(round_index, chosen_states) maps an int64 challenge array of
-    that shape to a uint8 bit array of the same shape.  Returns the XOR fold
-    of the round bits.
+    feed1, feed2, seed, and mode broadcast together to the working shape.
+    evaluate(candidates) is called once, with the int64 candidate challenges
+    of every round laid out (rounds, 2, *shape), and returns a uint8 bit
+    array of the same shape.  Round r takes the first register's bit when
+    the previous selected bit xor mode is 1, else the second's.  Returns the
+    XOR fold of the selected bits.
     """
     feed1, feed2, seed, mode = (
         np.asarray(a, dtype=np.int64) for a in (feed1, feed2, seed, mode)
     )
-    shape = np.broadcast_shapes(feed1.shape, feed2.shape, seed.shape, mode.shape)
-    s1 = np.broadcast_to(seed, shape).copy()
-    s2 = s1.copy()
-    prev = np.zeros(shape, dtype=np.int64)
-    folded = np.zeros(shape, dtype=np.uint8)
+    shape = np.broadcast(feed1, feed2, seed, mode).shape
+    feeds = np.empty((2,) + shape, dtype=np.int64)
+    feeds[0], feeds[1] = feed1, feed2
+    state = seed
+    candidates = np.empty((rounds,) + feeds.shape, dtype=np.int64)
     for round_no in range(rounds):
-        s1 = (s1 >> 1) ^ (feed1 * (s1 & 1))
-        s2 = (s2 >> 1) ^ (feed2 * (s2 & 1))
-        chosen = np.where(prev ^ mode == 1, s1, s2)
-        bits = round_eval(round_no, chosen)
-        folded ^= bits
-        prev = bits.astype(np.int64)
+        state = candidates[round_no] = (state >> 1) ^ (feeds * (state & 1))
+    bits = evaluate(candidates)
+    mode = mode.astype(np.uint8)
+    selected = np.zeros(shape, dtype=np.uint8)
+    folded = np.zeros(shape, dtype=np.uint8)
+    for second, differs in zip(bits[:, 1], bits[:, 0] ^ bits[:, 1]):
+        # the first register's bit where the previous selected bit xor mode is 1
+        selected = second ^ (differs & (selected ^ mode))
+        folded ^= selected
     return folded

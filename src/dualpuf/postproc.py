@@ -6,10 +6,17 @@ counters: each round feeds a burst of fresh random challenges through the raw
 arbiter, counts zero responses, and nudges one counter by a single unit until
 the zero count falls strictly inside the acceptance window.
 
-lane_bits is the one voter, for arrays of any shape, and voted_round the one
-round function of obfuscator.run_rounds, which XOR-folds the round bits.
-The one-vote-at-a-time reference that the tests compare them against lives
-in tests/reference.py.
+lane_bits is the one voter and voted_round the one lane evaluator of
+obfuscator.run_rounds for the tag, the model reader and the attacker.
+run_rounds hands the evaluator every round's two candidate challenges at
+once, laid out (rounds, 2, *shape); the evaluator transforms them with one
+features_from_ints call and one delay_sums call, and votes them with one
+lane_bits call.  That call draws one (rounds, *shape, voter_t) block of
+noise, and the two candidates of a round share their round's draws.  Only
+the selected candidate's bit reaches the response, so the stream yields the
+same numbers, in the same order, as one draw per round would.  The
+one-vote-at-a-time reference that the tests compare them against lives in
+tests/reference.py.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .apuf import ApufInstance, delay_sums, eval_raw_batch, features_from_ints
-from .errors import EvenVoterWidth, InvalidParameter, NoConvergence
+from .errors import EvenVoterWidth, InvalidParameter, NoConvergence, WidthMismatch
 
 DEFAULT_PULSE_COUNT = 96
 DEFAULT_WINDOW_HALFWIDTH = 6
@@ -120,19 +127,27 @@ def lane_bits(
     voter_t: int = 1,
     noise_stream: np.random.Generator | None = None,
 ) -> np.ndarray:
-    """Voted lane bits for an array of delay sums of any shape.
+    """Voted lane bits for delay sums laid out (evaluations, alternatives,
+    *shape).
 
     At sigma 0 the bit is the sign of mu and no noise is drawn.  Otherwise
-    one block of shape mu.shape + (voter_t,) is drawn in C order, so the
-    stream runs element by element and vote by vote, and each bit is the
-    majority of its voter_t noisy evaluations.
+    one block of shape (evaluations, *shape, voter_t) is drawn in C order,
+    so the stream runs evaluation by evaluation, element by element and vote
+    by vote; the alternatives of an evaluation (a round's two candidate
+    challenges) share its draws.  Each bit is the majority of its voter_t
+    noisy evaluations.
     """
     if voter_t < 1 or voter_t % 2 == 0:
         raise EvenVoterWidth(f"voter width {voter_t} must be odd and >= 1")
+    if mu.ndim < 2:
+        raise WidthMismatch(f"delay sums of shape {mu.shape} lack an alternatives axis")
     if sigma == 0:
         return (mu > 0).astype(np.uint8)
-    draws = noise_stream.standard_normal(mu.shape + (voter_t,)) * sigma
-    ones = ((mu[..., None] + draws) > 0).sum(axis=-1)
+    draws = noise_stream.standard_normal(mu.shape[:1] + mu.shape[2:] + (voter_t,)) * sigma
+    # votes first, so the majority adds whole arrays; the size-1 axis lets
+    # the alternatives of an evaluation share its draws
+    votes = np.ascontiguousarray(draws.transpose(-1, *range(draws.ndim - 1)))[:, :, None]
+    ones = ((mu + votes) > 0).sum(axis=0)
     return (2 * ones > voter_t).astype(np.uint8)
 
 
@@ -143,13 +158,13 @@ def voted_round(
     voter_t: int = 1,
     noise_stream: np.random.Generator | None = None,
 ):
-    """The run_rounds round function: voted bits, at the chosen challenges,
-    of the lanes that weights and offsets describe (broadcast as in
-    delay_sums)."""
+    """The run_rounds lane evaluator: voted bits, at every candidate
+    challenge, of the lanes that weights and offsets describe (broadcast as
+    in delay_sums)."""
     n_stages = np.shape(weights)[-1] - 1
 
-    def voted(_, chosen: np.ndarray) -> np.ndarray:
-        mu = delay_sums(features_from_ints(chosen, n_stages), weights, offsets)
+    def voted(candidates: np.ndarray) -> np.ndarray:
+        mu = delay_sums(features_from_ints(candidates, n_stages), weights, offsets)
         return lane_bits(mu, sigma, voter_t, noise_stream)
 
     return voted
@@ -161,8 +176,10 @@ def vote_batch(
     voter_t: int,
     noise_stream: np.random.Generator,
 ) -> np.ndarray:
-    """Voted bits of one lane for a whole challenge array."""
+    """Voted bits of one lane for a whole challenge array, each challenge
+    its own evaluation."""
+    challenges = np.asarray(challenges)
     voted = voted_round(
         instance.weights, instance.offset, instance.sigma_noise, voter_t, noise_stream
     )
-    return voted(0, np.asarray(challenges))
+    return voted(challenges.reshape(-1, 1)).reshape(challenges.shape)

@@ -135,8 +135,8 @@ def predict_response(registry: ServerRegistry, challenge: int, mode: int) -> np.
     if registry.mode == TABLE_MODE:
         table, lane_idx = registry.table, np.arange(registry.k)
 
-        def naked(_, chosen: np.ndarray) -> np.ndarray:
-            return table[lane_idx, chosen]
+        def naked(candidates: np.ndarray) -> np.ndarray:
+            return table[lane_idx, candidates]
 
     else:
         naked = voted_round(registry.weights, registry.offsets)

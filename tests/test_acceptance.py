@@ -88,14 +88,15 @@ def test_criterion_01_primitive_search_is_maximal():
 
 
 def test_criterion_02_reference_cycle_replay():
-    # the package's own shift: with both registers on one polynomial every
-    # round reads that register, seven shifts from seed 001
+    # the package's own shift: with both registers on one polynomial both
+    # candidates of every round are that register, seven shifts from seed 001
     feed = LfsrSpec(3, 0b1011).feed
     walked = []
 
-    def record(_, chosen):
-        walked.append(int(chosen))
-        return np.zeros_like(chosen, dtype=np.uint8)
+    def record(candidates):
+        assert np.array_equal(candidates[:, 0], candidates[:, 1])
+        walked.extend(candidates[:, 0].tolist())
+        return np.zeros_like(candidates, dtype=np.uint8)
 
     run_rounds(feed, feed, 0b001, 1, 7, record)
     assert walked[0] == 0b101  # first shift
@@ -228,8 +229,8 @@ def test_criterion_07_mode_flip_avalanche():
         weights = np.stack([lane.weights for lane in device.lanes])
         offsets = np.array([lane.offset for lane in device.lanes])
 
-        def naked(_, chosen):
-            mu = np.einsum("kbi,ki->kb", features_from_ints(chosen, 8), weights)
+        def naked(candidates):
+            mu = np.einsum("...kbi,ki->...kb", features_from_ints(candidates, 8), weights)
             return (mu + offsets[:, None] > 0).astype(np.uint8)
 
         responses = [

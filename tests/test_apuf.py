@@ -13,7 +13,6 @@ import reference
 from conftest import make_device
 from dualpuf.apuf import (
     ApufInstance,
-    bits_from_ints,
     delay_sums,
     eval_raw_batch,
     features_from_ints,
@@ -49,8 +48,10 @@ def test_sample_instance_deterministic_and_biased():
 
 
 def test_challenge_bits_oracle():
-    assert bits_from_ints(0b1101, 4).tolist() == [1, 0, 1, 1]  # low bit first
-    assert bits_from_ints([[0b1101, 0]], 4).shape == (1, 2, 4)
+    # C_0 is the low bit: flipping bit j flips phi_0 .. phi_j
+    for j in range(4):
+        assert features_from_ints(1 << j, 4).tolist() == [-1] * (j + 1) + [1] * (4 - j)
+    assert features_from_ints([[0b1101, 0]], 4).shape == (1, 2, 5)
 
 
 def test_parity_features_oracle():
@@ -85,8 +86,8 @@ def test_batch_helpers_match_scalar():
     rng = np.random.default_rng(0)
     challenges = rng.integers(0, 1 << 6, size=40)
     assert np.array_equal(
-        bits_from_ints(challenges, 6),
-        np.array([reference.challenge_bits(int(c), 6) for c in challenges]),
+        parity_features(np.array([reference.challenge_bits(int(c), 6) for c in challenges])),
+        np.array([reference.parity_features(int(c), 6) for c in challenges]),
     )
     assert np.array_equal(
         features_from_ints(challenges, 6),
@@ -131,7 +132,7 @@ def test_noiseless_evaluation_repeats():
 
 def test_response_probability_degenerate_indicator():
     # at sigma 0 a lane bit is the sign indicator of the delay, a tie is 0
-    assert lane_bits(np.array([1.0, -1.0, 0.0])).tolist() == [1, 0, 0]
+    assert lane_bits(np.array([[1.0, -1.0, 0.0]])).tolist() == [[1, 0, 0]]
 
 
 def test_response_probability_matches_monte_carlo():
@@ -142,6 +143,16 @@ def test_response_probability_matches_monte_carlo():
     mirrored = ApufInstance(2, np.array([0.0, 0.0, -1.0]), 1.0)
     assert p + reference.p_one(mirrored, 0) == pytest.approx(1.0, abs=1e-12)
     assert p == pytest.approx(0.5 * (1 + math.erf(1 / math.sqrt(2))))
+
+
+def test_features_from_ints_matches_the_reference_at_every_order():
+    rng = np.random.default_rng(2)
+    for n in range(2, 63):
+        challenges = np.r_[0, (1 << n) - 1, rng.integers(0, 1 << n, size=30)]
+        phi = features_from_ints(challenges, n)
+        assert phi.dtype == np.int8 and phi.shape == (32, n + 1)
+        expected = [reference.parity_features(c, n) for c in challenges.tolist()]
+        assert np.array_equal(phi, np.array(expected)), n
 
 
 def test_delay_sums_are_bit_identical_in_every_layout():
@@ -162,3 +173,32 @@ def test_delay_sums_are_bit_identical_in_every_layout():
         rows = (s + lanes) % challenges.size  # a different challenge per lane
         per_challenge = delay_sums(features_from_ints(challenges[rows], 12), weights, offsets)
         assert np.array_equal(per_challenge, grid[rows, lanes])
+
+    # at every order, int8 phi converts to exactly +-1.0, so every layout the
+    # evaluators use, the round candidates' included, gives the float64
+    # reference sums bit for bit, and the layouts agree with each other
+    rng = np.random.default_rng(62)
+    rounds, k = 5, 8
+    lanes = np.arange(k)
+    for n in range(2, 63):
+        weights, offsets = rng.standard_normal((k, n + 1)), rng.standard_normal(k)
+        challenges = rng.integers(0, 1 << n, size=(rounds, 2, k))
+        phi = features_from_ints(challenges, n)
+        ref = np.array(
+            [reference.parity_features(c, n) for c in challenges.ravel().tolist()]
+        ).reshape(phi.shape)
+        flat, flat_ref = phi.reshape(-1, n + 1), ref.reshape(-1, n + 1)
+        grid = delay_sums(flat_ref[:, None, :], weights, offsets)  # (S, k)
+        layouts = (
+            # (layout, int8 phi, float64 phi, lane weights, lane offsets, grid entries)
+            ("(S, k)", flat[:, None, :], flat_ref[:, None, :], weights, offsets, grid),
+            ("(k,)", phi[0, 0], ref[0, 0], weights, offsets, grid[lanes, lanes]),
+            ("(S,)", flat, flat_ref, weights[0], offsets[0], grid[:, 0]),
+            ("(R, 2, k)", phi, ref, weights, offsets,
+             grid[np.arange(flat.shape[0]), np.tile(lanes, 2 * rounds)].reshape(phi.shape[:-1])),
+            ("(R, 2, S)", phi, ref, weights[0], offsets[0], grid[:, 0].reshape(phi.shape[:-1])),
+        )
+        for layout, p8, p64, w, b, expected in layouts:
+            sums = delay_sums(p8, w, b)
+            assert np.array_equal(sums, delay_sums(p64, w, b)), (n, layout)
+            assert np.array_equal(sums, expected), (n, layout)

@@ -251,6 +251,38 @@ def test_missing_and_unwritable_files(capsys, tmp_path):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+TRACE = ("lfsr", "trace", "--poly", "0b1011", "--poly2", "0b1101", "--challenge", "1")
+
+
+def test_trace_rejects_a_vote_that_is_not_a_digit(capsys):
+    assert_cli_error(capsys, *TRACE, "--bits", "0a1")
+
+
+def test_trace_rejects_a_vote_above_one(capsys):
+    # a 2 used to be masked to 0, so 021 traced as 001
+    assert_cli_error(capsys, *TRACE, "--bits", "021")
+    with pytest.raises(ValueError):
+        trace_records(DualLfsrSpec((LfsrSpec(3, 0b1011), LfsrSpec(3, 0b1101)), 3), 1, 1, (0, 2, 1))
+
+
+def test_trace_rejects_a_malformed_challenge(capsys):
+    assert_cli_error(capsys, "lfsr", "trace", "--poly", "0b1011", "--poly2", "0b1101",
+                     "--challenge", "zz", "--bits", "00000")
+
+
+def test_crp_rejects_a_malformed_challenge(capsys, tmp_path):
+    dev, _ = built_tag(capsys, tmp_path)
+    assert_cli_error(capsys, "device", "crp", "--device", dev, "--challenge", "zz")
+
+
+def test_model_attack_rejects_an_empty_dataset(capsys):
+    assert_cli_error(capsys, "attack", "model", "--stages", "8", "--train", "0", "--test", "0")
+
+
+def test_model_attack_rejects_an_empty_holdout(capsys):
+    assert_cli_error(capsys, "attack", "model", "--stages", "8", "--test", "0")
+
+
 def test_trace_period_check_up_to_order_62(capsys):
     bits = [0, 1, 1, 0, 1]
     for poly, poly2 in (("0x1000000af", "0x1000000c5"),

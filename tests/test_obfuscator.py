@@ -9,10 +9,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import reference
+from conftest import make_device
+from dualpuf.adversary import collect_obfuscated_crps
 from dualpuf.apuf import features_from_ints, sample_instance
 from dualpuf.errors import WidthMismatch, ZeroSeed
 from dualpuf.lfsr import LfsrSpec, pick_lfsr_pair
 from dualpuf.obfuscator import DualLfsrSpec, run_rounds, trace_records
+from dualpuf.protocol import run_registration
+from dualpuf.server import predict_response
 
 PAIR = DualLfsrSpec((LfsrSpec(3, 0b1011), LfsrSpec(3, 0b1101)))
 VOTES = (0, 0, 1, 1, 0)
@@ -124,9 +128,10 @@ def test_register_collision_witness():
 
 @given(st.lists(st.integers(0, 1), min_size=1, max_size=20))
 def test_run_rounds_folds_round_bits_by_parity(bits):
-    folded = run_rounds(
-        PAIR.pair[0].feed, PAIR.pair[1].feed, 1, 1, len(bits), lambda r, _: np.uint8(bits[r])
-    )
+    def both_candidates(candidates):
+        return np.repeat(np.array(bits, dtype=np.uint8), 2).reshape(candidates.shape)
+
+    folded = run_rounds(PAIR.pair[0].feed, PAIR.pair[1].feed, 1, 1, len(bits), both_candidates)
     assert int(folded) == sum(bits) % 2
 
 
@@ -134,15 +139,15 @@ def test_engine_matches_scalar_loop_exhaustively():
     inst = sample_instance(3, 7)
     weights = inst.weights
 
-    def noiseless(_, chosen):
-        per_round.append(chosen)
-        phi = features_from_ints(chosen, 3)
+    def noiseless(candidates):
+        calls.append(candidates)
+        phi = features_from_ints(candidates, 3)
         return (phi @ weights > 0).astype(np.uint8)
 
     for idx, mode in itertools.product((0, 1), (0, 1)):
         spec = DualLfsrSpec(pick_lfsr_pair(3, idx))
         seeds = np.arange(1, 8)
-        per_round = []
+        calls = []
         folded = run_rounds(
             spec.pair[0].feed,
             spec.pair[1].feed,
@@ -151,12 +156,23 @@ def test_engine_matches_scalar_loop_exhaustively():
             5,
             noiseless,
         )
+        assert len(calls) == 1  # one evaluator call for all rounds
+        candidates = calls[0]
+        assert candidates.shape == (5, 2, 7)
         for i, seed in enumerate(seeds.tolist()):
             challenges, votes = reference.rounds(
                 spec, seed, mode, lambda _, c: reference.evaluate(inst, c)
             )
             assert int(folded[i]) == sum(votes) % 2
-            assert [int(r[i]) for r in per_round] == challenges
+            # both registers run free whatever the votes
+            states = [seed, seed]
+            for r in range(5):
+                states = [reference.shift(lfsr.feed, s) for lfsr, s in zip(spec.pair, states)]
+                assert candidates[r, :, i].tolist() == states
+            # the selected candidates are the challenges the reference consumed
+            prevs = [0] + votes[:-1]
+            picked = [int(candidates[r, 1 - (prev ^ mode), i]) for r, prev in enumerate(prevs)]
+            assert picked == challenges
             # the trace replaying the realized votes is the sequence consumed
             assert traced(spec, seed, mode, votes) == challenges
 
@@ -169,11 +185,54 @@ def test_engine_broadcasts_lane_and_batch_axes():
     inst = sample_instance(4, 5)
     weights = inst.weights
 
-    def noiseless(_, chosen):
-        return (features_from_ints(chosen, 4) @ weights > 0).astype(np.uint8)
+    def noiseless(candidates):
+        return (features_from_ints(candidates, 4) @ weights > 0).astype(np.uint8)
 
     folded = run_rounds(feed1, feed2, seeds, 1, 5, noiseless)
     assert folded.shape == (3, 4)
     for i, spec in enumerate(specs):
         for j, seed in enumerate(seeds[0].tolist()):
             assert int(folded[i, j]) == reference.response(spec, inst, seed, 1)
+
+
+class CountingStream:
+    """A noise stream that counts its standard_normal calls."""
+
+    def __init__(self, rng, counts):
+        self.rng, self.counts = rng, counts
+
+    def standard_normal(self, *args, **kwargs):
+        self.counts["draws"] += 1
+        return self.rng.standard_normal(*args, **kwargs)
+
+    def integers(self, *args, **kwargs):
+        return self.rng.integers(*args, **kwargs)
+
+
+def test_one_lane_call_per_response(monkeypatch):
+    # every response transforms its 2R candidate challenges in one
+    # features_from_ints call and draws its noise at most once, so a
+    # per-round evaluation cannot creep back into the tag, the model reader
+    # or the attacker
+    tag = make_device(k=8, n_stages=8, sigma_noise=0.3)
+    registry = run_registration(make_device(k=8, n_stages=8), policy="params")
+    lane = make_device(k=1, n_stages=8, sigma_noise=0.3)
+    counts = {"features": 0, "draws": 0}
+
+    def counted_features(*args, **kwargs):
+        counts["features"] += 1
+        return features_from_ints(*args, **kwargs)
+
+    for module in ("apuf", "postproc", "device", "adversary"):
+        monkeypatch.setattr(f"dualpuf.{module}.features_from_ints", counted_features)
+    real_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda *a: CountingStream(real_rng(*a), counts))
+
+    def calls(action):
+        counts.update(features=0, draws=0)
+        action()
+        return counts["features"], counts["draws"]
+
+    assert calls(lambda: tag.respond(0x5A, 1, CountingStream(real_rng(1), counts))) == (1, 1)
+    assert calls(lambda: predict_response(registry, 0x5A, 0)) == (1, 0)
+    assert calls(lambda: collect_obfuscated_crps(lane, 500)) == (1, 1)

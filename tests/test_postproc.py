@@ -6,7 +6,7 @@ import pytest
 
 import reference
 from dualpuf.apuf import ApufInstance, eval_raw_batch, sample_instance
-from dualpuf.errors import EvenVoterWidth, NoConvergence
+from dualpuf.errors import EvenVoterWidth, NoConvergence, WidthMismatch
 from dualpuf.postproc import (
     AdjustParams,
     AdjustReport,
@@ -122,9 +122,14 @@ def test_vote_rejects_even_or_empty_width():
 
 
 def test_vote_majority_with_scripted_noise():
-    mu = np.array([1.0])  # margin +1, sigma 1
-    assert lane_bits(mu, 1.0, 5, ScriptedRng([[-2, -2, 0.5, 0.5, 0.5]])).tolist() == [1]
-    assert lane_bits(mu, 1.0, 5, ScriptedRng([[-2, -2, -2, 0.5, 0.5]])).tolist() == [0]
+    mu = np.array([[1.0]])  # one evaluation, one alternative: margin +1, sigma 1
+    assert lane_bits(mu, 1.0, 5, ScriptedRng([[-2, -2, 0.5, 0.5, 0.5]])).tolist() == [[1]]
+    assert lane_bits(mu, 1.0, 5, ScriptedRng([[-2, -2, -2, 0.5, 0.5]])).tolist() == [[0]]
+    # the two alternatives of one evaluation share its five draws
+    pair = np.array([[1.0, -0.6]])
+    assert lane_bits(pair, 1.0, 5, ScriptedRng([[-2, -2, 0.5, 0.5, 0.5]])).tolist() == [[1, 0]]
+    with pytest.raises(WidthMismatch):
+        lane_bits(np.array([1.0]), 1.0, 5, ScriptedRng([[0.0] * 5]))
 
 
 def test_vote_batch_matches_scalar_stream():

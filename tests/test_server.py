@@ -244,6 +244,27 @@ def test_file_formats_are_pinned(tmp_path):
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
+def test_noise_order_is_pinned():
+    # sha256 of noisy outputs taken before the lanes were evaluated all
+    # rounds at once; an engine that draws or consumes noise in another
+    # order fails here
+    dev = make_device(k=64, n_stages=12, device_seed=7, sigma_noise=0.4, voter_t=5)
+    rng = np.random.default_rng(11)
+    challenges = rng.integers(1, 1 << 12, size=2000)
+    modes = rng.integers(0, 2, size=2000)
+    digest = hashlib.sha256()
+    for challenge, mode in zip(challenges.tolist(), modes.tolist()):
+        digest.update(dev.respond(challenge, mode).tobytes())
+    assert digest.hexdigest() == "65c972b7b332f0e994431475bc732b2812584e40473fb5f51750c1f57c027eeb"
+
+    dev = make_device(k=1, n_stages=12, device_seed=7, sigma_noise=0.4, voter_t=5)
+    crps = collect_obfuscated_crps(dev, 5000, mode=1, rng_seed=3)
+    text = "".join(f"{r.challenge} {r.label}\n" for r in crps)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "f93432161abe9505f23030d4447000136fa449a1fdc22d173705107b34fb6cd7"
+    )
+
+
 def test_prediction_does_not_mutate_the_registry():
     registry = table_registry(make_device())
     snapshot = registry.table.copy()

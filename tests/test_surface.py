@@ -59,6 +59,18 @@ def test_only_the_delay_sum_reduction_multiplies_lane_weights():
     assert offenders == []
 
 
+def test_one_parity_feature_kernel():
+    # features_from_ints computes phi from the challenge integer; a running
+    # product over the bits would be a second feature kernel
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if "cumprod" in (getattr(node, "attr", None), getattr(node, "id", None))
+    ]
+    assert offenders == []
+
+
 def test_every_exported_name_resolves():
     assert len(set(dualpuf.__all__)) == len(dualpuf.__all__)
     assert [name for name in dualpuf.__all__ if not hasattr(dualpuf, name)] == []
