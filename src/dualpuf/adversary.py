@@ -127,26 +127,32 @@ def replay_attack(
         raise EmptyStore("attacker has not eavesdropped any session")
     if reuse_challenges and recorded is None:
         raise ValueError("reuse_challenges needs the recorded session")
+    if sessions < 0:
+        raise InvalidParameter(f"session count {sessions} < 0")
     rng = np.random.default_rng(rng_seed)
     t_min, t_max = registry.t_range
     t_values = np.arange(t_min, t_max + 1)
     if recorded is not None:
         t_rec = recorded.tick_gap()
         c1_rec, c2_rec = (f.payload for f in recorded.challenge_frames()[:2])
+    if reuse_challenges:
+        if parity_policy == "random":
+            pool = t_values
+        elif parity_policy == "flip":
+            pool = t_values[t_values % 2 != t_rec % 2]
+        elif parity_policy == "match":
+            pool = t_values[t_values % 2 == t_rec % 2]
+        else:
+            raise ValueError(f"unknown parity policy {parity_policy!r}")
+        if pool.size == 0:
+            raise InvalidParameter(
+                f"no tick gap in [{t_min}, {t_max}] fits parity policy {parity_policy!r}"
+            )
 
     outcomes: list[tuple[int, int, int]] = []
     for _ in range(sessions):
         if reuse_challenges:
-            if parity_policy == "random":
-                pool = t_values
-            elif parity_policy == "flip":
-                pool = t_values[t_values % 2 != t_rec % 2]
-            elif parity_policy == "match":
-                pool = t_values[t_values % 2 == t_rec % 2]
-            else:
-                raise ValueError(f"unknown parity policy {parity_policy!r}")
-            t_new = int(rng.choice(pool))
-            forced = (c1_rec, c2_rec, t_new)
+            forced = (c1_rec, c2_rec, int(rng.choice(pool)))
         else:
             forced = None
         result = run_authentication(registry, attacker, forced_session=forced)
@@ -335,6 +341,8 @@ def puf_metrics(lanes_or_devices, challenges: np.ndarray, repeats: int = 11, rng
         )
     if not lanes:
         raise InsufficientSample("no lanes to measure")
+    if repeats < 1:
+        raise InvalidParameter(f"repeats {repeats} < 1")
 
     rng = np.random.default_rng(rng_seed)
     reference = np.stack([eval_raw_batch(lane, challenges) for lane in lanes])

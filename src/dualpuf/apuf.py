@@ -33,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameter, WidthMismatch
+from .lfsr import MAX_PERIOD_CHECK_ORDER
 
 DEFAULT_DELTA_UNIT = 0.05
 
@@ -55,8 +56,11 @@ class ApufInstance:
 
     def __post_init__(self) -> None:
         self.weights = np.asarray(self.weights, dtype=np.float64)
-        if self.n_stages < 1:
-            raise InvalidParameter(f"n_stages {self.n_stages} < 1")
+        if not 1 <= self.n_stages <= MAX_PERIOD_CHECK_ORDER:
+            # wider challenges do not fit the int64 challenge integers
+            raise InvalidParameter(
+                f"n_stages {self.n_stages} outside [1, {MAX_PERIOD_CHECK_ORDER}]"
+            )
         if self.weights.shape != (self.n_stages + 1,):
             raise WidthMismatch(
                 f"weights shape {self.weights.shape} != ({self.n_stages + 1},)"

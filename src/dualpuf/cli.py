@@ -23,7 +23,6 @@ from .apuf import sample_instance
 from .device import (
     DEFAULT_VOTER_T,
     DeviceConfig,
-    atomic_write,
     build_device,
     default_lane_pairs,
     load_device,
@@ -33,6 +32,7 @@ from .device import (
 from .errors import InvalidParameter, SimulationError
 from .lfsr import LfsrSpec, classify, find_primitive
 from .obfuscator import DEFAULT_ROUNDS, DualLfsrSpec, trace_records
+from .persist import atomic_write
 from .protocol import run_authentication, run_registration
 from .server import DEFAULT_T_RANGE, load_registry
 
@@ -218,6 +218,8 @@ def _cmd_auth(args) -> list[str]:
         )
         save_device(device, args.device)  # persist the fused flag
         return [f"registered mode={registry.mode} tau={registry.tau} -> {target}"]
+    if args.sessions < 0:
+        raise InvalidParameter(f"--sessions {args.sessions} < 0")
     device = load_device(args.device)
     registry = load_registry(args.registry)
     if args.tau is not None:

@@ -9,16 +9,18 @@ carries lane i in bit i.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .apuf import ApufInstance, delay_sums, features_from_ints, sample_instance
-from .errors import InterfaceFused, InvalidParameter, NonMonotonicTicks, SimulationError, WidthMismatch
-from .lfsr import LfsrSpec, pick_lfsr_pair
-from .obfuscator import DEFAULT_ROUNDS, DualLfsrSpec, check_external_challenge, lane_feeds, run_rounds
+from .errors import InterfaceFused, InvalidParameter, NonMonotonicTicks, WidthMismatch
+from .lfsr import pick_lfsr_pair
+from .obfuscator import (
+    DEFAULT_ROUNDS, DualLfsrSpec, check_external_challenge, check_lane_pairs, lane_feeds,
+    run_rounds,
+)
+from .persist import atomic_write, pair_from_json, pair_to_json, reading
 from .postproc import AdjustParams, AdjustReport, lane_bits, randomness_adjust, voted_round
 
 DEFAULT_VOTER_T = 5
@@ -47,15 +49,7 @@ class DeviceConfig:
     def __post_init__(self) -> None:
         if self.k < 1:
             raise InvalidParameter(f"k {self.k} < 1")
-        if len(self.lane_pairs) != self.k:
-            raise WidthMismatch(
-                f"{len(self.lane_pairs)} lane pairs for k={self.k} lanes"
-            )
-        for pair in self.lane_pairs:
-            if pair.order != self.n_stages:
-                raise WidthMismatch(
-                    f"lane registers are order {pair.order}, challenge width is {self.n_stages}"
-                )
+        check_lane_pairs(self.lane_pairs, self.k, self.n_stages)
         if self.voter_t < 1 or self.voter_t % 2 == 0:
             raise InvalidParameter(f"voter width {self.voter_t} must be odd")
 
@@ -125,12 +119,12 @@ class PufDevice:
             )
         return self._naked_rows(np.array([challenge]), noise_stream)[:, 0]
 
-    def raw_crp_table(self, noise_stream: np.random.Generator | None = None) -> dict[int, int]:
-        """Full naked-CRP table over every nonzero challenge, as
-        challenge -> serialized k-bit response."""
+    def raw_crp_table(self, noise_stream: np.random.Generator | None = None) -> np.ndarray:
+        """Full naked-CRP table in the registry's layout: a (k, 2^n) uint8
+        array whose column c holds every lane's voted bit at raw challenge
+        c.  Column 0, the zero challenge, is unused and 0."""
         challenges = np.arange(1, 1 << self.config.n_stages, dtype=np.int64)
-        words = serialize_response(self._naked_rows(challenges, noise_stream))
-        return dict(zip(challenges.tolist(), words))
+        return np.pad(self._naked_rows(challenges, noise_stream), ((0, 0), (1, 0)))
 
     def fuse(self) -> None:
         """Permanently close the raw interface.  Idempotent."""
@@ -230,43 +224,6 @@ def build_device(config: DeviceConfig) -> "PufDevice":
 # -- persistence -------------------------------------------------------------
 
 
-def atomic_write(path: str, text: str) -> None:
-    """Write text to path through a temporary file and a rename, so a
-    reader never sees a half-written file.  A path that cannot be written
-    raises SimulationError."""
-    directory = os.path.dirname(os.path.abspath(path))
-    try:
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(text)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
-    except OSError as exc:
-        raise SimulationError(f"cannot write {path}: {exc!r}") from exc
-
-
-def pair_to_json(pair: DualLfsrSpec) -> dict:
-    """JSON form of a register pair, shared by device and registry files."""
-    return {
-        "masks": [pair.pair[0].mask, pair.pair[1].mask],
-        "order": pair.order,
-        "rounds": pair.rounds_per_response,
-    }
-
-
-def pair_from_json(obj: dict) -> DualLfsrSpec:
-    """Inverse of pair_to_json."""
-    a, b = obj["masks"]
-    return DualLfsrSpec(
-        (LfsrSpec(obj["order"], a), LfsrSpec(obj["order"], b)),
-        obj["rounds"],
-    )
-
-
 def save_device(device: PufDevice, path: str) -> None:
     """Persist a tag, bit-exactly, as a JSON document."""
     doc = {
@@ -294,9 +251,8 @@ def load_device(path: str) -> PufDevice:
     """Read back a tag written by save_device.  A file that cannot be read,
     is not JSON, lacks a key or holds a value of the wrong type or range
     raises SimulationError."""
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
+    with reading(path, "device file") as fh:
+        doc = json.load(fh)
         config = DeviceConfig(
             k=doc["k"],
             n_stages=doc["n_stages"],
@@ -317,5 +273,3 @@ def load_device(path: str) -> PufDevice:
             for entry in doc["lanes"]
         ]
         return PufDevice(config=config, lanes=lanes, fused=doc["fused"])
-    except (OSError, KeyError, TypeError, ValueError) as exc:
-        raise SimulationError(f"cannot load device file {path}: {exc!r}") from exc

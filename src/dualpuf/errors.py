@@ -50,10 +50,6 @@ class NonMonotonicTicks(SimulationError):
     """Frame ticks must strictly increase on a channel timeline."""
 
 
-class IncompleteTable(SimulationError):
-    """A naked-CRP table is missing at least one nonzero challenge."""
-
-
 class ChannelTimeout(SimulationError):
     """No response frame arrived for an outstanding challenge."""
 

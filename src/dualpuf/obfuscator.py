@@ -63,6 +63,19 @@ class DualLfsrSpec:
         return self.pair[0].order
 
 
+def check_lane_pairs(lane_pairs, k: int, order: int) -> None:
+    """Reject lane pairs unless each of the k lanes has one of the given
+    order and all run the same rounds_per_response."""
+    if len(lane_pairs) != k:
+        raise WidthMismatch(f"{len(lane_pairs)} lane pairs for k={k} lanes")
+    orders = sorted({pair.order for pair in lane_pairs})
+    if orders != [order]:
+        raise WidthMismatch(f"lane registers are order {orders}, challenge width is {order}")
+    rounds = sorted({pair.rounds_per_response for pair in lane_pairs})
+    if len(rounds) > 1:
+        raise InvalidParameter(f"lanes run different round counts {rounds}")
+
+
 def lane_feeds(lane_pairs) -> tuple[np.ndarray, np.ndarray]:
     """Per-lane feed patterns of the first and second registers, as the
     int64 arrays run_rounds broadcasts over the lane axis."""

@@ -16,8 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .device import PufDevice, atomic_write, deserialize_response
-from .errors import ChannelTimeout, InterfaceFused, NonMonotonicTicks, SimulationError
+from .device import PufDevice, deserialize_response
+from .errors import ChannelTimeout, InterfaceFused, NonMonotonicTicks
+from .persist import atomic_write, reading
 from .server import (
     DEFAULT_T_RANGE,
     ServerRegistry,
@@ -92,23 +93,15 @@ class SessionTranscript:
     def load(cls, path: str) -> "SessionTranscript":
         """Read back a transcript written by save.  A file that cannot be
         read or holds a malformed line raises SimulationError."""
-        frames: list[Frame] = []
-        d1 = d2 = 0
-        passed = False
-        try:
-            with open(path) as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    tokens = line.split()
-                    if len(tokens) == 3:
-                        d1, d2, passed = int(tokens[0]), int(tokens[1]), bool(int(tokens[2]))
-                    else:
-                        frames.append(Frame.parse(line))
-        except (OSError, ValueError) as exc:
-            raise SimulationError(f"cannot load transcript {path}: {exc!r}") from exc
-        return cls(frames=frames, d1=d1, d2=d2, passed=passed)
+        frames, d1, d2, passed = [], 0, 0, 0
+        with reading(path, "transcript") as fh:
+            for line in fh:
+                tokens = line.split()
+                if len(tokens) == 3:
+                    d1, d2, passed = map(int, tokens)
+                elif tokens:
+                    frames.append(Frame.parse(line))
+        return cls(frames=frames, d1=d1, d2=d2, passed=bool(passed))
 
 
 @dataclass(frozen=True)

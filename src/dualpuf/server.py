@@ -3,8 +3,9 @@ enrollment, session generation, and the thresholded response comparator.
 
 Prediction mirrors the tag exactly: the same register pairs, the same
 selection loop, the same serialization.  Lane material is either a full
-naked-CRP table (every nonzero challenge, practical up to order ~20) or the
-exact lane parameters evaluated noiselessly.
+naked-CRP table or the exact lane parameters evaluated noiselessly.  The
+table is the (k, 2^n) uint8 array that PufDevice.raw_crp_table harvests,
+one column per raw challenge (column 0 unused), practical up to order ~20.
 """
 
 from __future__ import annotations
@@ -15,17 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .apuf import ApufInstance
-from .device import (
-    DEFAULT_VOTER_T,
-    atomic_write,
-    deserialize_response,
-    pair_from_json,
-    pair_to_json,
-    serialize_response,
+from .device import DEFAULT_VOTER_T, deserialize_response, serialize_response
+from .errors import InvalidParameter, WidthMismatch
+from .obfuscator import (
+    DualLfsrSpec, check_external_challenge, check_lane_pairs, lane_feeds, run_rounds,
 )
-from .errors import IncompleteTable, InvalidParameter, SimulationError, WidthMismatch
-from .obfuscator import DualLfsrSpec, check_external_challenge, lane_feeds, run_rounds
+from .persist import atomic_write, pair_from_json, pair_to_json, reading
 from .postproc import voted_round
 
 TABLE_MODE = "table"
@@ -51,7 +47,7 @@ class ServerRegistry:
     t_range: tuple[int, int]
     rng_seed: int
     voter_t: int = DEFAULT_VOTER_T
-    table: np.ndarray | None = None      # (k, 2^N) uint8, row 0 of axis 1 unused
+    table: np.ndarray | None = None      # (k, 2^N) uint8, column 0 unused
     weights: np.ndarray | None = None    # (k, N+1)
     offsets: np.ndarray | None = None    # (k,)
 
@@ -63,8 +59,7 @@ class ServerRegistry:
         t_min, t_max = self.t_range
         if not 1 <= t_min <= t_max:
             raise InvalidParameter(f"bad t range [{t_min}, {t_max}]")
-        if len(self.lane_pairs) != self.k:
-            raise WidthMismatch(f"{len(self.lane_pairs)} lane pairs for k={self.k}")
+        check_lane_pairs(self.lane_pairs, self.k, self.n_stages)
         if self.mode == TABLE_MODE and self.n_stages > MAX_TABLE_ORDER:
             raise InvalidParameter(
                 f"table mode caps at order {MAX_TABLE_ORDER}, got {self.n_stages}"
@@ -99,33 +94,27 @@ def register_from_ttp(
 ) -> ServerRegistry:
     """Build a registry from enrollment material.
 
-    lane_data is either a mapping challenge -> serialized k-bit naked
-    response covering every nonzero challenge (table mode), or a sequence of
-    lane parameter instances (model mode; noise is irrelevant because the
+    lane_data is either the (k, 2^n) uint8 naked-CRP table that
+    PufDevice.raw_crp_table harvests, stored as is (table mode; the
+    registry's shape check rejects a table missing a column), or a sequence
+    of lane parameter instances (model mode; noise is irrelevant because the
     server predicts noiselessly).
     """
     k = len(lane_pairs)
-    n = lane_pairs[0].order
-    if isinstance(lane_data, dict):
-        size = 1 << n
-        missing = sum(c not in lane_data for c in range(1, size))
-        if missing:
-            raise IncompleteTable(f"{missing} of {size - 1} challenges missing")
-        # column 0 is the unused zero challenge
-        words = [0] + [lane_data[c] for c in range(1, size)]
-        return ServerRegistry(
-            mode=TABLE_MODE, k=k, n_stages=n, lane_pairs=lane_pairs,
-            tau=tau, t_range=t_range, rng_seed=rng_seed, voter_t=voter_t,
-            table=deserialize_response(words, k),
-        )
-    lanes: list[ApufInstance] = list(lane_data)
+    common = dict(
+        k=k, n_stages=lane_pairs[0].order, lane_pairs=lane_pairs,
+        tau=tau, t_range=t_range, rng_seed=rng_seed, voter_t=voter_t,
+    )
+    if isinstance(lane_data, np.ndarray):
+        return ServerRegistry(mode=TABLE_MODE, table=lane_data, **common)
+    lanes = list(lane_data)
     if len(lanes) != k:
         raise WidthMismatch(f"{len(lanes)} lane models for k={k}")
     return ServerRegistry(
-        mode=MODEL_MODE, k=k, n_stages=n, lane_pairs=lane_pairs,
-        tau=tau, t_range=t_range, rng_seed=rng_seed, voter_t=voter_t,
+        mode=MODEL_MODE,
         weights=np.stack([lane.weights for lane in lanes]),
         offsets=np.array([lane.offset for lane in lanes]),
+        **common,
     )
 
 
@@ -196,9 +185,8 @@ def load_registry(path: str) -> ServerRegistry:
     """Read back a registry written by save_registry.  A file that cannot
     be read, is not JSON, lacks a key or holds a value of the wrong type,
     range or shape raises SimulationError."""
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
+    with reading(path, "registry file") as fh:
+        doc = json.load(fh)
         kwargs = dict(
             mode=doc["mode"],
             k=doc["k"],
@@ -215,5 +203,3 @@ def load_registry(path: str) -> ServerRegistry:
             kwargs["weights"] = np.array(doc["weights"])
             kwargs["offsets"] = np.array(doc["offsets"])
         return ServerRegistry(**kwargs)
-    except (OSError, KeyError, TypeError, ValueError) as exc:
-        raise SimulationError(f"cannot load registry file {path}: {exc!r}") from exc

@@ -14,9 +14,12 @@ import dualpuf
 import reference
 from conftest import make_device
 from dualpuf.cli import dispatch
-from dualpuf.device import serialize_response
+from dualpuf.device import default_lane_pairs, load_device, serialize_response
+from dualpuf.errors import SimulationError
 from dualpuf.lfsr import LfsrSpec
 from dualpuf.obfuscator import DualLfsrSpec, trace_records
+from dualpuf.persist import pair_to_json
+from dualpuf.server import load_registry
 
 
 def run_cli(capsys, *argv):
@@ -235,6 +238,59 @@ def test_model_registry_with_short_weight_rows(capsys, tmp_path):
     Path(reg).write_text(json.dumps(doc))
     assert_cli_error(capsys, "auth", "run", "--device", dev, "--registry", reg,
                      "--sessions", "3")
+
+
+def test_registry_file_with_pairs_of_another_order(capsys, tmp_path):
+    # order-9 pairs against n_stages 8 used to index past the table
+    dev, reg = built_tag(capsys, tmp_path, register=True)
+    doc = json.loads(Path(reg).read_text())
+    doc["lane_pairs"] = [pair_to_json(p) for p in default_lane_pairs(9, 8)]
+    Path(reg).write_text(json.dumps(doc))
+    with pytest.raises(SimulationError):
+        load_registry(reg)
+    assert_cli_error(capsys, "auth", "run", "--device", dev, "--registry", reg,
+                     "--sessions", "3")
+
+
+def test_device_file_with_mixed_round_counts(capsys, tmp_path):
+    # lanes at [5, 3, 5, ...] rounds used to all run lane 0's 5 rounds
+    dev, _ = built_tag(capsys, tmp_path)
+    doc = json.loads(Path(dev).read_text())
+    doc["lane_pairs"][1]["rounds"] = 3
+    Path(dev).write_text(json.dumps(doc))
+    with pytest.raises(SimulationError):
+        load_device(dev)
+    assert_cli_error(capsys, "device", "crp", "--device", dev, "--challenge", "1")
+
+
+def test_replay_rejects_a_parity_policy_with_no_tick_gap(capsys, tmp_path):
+    dev, reg = built_tag(capsys, tmp_path)
+    assert run_cli(capsys, "auth", "register", "--device", dev, "--out", reg,
+                   "--t-min", "4", "--t-max", "4")[0] == 0
+    assert_cli_error(capsys, "attack", "replay", "--device", dev, "--registry", reg,
+                     "--parity", "flip", "--sessions", "5")
+
+
+def test_stages_beyond_int64_challenges_are_refused(capsys):
+    assert_cli_error(capsys, "attack", "model", "--stages", "64", "--train", "10",
+                     "--test", "10")
+    assert_cli_error(capsys, "metrics", "--stages", "64")
+
+
+def test_metrics_rejects_zero_repeats(capsys):
+    assert_cli_error(capsys, "metrics", "--stages", "8", "--repeats", "0")
+
+
+def test_run_rejects_a_negative_session_count(capsys, tmp_path):
+    dev, reg = built_tag(capsys, tmp_path, register=True)
+    assert_cli_error(capsys, "auth", "run", "--device", dev, "--registry", reg,
+                     "--sessions", "-1")
+
+
+def test_replay_rejects_a_negative_session_count(capsys, tmp_path):
+    dev, reg = built_tag(capsys, tmp_path, register=True)
+    assert_cli_error(capsys, "attack", "replay", "--device", dev, "--registry", reg,
+                     "--sessions", "-1")
 
 
 def test_missing_and_unwritable_files(capsys, tmp_path):

@@ -82,29 +82,30 @@ def test_raw_query_shape_and_bounds():
 
 
 def test_raw_table_covers_all_nonzero_challenges():
+    # the registry's layout: one column per raw challenge, column 0 unused
     dev = make_device(k=3)
     table = dev.raw_crp_table()
-    assert set(table) == set(range(1, 256))
+    assert table.shape == (3, 256) and table.dtype == np.uint8
+    assert not table[:, 0].any()
     for challenge in (1, 77, 200, 255):
-        assert table[challenge] == serialize_response(dev.raw_crp_query(challenge))
+        assert np.array_equal(table[:, challenge], dev.raw_crp_query(challenge))
 
 
 def test_raw_table_matches_the_per_lane_vote_loop():
-    # reference: one vote_batch call per lane, each evaluating the raw
-    # arbiter once per vote column, packed bit by bit
+    # reference: per lane, the raw arbiter evaluated once per vote column
+    # and the majority written into the lane's row of the table
     dev = make_device(k=5, sigma_noise=0.3)
     table = dev.raw_crp_table(np.random.default_rng(21))
     rng = np.random.default_rng(21)
     challenges = np.arange(1, 256)
     t = dev.config.voter_t
-    expected = dict.fromkeys(challenges.tolist(), 0)
+    expected = np.zeros((5, 256), dtype=np.uint8)
     for i, lane in enumerate(dev.lanes):
         draws = rng.standard_normal((challenges.size, t)) * lane.sigma_noise
         ones = sum(eval_raw_batch(lane, challenges, draws[:, col]) for col in range(t))
-        for c, bit in zip(challenges.tolist(), (2 * ones > t).tolist()):
-            expected[c] |= int(bit) << i
-    assert table == expected
-    assert len(set(table.values())) > 1
+        expected[i, challenges] = 2 * ones > t
+    assert np.array_equal(table, expected)
+    assert len(set(serialize_response(table[:, 1:]))) > 1
 
 
 def test_fuse_is_permanent_and_idempotent():

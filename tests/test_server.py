@@ -11,7 +11,6 @@ from conftest import make_device
 from dualpuf.adversary import collect_obfuscated_crps
 from dualpuf.device import save_device
 from dualpuf.errors import (
-    IncompleteTable,
     SimulationError,
     WidthMismatch,
     ZeroSeed,
@@ -77,9 +76,18 @@ def test_register_table_mode_requires_full_coverage():
     table = dev.raw_crp_table()
     registry = register_from_ttp(table, dev.config.lane_pairs, tau=0)
     assert registry.mode == TABLE_MODE
-    del table[137]
-    with pytest.raises(IncompleteTable):
-        register_from_ttp(table, dev.config.lane_pairs, tau=0)
+    with pytest.raises(WidthMismatch):
+        register_from_ttp(np.delete(table, 137, axis=1), dev.config.lane_pairs, tau=0)
+
+
+def test_harvest_is_the_registry_table():
+    # registration stores the harvested array as is
+    dev = make_device(k=8, sigma_noise=0.3)
+    harvest = make_device(k=8, sigma_noise=0.3).raw_crp_table()
+    registry = run_registration(dev, policy="full")
+    assert registry.table.dtype == np.uint8
+    assert np.array_equal(registry.table, harvest)
+    assert register_from_ttp(harvest, dev.config.lane_pairs, tau=0).table is harvest
 
 
 def test_table_and_model_modes_agree():

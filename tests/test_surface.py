@@ -71,6 +71,34 @@ def test_one_parity_feature_kernel():
     assert offenders == []
 
 
+def touches_files(node) -> bool:
+    """True for open(, os.replace, os.rename and any use of tempfile."""
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        modules = [getattr(node, "module", None)] + [alias.name for alias in node.names]
+        return "tempfile" in modules
+    if isinstance(node, ast.Name):
+        return node.id in ("open", "tempfile")
+    return (
+        isinstance(node, ast.Attribute)
+        and node.attr in ("replace", "rename")
+        and getattr(node.value, "id", None) == "os"
+    )
+
+
+def test_only_persist_touches_files():
+    # persist.py opens, writes and renames every file the package touches
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        if path.name != "persist.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if touches_files(node)
+    ]
+    assert offenders == []
+    persist = next(path for path in SOURCES if path.name == "persist.py")
+    assert any(map(touches_files, ast.walk(ast.parse(persist.read_text()))))
+
+
 def test_every_exported_name_resolves():
     assert len(set(dualpuf.__all__)) == len(dualpuf.__all__)
     assert [name for name in dualpuf.__all__ if not hasattr(dualpuf, name)] == []
