@@ -3,7 +3,6 @@ replay-resistant two-time authentication protocol."""
 
 from .adversary import (
     AttackReport,
-    CrpRecord,
     LinearAttackModel,
     MetricsRecord,
     ReplayAttacker,
@@ -74,7 +73,6 @@ __all__ = [
     "ApufInstance",
     "AttackReport",
     "AuthResult",
-    "CrpRecord",
     "DeviceConfig",
     "DualLfsrSpec",
     "Frame",

@@ -4,7 +4,7 @@ The replay attacker is content-only: it stores challenge payload ->
 response payload from observed traffic and answers verbatim, never reading
 tick gaps.  The modeling attacker is a single linear unit over parity
 features, the known-strong attack against a bare arbiter lane; its input is
-restricted to CRP records by construction.
+restricted by construction to CRPs: a challenge array and a label array.
 """
 
 from __future__ import annotations
@@ -13,11 +13,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .apuf import ApufInstance, eval_raw_batch, features_from_ints
+from .apuf import ApufInstance, features_from_ints
 from .device import PufDevice
 from .errors import EmptyDataset, EmptyStore, InsufficientSample, InvalidParameter, WidthMismatch
 from .obfuscator import run_rounds
-from .postproc import voted_round
+from .postproc import vote_batch, voted_round
 from .protocol import CHALLENGE, RESPONSE, SessionTranscript, run_authentication
 from .server import ServerRegistry
 
@@ -71,37 +71,25 @@ class AttackReport:
 
     trials: int
     successes: int
+    success_rate: float = field(init=False)
     parity_match_trials: int
     parity_match_successes: int
     parity_mismatch_trials: int
     parity_mismatch_successes: int
     outcomes: tuple[tuple[int, int, int], ...] = field(repr=False)
 
-    @property
-    def success_rate(self) -> float:
-        return self.successes / self.trials if self.trials else 0.0
+    def __post_init__(self) -> None:
+        rate = self.successes / self.trials if self.trials else 0.0
+        object.__setattr__(self, "success_rate", rate)
 
-    def record_lines(self) -> list[str]:
+    def table_rows(self) -> list[tuple[str, str]]:
         return [
-            f"trials = {self.trials}",
-            f"successes = {self.successes}",
-            f"success_rate = {self.success_rate!r}",
-            f"parity_match_trials = {self.parity_match_trials}",
-            f"parity_match_successes = {self.parity_match_successes}",
-            f"parity_mismatch_trials = {self.parity_mismatch_trials}",
-            f"parity_mismatch_successes = {self.parity_mismatch_successes}",
-        ]
-
-    def format_table(self) -> str:
-        rows = [
             ("sessions", str(self.trials)),
             ("successes", str(self.successes)),
             ("success rate", f"{self.success_rate:.4f}"),
             ("parity match", f"{self.parity_match_successes}/{self.parity_match_trials}"),
             ("parity mismatch", f"{self.parity_mismatch_successes}/{self.parity_mismatch_trials}"),
         ]
-        width = max(len(name) for name, _ in rows)
-        return "\n".join(f"{name:<{width}}  {value}" for name, value in rows)
 
 
 def replay_attack(
@@ -177,57 +165,37 @@ def replay_attack(
 
 
 @dataclass(frozen=True)
-class CrpRecord:
-    """One observed challenge/response-bit pair."""
-
-    challenge: int
-    label: int
-    width: int
-
-
-@dataclass(frozen=True)
 class LinearAttackModel:
     """A trained linear unit over parity features."""
 
-    weights: np.ndarray
+    weights: np.ndarray = field(repr=False)
     train_size: int
     holdout_accuracy: float
-
-    def predict(self, challenge: int) -> int:
-        return int(self.predict_batch(np.array([challenge]))[0])
 
     def predict_batch(self, challenges: np.ndarray) -> np.ndarray:
         phi = features_from_ints(challenges, self.weights.size - 1).astype(np.float64)
         return (phi @ self.weights > 0).astype(np.uint8)
 
-    def record_lines(self) -> list[str]:
-        return [
-            f"train_size = {self.train_size}",
-            f"holdout_accuracy = {self.holdout_accuracy!r}",
-        ]
-
 
 def collect_naked_crps(
     instance: ApufInstance, count: int, rng_seed: int = 0
-) -> list[CrpRecord]:
-    """Noiseless raw-lane CRPs at uniform random challenges."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Noiseless raw-lane CRPs at uniform random challenges, as
+    (challenges, labels) arrays."""
     rng = np.random.default_rng(rng_seed)
     challenges = rng.integers(0, 1 << instance.n_stages, size=count)
-    labels = eval_raw_batch(instance, challenges)
-    return [
-        CrpRecord(int(c), int(y), instance.n_stages)
-        for c, y in zip(challenges, labels)
-    ]
+    noiseless = voted_round(instance.weights, instance.offset)
+    return challenges, noiseless(challenges[:, None])[:, 0]
 
 
 def collect_obfuscated_crps(
     device: PufDevice, count: int, mode: int = 1, rng_seed: int = 0, lane: int = 0
-) -> list[CrpRecord]:
-    """External-interface CRPs: uniform nonzero external challenge ->
-    one lane's final folded bit at a fixed mode."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """External-interface CRPs: uniform nonzero external challenges and one
+    lane's final folded bit for each at a fixed mode, as (challenges, labels)
+    arrays."""
     rng = np.random.default_rng(rng_seed)
-    n = device.config.n_stages
-    seeds = rng.integers(1, 1 << n, size=count)
+    seeds = rng.integers(1, 1 << device.config.n_stages, size=count)
     pair = device.config.lane_pairs[lane]
     inst, config = device.lanes[lane], device.config
     voted = voted_round(inst.weights, inst.offset, config.sigma_noise, config.voter_t, rng)
@@ -235,40 +203,47 @@ def collect_obfuscated_crps(
         pair.pair[0].feed, pair.pair[1].feed, seeds, mode & 1,
         pair.rounds_per_response, voted,
     )
-    return [CrpRecord(int(c), int(b), n) for c, b in zip(seeds, bits)]
+    return seeds, bits
 
 
 def train_linear_attack(
-    crps,
+    challenges,
+    labels,
+    n_stages: int,
     split: float = 0.8,
     epochs: int = 300,
     learning_rate: float = 0.5,
     rng_seed: int = 0,
 ) -> LinearAttackModel:
-    """Fit a logistic unit on parity features by full-batch gradient descent.
+    """Fit a logistic unit on the parity features of n_stages-bit challenges
+    by full-batch gradient descent.
 
     Deterministic given rng_seed (which only shuffles the train/holdout
     split).  Reports accuracy on the held-out fraction.
     """
-    crps = list(crps)
-    if not crps:
-        raise EmptyDataset("no CRP records to train on")
+    challenges = np.asarray(challenges, dtype=np.int64)
+    labels = np.asarray(labels, dtype=np.float64)
+    if challenges.size == 0:
+        raise EmptyDataset("no CRPs to train on")
+    if challenges.ndim != 1 or labels.shape != challenges.shape:
+        raise WidthMismatch(f"{challenges.shape} challenges for {labels.shape} labels")
+    if challenges.min() < 0 or challenges.max() >> n_stages:
+        raise WidthMismatch(f"a challenge does not fit {n_stages} stages")
     if not 0 < split < 1:
         raise InvalidParameter(f"split {split} outside (0, 1)")
-    n = crps[0].width
-    if any(r.width != n for r in crps):
-        raise WidthMismatch("mixed challenge widths in the dataset")
-    challenges = np.array([r.challenge for r in crps], dtype=np.int64)
-    labels = np.array([r.label for r in crps], dtype=np.float64)
-    phi = features_from_ints(challenges, n).astype(np.float64)
+    if epochs < 0:
+        raise InvalidParameter(f"epochs {epochs} < 0")
+    if not 0 < learning_rate < float("inf"):  # nan fails too
+        raise InvalidParameter(f"learning rate {learning_rate} is not a positive number")
+    phi = features_from_ints(challenges, n_stages).astype(np.float64)
 
-    order = np.random.default_rng(rng_seed).permutation(len(crps))
-    cut = int(round(split * len(crps)))
+    order = np.random.default_rng(rng_seed).permutation(challenges.size)
+    cut = int(round(split * challenges.size))
     train_idx, hold_idx = order[:cut], order[cut:]
     x_train, y_train = phi[train_idx], labels[train_idx]
     x_hold, y_hold = phi[hold_idx], labels[hold_idx]
 
-    w = np.zeros(n + 1)
+    w = np.zeros(n_stages + 1)
     for _ in range(epochs):
         z = x_train @ w
         p = 1.0 / (1.0 + np.exp(-z))
@@ -296,18 +271,8 @@ class MetricsRecord:
     n_challenges: int
     repeats: int
 
-    def record_lines(self) -> list[str]:
+    def table_rows(self) -> list[tuple[str, str]]:
         return [
-            f"uniformity = {self.uniformity!r}",
-            f"reliability = {self.reliability!r}",
-            f"uniqueness = {self.uniqueness!r}",
-            f"n_lanes = {self.n_lanes}",
-            f"n_challenges = {self.n_challenges}",
-            f"repeats = {self.repeats}",
-        ]
-
-    def format_table(self) -> str:
-        rows = [
             ("uniformity", f"{self.uniformity:.4f}"),
             ("reliability", f"{self.reliability:.4f}"),
             ("uniqueness", f"{self.uniqueness:.4f}"),
@@ -315,8 +280,6 @@ class MetricsRecord:
             ("challenges", str(self.n_challenges)),
             ("repeats", str(self.repeats)),
         ]
-        width = max(len(name) for name, _ in rows)
-        return "\n".join(f"{name:<{width}}  {value}" for name, value in rows)
 
 
 def puf_metrics(lanes_or_devices, challenges: np.ndarray, repeats: int = 11, rng_seed: int = 0) -> MetricsRecord:
@@ -345,27 +308,18 @@ def puf_metrics(lanes_or_devices, challenges: np.ndarray, repeats: int = 11, rng
         raise InvalidParameter(f"repeats {repeats} < 1")
 
     rng = np.random.default_rng(rng_seed)
-    reference = np.stack([eval_raw_batch(lane, challenges) for lane in lanes])
-    uniformity = float(reference.mean())
-
+    reference = np.empty((len(lanes), challenges.size), dtype=np.uint8)
     flips = 0
     for i, lane in enumerate(lanes):
+        reference[i] = voted_round(lane.weights, lane.offset)(challenges[:, None])[:, 0]
         for _ in range(repeats):
-            noise = rng.standard_normal(challenges.size) * lane.sigma_noise
-            noisy = eval_raw_batch(lane, challenges, noise)
-            flips += int((noisy ^ reference[i]).sum())
+            flips += int((vote_batch(lane, challenges, 1, rng) ^ reference[i]).sum())
+    uniformity = float(reference.mean())
     reliability = 1.0 - flips / (len(lanes) * repeats * challenges.size)
 
-    if len(lanes) >= 2:
-        total = 0.0
-        pairs = 0
-        for i in range(len(lanes)):
-            for j in range(i + 1, len(lanes)):
-                total += float((reference[i] ^ reference[j]).mean())
-                pairs += 1
-        uniqueness = total / pairs
-    else:
-        uniqueness = float("nan")
+    pairs = [(i, j) for i in range(len(lanes)) for j in range(i + 1, len(lanes))]
+    hamming = [float((reference[i] ^ reference[j]).mean()) for i, j in pairs]
+    uniqueness = sum(hamming) / len(pairs) if pairs else float("nan")
 
     return MetricsRecord(
         uniformity=uniformity,

@@ -21,7 +21,8 @@ it into int8 +-1, so phi is exact by construction.
 
 delay_sums is the one reduction w . phi + b behind every evaluator.  Each
 int8 entry of phi converts to exactly +-1.0, so the sums equal those of a
-float64 phi bit for bit, in every layout the evaluators use.  The
+float64 phi bit for bit, in every layout the evaluators use.  Lane bits
+are made from the sums in postproc alone, for every caller.  The
 one-challenge-at-a-time reference that the tests compare both against lives
 in tests/reference.py.
 """
@@ -130,14 +131,3 @@ def delay_sums(phi: np.ndarray, weights: np.ndarray, offsets) -> np.ndarray:
     in all of them."""
     return np.einsum("...i,...i->...", phi, weights) + offsets
 
-
-def eval_raw_batch(
-    instance: ApufInstance,
-    challenges: np.ndarray,
-    noise_draws: np.ndarray | float = 0.0,
-) -> np.ndarray:
-    """Arbiter decisions of one lane for a challenge integer array; the
-    caller supplies the noise draws (0 = noiseless)."""
-    phi = features_from_ints(challenges, instance.n_stages)
-    delta = delay_sums(phi, instance.weights, instance.offset) + noise_draws
-    return (delta > 0).astype(np.uint8)

@@ -123,6 +123,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def field_lines(report) -> list[str]:
+    """key = value lines, one per dataclass field shown in the report's repr."""
+    fields = (f.name for f in dataclasses.fields(report) if f.repr)
+    return [f"{name} = {getattr(report, name)!r}" for name in fields]
+
+
+def report_lines(report, style: str) -> list[str]:
+    """A report in a --format style: its records, or its table_rows aligned."""
+    if style == "records":
+        return field_lines(report)
+    rows = report.table_rows()
+    width = max(len(name) for name, _ in rows)
+    return [f"{name:<{width}}  {value}" for name, value in rows]
+
+
 def _emit(args, lines: list[str]) -> None:
     text = "\n".join(lines)
     print(text)
@@ -247,9 +262,7 @@ def _cmd_attack(args) -> list[str]:
             parity_policy=args.parity,
             rng_seed=args.seed,
         )
-        if args.format == "records":
-            return report.record_lines()
-        return report.format_table().split("\n")
+        return report_lines(report, args.format)
 
     if args.train < 1 or args.test < 1:
         raise InvalidParameter(
@@ -264,16 +277,17 @@ def _cmd_attack(args) -> list[str]:
             lane_pairs=default_lane_pairs(args.stages, 1),
             device_seed=args.seed,
         )
-        crps = collect_obfuscated_crps(build_device(config), total, rng_seed=args.seed + 1)
+        challenges, labels = collect_obfuscated_crps(
+            build_device(config), total, rng_seed=args.seed + 1
+        )
     else:
         lane = sample_instance(args.stages, args.seed)
-        crps = collect_naked_crps(lane, total, rng_seed=args.seed + 1)
+        challenges, labels = collect_naked_crps(lane, total, rng_seed=args.seed + 1)
     model = train_linear_attack(
-        crps, split=split, epochs=args.epochs, learning_rate=args.lr, rng_seed=args.seed
+        challenges, labels, args.stages, split=split, epochs=args.epochs,
+        learning_rate=args.lr, rng_seed=args.seed,
     )
-    lines = model.record_lines()
-    lines.insert(0, f"target = {'obfuscated' if args.obfuscated else 'naked'}")
-    return lines
+    return [f"target = {'obfuscated' if args.obfuscated else 'naked'}"] + field_lines(model)
 
 
 def _cmd_metrics(args) -> list[str]:
@@ -284,9 +298,7 @@ def _cmd_metrics(args) -> list[str]:
     rng = np.random.default_rng(args.seed)
     challenges = rng.integers(0, 1 << args.stages, size=args.challenges)
     record = puf_metrics(lanes, challenges, repeats=args.repeats, rng_seed=args.seed + 1)
-    if args.format == "records":
-        return record.record_lines()
-    return record.format_table().split("\n")
+    return report_lines(record, args.format)
 
 
 def dispatch(argv) -> int:

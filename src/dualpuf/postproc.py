@@ -3,11 +3,15 @@ temporal majority voter.
 
 The adjustment loop is a successive approximation on the lane's compensation
 counters: each round feeds a burst of fresh random challenges through the raw
-arbiter, counts zero responses, and nudges one counter by a single unit until
-the zero count falls strictly inside the acceptance window.
+arbiter (vote_batch, one voter), counts zero responses, and nudges one
+counter by a single unit until the zero count falls strictly inside the
+acceptance window.  lane_bits draws nothing at sigma 0, but a round still
+takes its pulse_count noise draws: later rounds' challenges, hence the
+counters of every sigma-0 tag built, depend on that stream position.
 
 lane_bits is the one voter and voted_round the one lane evaluator of
-obfuscator.run_rounds for the tag, the model reader and the attacker.
+obfuscator.run_rounds for the tag, the model reader and the attacker;
+vote_batch applies it to one lane's raw challenges.
 run_rounds hands the evaluator every round's two candidate challenges at
 once, laid out (rounds, 2, *shape); the evaluator transforms them with one
 features_from_ints call and one delay_sums call, and votes them with one
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .apuf import ApufInstance, delay_sums, eval_raw_batch, features_from_ints
+from .apuf import ApufInstance, delay_sums, features_from_ints
 from .errors import EvenVoterWidth, InvalidParameter, NoConvergence, WidthMismatch
 
 DEFAULT_PULSE_COUNT = 96
@@ -74,13 +78,6 @@ class AdjustReport:
     adjust_low: int
     f_ready: int
 
-    def record_line(self) -> str:
-        """One log record: rounds, zeros, up, low, ready."""
-        return (
-            f"{self.rounds_used} {self.final_zero_count} "
-            f"{self.adjust_up} {self.adjust_low} {self.f_ready}"
-        )
-
 
 def randomness_adjust(instance: ApufInstance, params: AdjustParams) -> AdjustReport:
     """Balance a lane's 0/1 rate by successive approximation.
@@ -98,8 +95,9 @@ def randomness_adjust(instance: ApufInstance, params: AdjustParams) -> AdjustRep
     zeros = -1
     for round_no in range(1, params.max_rounds + 1):
         challenges = rng.integers(0, 1 << instance.n_stages, size=params.pulse_count)
-        noise = rng.standard_normal(params.pulse_count) * instance.sigma_noise
-        bits = eval_raw_batch(instance, challenges, noise)
+        if instance.sigma_noise == 0:
+            rng.standard_normal(params.pulse_count)  # keeps the stream; see module doc
+        bits = vote_batch(instance, challenges, 1, rng)
         zeros = params.pulse_count - int(bits.sum())
         if lower < zeros < upper:
             return AdjustReport(

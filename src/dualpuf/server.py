@@ -57,7 +57,8 @@ class ServerRegistry:
         if not 0 <= self.tau < self.k:
             raise InvalidParameter(f"tau {self.tau} outside [0, k={self.k})")
         t_min, t_max = self.t_range
-        if not 1 <= t_min <= t_max:
+        # gen_session draws t as one int64
+        if not 1 <= t_min <= t_max <= np.iinfo(np.int64).max:
             raise InvalidParameter(f"bad t range [{t_min}, {t_max}]")
         check_lane_pairs(self.lane_pairs, self.k, self.n_stages)
         if self.mode == TABLE_MODE and self.n_stages > MAX_TABLE_ORDER:

@@ -41,6 +41,13 @@ def evaluate(lane, challenge: int, noise: float = 0.0) -> int:
     return 1 if delta(lane, challenge, noise) > 0 else 0
 
 
+def raw_bits(lane, challenges, noise) -> np.ndarray:
+    """evaluate at each challenge of an array, each with its own noise draw."""
+    return np.array(
+        [evaluate(lane, int(c), float(d)) for c, d in zip(challenges, noise)], dtype=np.uint8
+    )
+
+
 def p_one(lane, challenge: int) -> float:
     """Closed-form P(bit = 1) of one evaluation under Gaussian noise, sigma > 0."""
     mu = delta(lane, challenge)

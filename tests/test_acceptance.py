@@ -22,7 +22,6 @@ from dualpuf.adversary import (
 )
 from dualpuf.apuf import (
     ApufInstance,
-    eval_raw_batch,
     features_from_ints,
     sample_instance,
 )
@@ -132,7 +131,7 @@ def test_criterion_04_bias_compensation_restores_uniformity():
     weights[16] += 0.35  # constant-path bias: the lane leans hard to 1
     lane = ApufInstance(n_stages=16, weights=weights, sigma_noise=0.0)
     challenges = np.random.default_rng(777008).integers(0, 1 << 16, size=10_000)
-    zeros_pre = 1.0 - float(eval_raw_batch(lane, challenges).mean())
+    zeros_pre = 1.0 - float(vote_batch(lane, challenges, 1, None).mean())
     assert zeros_pre <= 0.25
 
     report = randomness_adjust(lane, AdjustParams(max_rounds=200, rng_seed=8))
@@ -141,7 +140,7 @@ def test_criterion_04_bias_compensation_restores_uniformity():
     assert 42 < report.final_zero_count < 54
     assert lane.delta_unit == 0.05
 
-    uniformity = float(eval_raw_batch(lane, challenges).mean())
+    uniformity = float(vote_batch(lane, challenges, 1, None).mean())
     assert abs(uniformity - 0.5) <= 0.08
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0
@@ -299,7 +298,7 @@ def test_criterion_09_obfuscation_defeats_the_linear_attack():
     t0 = time.perf_counter()
     naked_lane = sample_instance(32, 123)
     naked = train_linear_attack(
-        collect_naked_crps(naked_lane, 25_000, rng_seed=7),
+        *collect_naked_crps(naked_lane, 25_000, rng_seed=7), 32,
         split=0.8, epochs=300, learning_rate=0.5, rng_seed=1,
     )
     assert naked.train_size == 20_000
@@ -307,7 +306,7 @@ def test_criterion_09_obfuscation_defeats_the_linear_attack():
 
     device = _small_device(k=1, n_stages=16, device_seed=99)
     obfuscated = train_linear_attack(
-        collect_obfuscated_crps(device, 25_000, mode=1, rng_seed=8),
+        *collect_obfuscated_crps(device, 25_000, mode=1, rng_seed=8), 16,
         split=0.8, epochs=300, learning_rate=0.5, rng_seed=1,
     )
     gap = naked.holdout_accuracy - obfuscated.holdout_accuracy

@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
+import reference
 from conftest import make_device
 from dualpuf.adversary import (
     AttackReport,
-    CrpRecord,
     MetricsRecord,
     ReplayAttacker,
     collect_naked_crps,
@@ -18,11 +18,13 @@ from dualpuf.adversary import (
     replay_attack,
     train_linear_attack,
 )
-from dualpuf.apuf import ApufInstance, eval_raw_batch, sample_instance
+from dualpuf.apuf import ApufInstance, sample_instance
+from dualpuf.cli import field_lines, report_lines
 from dualpuf.errors import (
     EmptyDataset,
     EmptyStore,
     InsufficientSample,
+    InvalidParameter,
     WidthMismatch,
 )
 from dualpuf.protocol import SessionTranscript, run_authentication, run_registration
@@ -146,9 +148,9 @@ def test_report_accessors():
     empty = AttackReport(0, 0, 0, 0, 0, 0, outcomes=())
     assert empty.success_rate == 0.0
     some = AttackReport(4, 1, 2, 1, 2, 0, outcomes=((3, 1, 1),) * 4)
-    table = some.format_table()
+    table = "\n".join(report_lines(some, "table"))
     assert "success rate" in table and "0.2500" in table
-    assert any(line.startswith("successes = 1") for line in some.record_lines())
+    assert any(line.startswith("successes = 1") for line in field_lines(some))
 
 
 # -- CRP harvesting and the linear model ---------------------------------------
@@ -156,39 +158,45 @@ def test_report_accessors():
 
 def test_collect_naked_crps_reproduces_the_lane():
     lane = sample_instance(12, rng_seed=6)
-    crps = collect_naked_crps(lane, 400, rng_seed=3)
-    assert crps == collect_naked_crps(lane, 400, rng_seed=3)
-    assert all(r.width == 12 for r in crps)
-    challenges = np.array([r.challenge for r in crps])
-    labels = np.array([r.label for r in crps], dtype=np.uint8)
-    assert np.array_equal(labels, eval_raw_batch(lane, challenges))
+    challenges, labels = collect_naked_crps(lane, 400, rng_seed=3)
+    again = collect_naked_crps(lane, 400, rng_seed=3)
+    assert np.array_equal(challenges, again[0]) and np.array_equal(labels, again[1])
+    assert challenges.max() < 1 << 12
+    assert labels.tolist() == [reference.evaluate(lane, int(c)) for c in challenges]
 
 
 def test_collect_obfuscated_crps_match_the_external_interface():
     device = make_device(k=3, device_seed=14)
-    crps = collect_obfuscated_crps(device, 60, mode=1, rng_seed=2, lane=2)
-    assert crps == collect_obfuscated_crps(device, 60, mode=1, rng_seed=2, lane=2)
-    assert all(r.challenge >= 1 and r.width == 8 for r in crps)
-    for record in crps[:50]:
-        assert record.label == int(device.respond(record.challenge, 1)[2])
+    challenges, labels = collect_obfuscated_crps(device, 60, mode=1, rng_seed=2, lane=2)
+    again = collect_obfuscated_crps(device, 60, mode=1, rng_seed=2, lane=2)
+    assert np.array_equal(challenges, again[0]) and np.array_equal(labels, again[1])
+    assert challenges.min() >= 1 and challenges.max() < 1 << 8
+    for challenge, label in zip(challenges[:50].tolist(), labels[:50].tolist()):
+        assert label == int(device.respond(challenge, 1)[2])
 
 
 def test_training_input_validation():
     with pytest.raises(EmptyDataset):
-        train_linear_attack([])
-    mixed = [CrpRecord(1, 0, 8), CrpRecord(1, 1, 9)]
+        train_linear_attack([], [], 8)
     with pytest.raises(WidthMismatch):
-        train_linear_attack(mixed)
+        train_linear_attack([1, 2], [0], 8)  # a label short
+    with pytest.raises(WidthMismatch):
+        train_linear_attack([1, 1 << 8], [0, 1], 8)  # a challenge one bit too wide
     crps = collect_naked_crps(sample_instance(6, rng_seed=0), 64, rng_seed=0)
     for bad_split in (0.0, 1.0, -0.2):
         with pytest.raises(ValueError):
-            train_linear_attack(crps, split=bad_split)
+            train_linear_attack(*crps, 6, split=bad_split)
+    with pytest.raises(InvalidParameter):
+        train_linear_attack(*crps, 6, epochs=-1)
+    for bad_rate in (0.0, -0.5, math.nan, math.inf):
+        with pytest.raises(InvalidParameter):
+            train_linear_attack(*crps, 6, learning_rate=bad_rate)
 
 
 def test_training_is_deterministic():
     crps = collect_naked_crps(sample_instance(10, rng_seed=5), 800, rng_seed=9)
-    a = train_linear_attack(crps, epochs=50, rng_seed=7)
-    b = train_linear_attack(crps, epochs=50, rng_seed=7)
+    a = train_linear_attack(*crps, 10, epochs=50, rng_seed=7)
+    b = train_linear_attack(*crps, 10, epochs=50, rng_seed=7)
     assert np.array_equal(a.weights, b.weights)
     assert a.holdout_accuracy == b.holdout_accuracy
     assert a.train_size == 640
@@ -197,26 +205,24 @@ def test_training_is_deterministic():
 
 def test_bare_lane_is_linearly_learnable():
     lane = sample_instance(8, rng_seed=4)
-    crps = collect_naked_crps(lane, 3000, rng_seed=5)
+    challenges, labels = collect_naked_crps(lane, 3000, rng_seed=5)
     model = train_linear_attack(
-        crps, split=0.8, epochs=2000, learning_rate=0.5, rng_seed=2
+        challenges, labels, 8, split=0.8, epochs=2000, learning_rate=0.5, rng_seed=2
     )
     assert model.holdout_accuracy == 1.0
-    challenges = np.array([r.challenge for r in crps])
-    labels = np.array([r.label for r in crps], dtype=np.uint8)
     assert np.array_equal(model.predict_batch(challenges), labels)
-    for record in crps[:20]:
-        assert model.predict(record.challenge) == record.label
+    for challenge, label in zip(challenges[:20], labels[:20]):
+        assert model.predict_batch(challenge) == label
 
 
 def test_accuracy_grows_with_training_data():
-    master = collect_naked_crps(sample_instance(16, rng_seed=20), 10_000, rng_seed=12)
+    challenges, labels = collect_naked_crps(sample_instance(16, rng_seed=20), 10_000, rng_seed=12)
     frozen = (0.9665, 0.9930, 0.9975)
     accs = []
     for size in (500, 2000, 8000):
-        subset = master[: size + 2000]
+        used = size + 2000
         model = train_linear_attack(
-            subset, split=size / (size + 2000), epochs=300, rng_seed=3
+            challenges[:used], labels[:used], 16, split=size / used, epochs=300, rng_seed=3
         )
         assert model.train_size == size
         accs.append(model.holdout_accuracy)
@@ -278,5 +284,5 @@ def test_devices_contribute_all_their_lanes():
 
 def test_metrics_record_formatting():
     record = MetricsRecord(0.5, 1.0, 0.4, 4, 1000, 3)
-    assert "uniformity" in record.format_table()
-    assert any(line == "n_lanes = 4" for line in record.record_lines())
+    assert "uniformity" in "\n".join(report_lines(record, "table"))
+    assert any(line == "n_lanes = 4" for line in field_lines(record))

@@ -14,7 +14,6 @@ from conftest import make_device
 from dualpuf.apuf import (
     ApufInstance,
     delay_sums,
-    eval_raw_batch,
     features_from_ints,
     parity_features,
     sample_instance,
@@ -77,7 +76,7 @@ def test_top_bit_flip_negates_all_but_constant(n, raw):
     assert flipped[n] == 1.0
     # responses under the flip agree with direct recomputation
     inst = sample_instance(n, 17)
-    assert eval_raw_batch(inst, challenge ^ (1 << (n - 1))) == int(
+    assert vote_batch(inst, challenge ^ (1 << (n - 1)), 1, None) == int(
         inst.weights @ flipped > 0
     )
 
@@ -93,18 +92,19 @@ def test_batch_helpers_match_scalar():
         features_from_ints(challenges, 6),
         np.array([reference.parity_features(int(c), 6) for c in challenges]),
     )
-    inst = sample_instance(6, 3)
-    noise = rng.standard_normal(40)
+    # one vote per challenge: the draws are the scalar chain's explicit noise
+    inst = sample_instance(6, 3, sigma_noise=1.0)
+    noise = np.random.default_rng(1).standard_normal(40)
     assert np.array_equal(
-        eval_raw_batch(inst, challenges, noise),
-        np.array([reference.evaluate(inst, int(c), float(d)) for c, d in zip(challenges, noise)]),
+        vote_batch(inst, challenges, 1, np.random.default_rng(1)),
+        reference.raw_bits(inst, challenges, noise),
     )
 
 
 def test_exact_tie_yields_zero():
     inst = ApufInstance(4, np.zeros(5), 0.0)
     assert reference.delta(inst, 9) == 0.0
-    assert eval_raw_batch(inst, np.array([9])).tolist() == [0]
+    assert vote_batch(inst, np.array([9]), 1, None).tolist() == [0]
 
 
 def test_compensation_is_monotone():
@@ -113,12 +113,12 @@ def test_compensation_is_monotone():
     up_bits = []
     for up in range(8):
         probe = ApufInstance(8, inst.weights, 0.0, adjust_up=up, delta_unit=0.3)
-        up_bits.append(int(eval_raw_batch(probe, challenge)))
+        up_bits.append(int(vote_batch(probe, challenge, 1, None)))
     assert up_bits == sorted(up_bits, reverse=True)  # non-increasing
     low_bits = []
     for low in range(8):
         probe = ApufInstance(8, inst.weights, 0.0, adjust_low=low, delta_unit=0.3)
-        low_bits.append(int(eval_raw_batch(probe, challenge)))
+        low_bits.append(int(vote_batch(probe, challenge, 1, None)))
     assert low_bits == sorted(low_bits)  # non-decreasing
     probe = ApufInstance(8, inst.weights, 0.0, adjust_up=2, adjust_low=5)
     assert probe.offset == pytest.approx(3 * 0.05)
@@ -126,8 +126,8 @@ def test_compensation_is_monotone():
 
 def test_noiseless_evaluation_repeats():
     inst = sample_instance(10, 2)
-    first = eval_raw_batch(inst, np.arange(1, 200))
-    assert np.array_equal(first, eval_raw_batch(inst, np.arange(1, 200)))
+    first = vote_batch(inst, np.arange(1, 200), 1, None)
+    assert np.array_equal(first, vote_batch(inst, np.arange(1, 200), 1, None))
 
 
 def test_response_probability_degenerate_indicator():

@@ -151,6 +151,72 @@ def test_metrics_records(capsys):
     assert got["n_lanes"] == "6" and got["n_challenges"] == "1000"
 
 
+NAKED_MODEL = ["target = naked", "train_size = 2000", "holdout_accuracy = 0.996"]
+OBFUSCATED_MODEL = [
+    "target = obfuscated", "train_size = 1000", "holdout_accuracy = 0.5966666666666667",
+]
+# exact report lines for fixed seeds: (argv, --format table, --format records)
+PINNED_REPORTS = [
+    (
+        ["attack", "replay", "--sessions", "200", "--seed", "4"],
+        ["sessions         200", "successes        95", "success rate     0.4750",
+         "parity match     95/95", "parity mismatch  0/105"],
+        ["trials = 200", "successes = 95", "success_rate = 0.475",
+         "parity_match_trials = 95", "parity_match_successes = 95",
+         "parity_mismatch_trials = 105", "parity_mismatch_successes = 0"],
+    ),
+    (
+        ["attack", "model", "--stages", "10", "--train", "2000", "--test", "500",
+         "--epochs", "120", "--seed", "1"],
+        NAKED_MODEL,
+        NAKED_MODEL,
+    ),
+    (
+        ["attack", "model", "--stages", "8", "--train", "1000", "--test", "300",
+         "--epochs", "100", "--seed", "2", "--obfuscated"],
+        OBFUSCATED_MODEL,
+        OBFUSCATED_MODEL,
+    ),
+    (
+        ["metrics", "--stages", "8", "--lanes", "6", "--challenges", "1000",
+         "--repeats", "2"],
+        ["uniformity   0.3457", "reliability  1.0000", "uniqueness   0.4632",
+         "lanes        6", "challenges   1000", "repeats      2"],
+        ["uniformity = 0.3456666666666667", "reliability = 1.0",
+         "uniqueness = 0.4631999999999999", "n_lanes = 6", "n_challenges = 1000",
+         "repeats = 2"],
+    ),
+    (
+        ["metrics", "--stages", "8", "--lanes", "4", "--challenges", "1000",
+         "--repeats", "3", "--sigma", "0.3", "--seed", "5"],
+        ["uniformity   0.4793", "reliability  0.9745", "uniqueness   0.5405",
+         "lanes        4", "challenges   1000", "repeats      3"],
+        ["uniformity = 0.47925", "reliability = 0.9745",
+         "uniqueness = 0.5404999999999999", "n_lanes = 4", "n_challenges = 1000",
+         "repeats = 3"],
+    ),
+    (
+        ["metrics", "--stages", "8", "--lanes", "1", "--challenges", "1000",
+         "--repeats", "2", "--sigma", "0.3"],
+        ["uniformity   0.3320", "reliability  0.9595", "uniqueness   nan",
+         "lanes        1", "challenges   1000", "repeats      2"],
+        ["uniformity = 0.332", "reliability = 0.9595", "uniqueness = nan",
+         "n_lanes = 1", "n_challenges = 1000", "repeats = 2"],
+    ),
+]
+
+
+def test_report_output_is_pinned(capsys, tmp_path):
+    # a change to a report's figures or to either formatter moves a line here
+    dev, reg = built_tag(capsys, tmp_path, register=True)
+    for argv, table, recs in PINNED_REPORTS:
+        if argv[:2] == ["attack", "replay"]:
+            argv = argv + ["--device", dev, "--registry", reg]
+        for style, want in (("table", table), ("records", recs)):
+            code, out, _ = run_cli(capsys, *argv, "--format", style)
+            assert (code, out) == (0, want), (argv, style)
+
+
 def test_out_files_are_deterministic(capsys, tmp_path):
     a, b = str(tmp_path / "a.txt"), str(tmp_path / "b.txt")
     for path in (a, b):
@@ -337,6 +403,22 @@ def test_model_attack_rejects_an_empty_dataset(capsys):
 
 def test_model_attack_rejects_an_empty_holdout(capsys):
     assert_cli_error(capsys, "attack", "model", "--stages", "8", "--test", "0")
+
+
+def test_register_rejects_a_tick_gap_beyond_int64(capsys, tmp_path):
+    dev, reg = built_tag(capsys, tmp_path)
+    assert_cli_error(capsys, "auth", "register", "--device", dev, "--out", reg,
+                     "--t-max", "99999999999999999999")
+
+
+def test_model_attack_rejects_negative_epochs(capsys):
+    assert_cli_error(capsys, "attack", "model", "--stages", "8", "--train", "10",
+                     "--test", "10", "--epochs", "-1")
+
+
+def test_model_attack_rejects_a_nan_learning_rate(capsys):
+    assert_cli_error(capsys, "attack", "model", "--stages", "8", "--train", "10",
+                     "--test", "10", "--lr", "nan")
 
 
 def test_trace_period_check_up_to_order_62(capsys):

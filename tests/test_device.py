@@ -29,7 +29,6 @@ from dualpuf.errors import (
 )
 from dualpuf.lfsr import LfsrSpec
 from dualpuf.obfuscator import DualLfsrSpec
-from dualpuf.apuf import eval_raw_batch
 from dualpuf.protocol import CHALLENGE, READER_TO_TAG, Frame
 
 
@@ -102,7 +101,7 @@ def test_raw_table_matches_the_per_lane_vote_loop():
     expected = np.zeros((5, 256), dtype=np.uint8)
     for i, lane in enumerate(dev.lanes):
         draws = rng.standard_normal((challenges.size, t)) * lane.sigma_noise
-        ones = sum(eval_raw_batch(lane, challenges, draws[:, col]) for col in range(t))
+        ones = sum(reference.raw_bits(lane, challenges, draws[:, col]) for col in range(t))
         expected[i, challenges] = 2 * ones > t
     assert np.array_equal(table, expected)
     assert len(set(serialize_response(table[:, 1:]))) > 1

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import reference
-from dualpuf.apuf import ApufInstance, eval_raw_batch, sample_instance
+from dualpuf.apuf import ApufInstance, sample_instance
 from dualpuf.errors import EvenVoterWidth, NoConvergence, WidthMismatch
 from dualpuf.postproc import (
     AdjustParams,
@@ -45,10 +45,6 @@ def test_default_band_is_exclusive_42_54():
     assert AdjustParams(pulse_count=4, window_halfwidth=1).band == (1, 3)
 
 
-def test_report_record_line():
-    assert AdjustReport(8, 43, 7, 0, 1).record_line() == "8 43 7 0 1"
-
-
 # -- adjustment loop ---------------------------------------------------------
 
 
@@ -56,13 +52,13 @@ def test_branch_semantics_with_scripted_counts(monkeypatch):
     # zero counts per round: boundary, boundary, below, above, inside
     script = iter([42, 54, 41, 55, 48])
 
-    def scripted_eval(instance, challenges, noise):
+    def scripted_vote(instance, challenges, voter_t, noise_stream):
         zeros = next(script)
         bits = np.ones(challenges.size, dtype=np.uint8)
         bits[:zeros] = 0
         return bits
 
-    monkeypatch.setattr("dualpuf.postproc.eval_raw_batch", scripted_eval)
+    monkeypatch.setattr("dualpuf.postproc.vote_batch", scripted_vote)
     inst = ApufInstance(4, np.zeros(5), 0.0)
     report = randomness_adjust(inst, AdjustParams())
     # boundary rounds change nothing; one counter moves per corrective round
@@ -146,7 +142,7 @@ def test_vote_noiseless_equals_raw():
     rng = np.random.default_rng(1)
     challenges = rng.integers(0, 64, size=30)
     voted = vote_batch(inst, challenges, 5, rng)
-    assert np.array_equal(voted, eval_raw_batch(inst, challenges))
+    assert voted.tolist() == [reference.evaluate(inst, int(c)) for c in challenges]
     assert voted.tolist() == [reference.vote(inst, int(c), 5, rng) for c in challenges]
 
 

@@ -126,9 +126,11 @@ def test_tag_readers_and_attacker_agree_on_every_challenge_at_zero_noise():
         assert np.array_equal(tag, [predict_response(by_table, c, mode) for c in challenges])
         assert np.array_equal(tag, [predict_response(by_model, c, mode) for c in challenges])
         for lane in range(dev.config.k):
-            crps = collect_obfuscated_crps(dev, 4000, mode=mode, rng_seed=lane, lane=lane)
-            assert {r.challenge for r in crps} == set(challenges)
-            assert all(r.label == tag[r.challenge - 1, lane] for r in crps)
+            seen, labels = collect_obfuscated_crps(
+                dev, 4000, mode=mode, rng_seed=lane, lane=lane
+            )
+            assert set(seen.tolist()) == set(challenges)
+            assert np.array_equal(labels, tag[seen - 1, lane])
 
 
 def test_prediction_rejects_out_of_range():
@@ -242,7 +244,10 @@ def test_file_formats_are_pinned(tmp_path):
         "tag.json": "be1058abc66a6d06faffc76735f816acc765ccc8783ba60e396204013245d34a",
         "table.json": "c25ee2332d46206db146b6a3ee735a2bfe2a13e682c1542d2f29c421e0a79054",
         "model.json": "6a39939cb556fb23960fd09d6352ddb8b9f5eb0f61eebc569b92f533d411bd34",
+        # at sigma 0 the adjustment still draws one noise block per round
+        "tag0.json": "3ffb919c9a05c25bb107de2fd80edac88f0e21dfbd98bf7208f7bf79982bf9ef",
     }
+    save_device(make_device(k=8, n_stages=8, device_seed=7), str(tmp_path / "tag0.json"))
     dev = make_device(k=8, n_stages=8, device_seed=7, sigma_noise=0.3)
     save_device(dev, str(tmp_path / "tag.json"))
     run_registration(dev, str(tmp_path / "table.json"), policy="full", rng_seed=1)
@@ -266,8 +271,8 @@ def test_noise_order_is_pinned():
     assert digest.hexdigest() == "65c972b7b332f0e994431475bc732b2812584e40473fb5f51750c1f57c027eeb"
 
     dev = make_device(k=1, n_stages=12, device_seed=7, sigma_noise=0.4, voter_t=5)
-    crps = collect_obfuscated_crps(dev, 5000, mode=1, rng_seed=3)
-    text = "".join(f"{r.challenge} {r.label}\n" for r in crps)
+    challenges, labels = collect_obfuscated_crps(dev, 5000, mode=1, rng_seed=3)
+    text = "".join(f"{c} {y}\n" for c, y in zip(challenges.tolist(), labels.tolist()))
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "f93432161abe9505f23030d4447000136fa449a1fdc22d173705107b34fb6cd7"
     )

@@ -22,15 +22,9 @@ def test_no_module_imports_another_modules_private_names():
     assert offenders == []
 
 
-def test_only_the_delay_sum_reduction_multiplies_lane_weights():
-    # lane weights meet parity features in apuf.delay_sums alone, so the
-    # tag, the readers and the attacker cannot round a delay sum apart; the
-    # attacker's own linear unit holds no lane weights
-    allowed = {
-        ("apuf.py", "delay_sums"),
-        ("adversary.py", "LinearAttackModel.predict_batch"),
-        ("adversary.py", "train_linear_attack"),
-    }
+def offenders_outside(allowed, flagged) -> list[str]:
+    """file:line of every AST node that flagged(node) marks outside the
+    (file, function) pairs in allowed; a method is named Class.method."""
     offenders = []
     for path in SOURCES:
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -49,14 +43,53 @@ def test_only_the_delay_sum_reduction_multiplies_lane_weights():
             for name, node in functions
             if (path.name, name) in allowed
         ]
-        for node in ast.walk(tree):
-            product = isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
-            product |= isinstance(node, ast.Call) and "einsum" in (
-                getattr(node.func, "attr", None), getattr(node.func, "id", None)
-            )
-            if product and not any(node.lineno in lines for lines in exempt):
-                offenders.append(f"{path.name}:{node.lineno}")
-    assert offenders == []
+        offenders += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if flagged(node) and not any(node.lineno in lines for lines in exempt)
+        ]
+    return offenders
+
+
+def calls(node, names) -> bool:
+    return isinstance(node, ast.Call) and bool({
+        getattr(node.func, "attr", None), getattr(node.func, "id", None)
+    } & set(names))
+
+
+def test_only_the_delay_sum_reduction_multiplies_lane_weights():
+    # lane weights meet parity features in apuf.delay_sums alone, so the
+    # tag, the readers and the attacker cannot round a delay sum apart; the
+    # attacker's own linear unit holds no lane weights
+    allowed = {
+        ("apuf.py", "delay_sums"),
+        ("adversary.py", "LinearAttackModel.predict_batch"),
+        ("adversary.py", "train_linear_attack"),
+    }
+
+    def product(node) -> bool:
+        matmul = isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+        return matmul or calls(node, ["einsum"])
+
+    assert offenders_outside(allowed, product) == []
+
+
+def test_one_raw_lane_evaluator():
+    # challenges become lane bits in voted_round, the tag's enrollment rows
+    # and nowhere else; the attacker's linear unit and the bit-array entry
+    # point of the parity transform only build features
+    allowed = {
+        ("postproc.py", "voted_round"),
+        ("device.py", "PufDevice._naked_rows"),
+        ("apuf.py", "parity_features"),
+        ("adversary.py", "LinearAttackModel.predict_batch"),
+        ("adversary.py", "train_linear_attack"),
+    }
+
+    def evaluates(node) -> bool:
+        return calls(node, ["features_from_ints", "lane_bits"])
+
+    assert offenders_outside(allowed, evaluates) == []
 
 
 def test_one_parity_feature_kernel():
@@ -112,7 +145,6 @@ def test_public_names_are_pinned():
         "ApufInstance",
         "AttackReport",
         "AuthResult",
-        "CrpRecord",
         "DeviceConfig",
         "DualLfsrSpec",
         "Frame",
