@@ -119,20 +119,19 @@ def replay_attack(
         raise InvalidParameter(f"session count {sessions} < 0")
     rng = np.random.default_rng(rng_seed)
     t_min, t_max = registry.t_range
-    t_values = np.arange(t_min, t_max + 1)
     if recorded is not None:
         t_rec = recorded.tick_gap()
         c1_rec, c2_rec = (f.payload for f in recorded.challenge_frames()[:2])
     if reuse_challenges:
+        # the policy's gaps are first, first + step, ... up to t_max
         if parity_policy == "random":
-            pool = t_values
-        elif parity_policy == "flip":
-            pool = t_values[t_values % 2 != t_rec % 2]
-        elif parity_policy == "match":
-            pool = t_values[t_values % 2 == t_rec % 2]
+            first, step = t_min, 1
+        elif parity_policy in ("match", "flip"):
+            first, step = t_min + (t_min - t_rec + (parity_policy == "flip")) % 2, 2
         else:
             raise ValueError(f"unknown parity policy {parity_policy!r}")
-        if pool.size == 0:
+        count = (t_max - first) // step + 1
+        if count <= 0:
             raise InvalidParameter(
                 f"no tick gap in [{t_min}, {t_max}] fits parity policy {parity_policy!r}"
             )
@@ -140,7 +139,8 @@ def replay_attack(
     outcomes: list[tuple[int, int, int]] = []
     for _ in range(sessions):
         if reuse_challenges:
-            forced = (c1_rec, c2_rec, int(rng.choice(pool)))
+            # the draw of Generator.choice over the policy's gaps
+            forced = (c1_rec, c2_rec, first + step * int(rng.integers(0, count)))
         else:
             forced = None
         result = run_authentication(registry, attacker, forced_session=forced)

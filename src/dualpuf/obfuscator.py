@@ -85,13 +85,17 @@ def lane_feeds(lane_pairs) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def check_external_challenge(challenge: int, order: int) -> None:
-    """Reject an external challenge outside the nonzero order-bit range:
-    zero is the registers' stuck state."""
-    if not 0 < challenge < 1 << order:
-        raise ZeroSeed(
-            f"external challenge {challenge:#x} outside the nonzero {order}-bit range"
-        )
+def check_external_challenge(challenge, order: int) -> np.ndarray:
+    """Return an external challenge, or an array of them, as int64; reject
+    any outside the nonzero order-bit range: zero is the registers' stuck
+    state."""
+    try:
+        seeds = np.asarray(challenge, dtype=np.int64)
+    except OverflowError:  # a Python int beyond int64
+        seeds = None
+    if seeds is None or not ((seeds > 0) & (seeds < 1 << order)).all():
+        raise ZeroSeed(f"external challenge {challenge!r} outside the nonzero {order}-bit range")
+    return seeds
 
 
 def trace_records(

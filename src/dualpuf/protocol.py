@@ -8,8 +8,10 @@ any frame; the tag recovers it by observing both challenge ticks, and its
 parity becomes the selection mode of the second response.  The first
 response of a session always runs in mode 1.
 
-Authentication passes only when both comparisons pass; a failed first
-comparison rejects immediately and C2 is never sent.
+The reader fixes C1, C2 and t before it sends anything, so it predicts both
+responses it expects, R(C1, mode 1) and R(C2, t & 1), in one evaluation when
+it draws the session.  Authentication passes only when both comparisons
+pass; a failed first comparison rejects immediately and C2 is never sent.
 """
 
 from __future__ import annotations
@@ -220,30 +222,31 @@ def run_authentication(
     """One two-time session against any responder (honest tag or attacker).
 
     forced_session injects (C1, C2, t) instead of drawing them; the harness
-    hook for replay experiments.  Timeouts become a 0 decision, never an
-    exception.
+    hook for replay experiments.  Both responses are predicted before C1 is
+    sent, so an out-of-range challenge raises ZeroSeed before any frame.
+    Timeouts become a 0 decision, never an exception.
     """
     if channel is None:
         channel = SimChannel()
     c1, c2, t = forced_session if forced_session is not None else gen_session(registry)
     k, n = registry.k, registry.n_stages
+    expected = predict_response(registry, (c1, c2), (1, t & 1))
     responder.begin_session()
     log_start = len(channel.log)
     tick0 = channel.last_tick + 1
 
-    def verdict(challenge: int, mode: int, tick: int) -> int:
+    def verdict(challenge: int, tick: int, expected_row) -> int:
         frame = Frame(tick, READER_TO_TAG, CHALLENGE, challenge, n)
         try:
             reply = channel.exchange(frame, responder, response_width=k)
         except ChannelTimeout:
             return 0
-        expected = predict_response(registry, challenge, mode)
-        return compare(expected, deserialize_response(reply.payload, k), registry.tau)
+        return compare(expected_row, deserialize_response(reply.payload, k), registry.tau)
 
-    d1 = verdict(c1, 1, tick0)
+    d1 = verdict(c1, tick0, expected[0])
     d2 = 0
     if d1 == 1:
-        d2 = verdict(c2, t & 1, tick0 + t)
+        d2 = verdict(c2, tick0 + t, expected[1])
     passed = d1 == 1 and d2 == 1
     transcript = SessionTranscript(
         frames=list(channel.log[log_start:]), d1=d1, d2=d2, passed=passed

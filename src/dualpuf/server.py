@@ -119,9 +119,16 @@ def register_from_ttp(
     )
 
 
-def predict_response(registry: ServerRegistry, challenge: int, mode: int) -> np.ndarray:
-    """R_m: the tag response the server expects, lane 0 first."""
-    check_external_challenge(challenge, registry.n_stages)
+def predict_response(registry: ServerRegistry, challenge, mode) -> np.ndarray:
+    """R_m: the tag responses the server expects, lane axis last.
+
+    challenge and mode broadcast to a shape S, and the S + (k,) uint8
+    result comes from one run_rounds call: a scalar pair gives one (k,)
+    response, and run_authentication predicts a session's (C1, mode 1) and
+    (C2, t & 1) together as soon as it draws them.  Any challenge outside
+    the nonzero n-bit range raises ZeroSeed.
+    """
+    seeds = check_external_challenge(challenge, registry.n_stages)[..., None]
     if registry.mode == TABLE_MODE:
         table, lane_idx = registry.table, np.arange(registry.k)
 
@@ -132,9 +139,8 @@ def predict_response(registry: ServerRegistry, challenge: int, mode: int) -> np.
         naked = voted_round(registry.weights, registry.offsets)
 
     feed1, feed2 = registry._feeds
-    return run_rounds(
-        feed1, feed2, challenge, mode & 1, registry.rounds_per_response, naked
-    )
+    modes = np.asarray(mode)[..., None] & 1
+    return run_rounds(feed1, feed2, seeds, modes, registry.rounds_per_response, naked)
 
 
 def gen_session(registry: ServerRegistry) -> tuple[int, int, int]:

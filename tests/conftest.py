@@ -23,12 +23,18 @@ def make_device(k=4, n_stages=8, device_seed=3, sigma_noise=0.0, voter_t=5, roun
     return build_device(config)
 
 
+FIGURE_LOGS = (
+    ("test_acceptance", "ACCEPTANCE_LOG", "acceptance criteria"),
+    ("test_exhaustive", "FIGURE_LOG", "exhaustive sigma-0 identity"),
+)
+
+
 def pytest_terminal_summary(terminalreporter):
-    # one visible pass line per acceptance criterion, collected by the
-    # acceptance module as its tests run
-    mod = sys.modules.get("test_acceptance")
-    lines = getattr(mod, "ACCEPTANCE_LOG", None) if mod else None
-    if lines:
-        terminalreporter.section("acceptance criteria")
-        for line in lines:
-            terminalreporter.write_line(line)
+    # one visible pass line per acceptance criterion and per exhaustive
+    # order, collected by those modules as their tests run
+    for module, attribute, title in FIGURE_LOGS:
+        lines = getattr(sys.modules.get(module), attribute, None)
+        if lines:
+            terminalreporter.section(title)
+            for line in lines:
+                terminalreporter.write_line(line)

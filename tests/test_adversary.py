@@ -144,6 +144,37 @@ def test_replay_campaign_parity_breakdown():
     assert (fresh.trials, fresh.successes) == (200, 0)
 
 
+# the first 20 fresh gaps of each policy, as Generator.choice over the
+# materialised gap pool drew them; keyed by tick-gap range
+PINNED_GAPS = {
+    (2, 17): {
+        "random": [14, 3, 4, 5, 4, 14, 15, 11, 2, 3, 7, 8, 11, 9, 6, 4, 13, 13, 2, 3],
+        "match": [13, 17, 17, 11, 17, 17, 17, 3, 9, 11, 7, 9, 13, 15, 11, 5, 13, 15, 5, 11],
+        "flip": [12, 14, 2, 14, 8, 10, 12, 6, 16, 2, 6, 8, 10, 8, 4, 2, 2, 2, 4, 16],
+    },
+    (5, 30): {
+        "random": [26, 7, 9, 11, 9, 25, 27, 20, 6, 7, 13, 16, 21, 17, 11, 9, 22, 24, 5, 7],
+        "match": [23, 29, 27, 17, 29, 29, 29, 7, 15, 19, 11, 13, 21, 25, 19, 9, 21, 27, 9, 19],
+        "flip": [22, 26, 6, 26, 18, 18, 22, 12, 30, 6, 12, 14, 20, 16, 8, 6, 6, 6, 8, 30],
+    },
+}
+
+
+@pytest.mark.parametrize("t_range", sorted(PINNED_GAPS))
+def test_replay_gap_draws_are_pinned(t_range):
+    # gaps are drawn as first + step * integers(0, count), never from a
+    # materialised pool; the pins keep criterion 08's gaps unchanged
+    device = make_device(k=16, device_seed=31)
+    registry = run_registration(device, rng_seed=17, t_range=t_range)
+    honest = run_authentication(registry, device)
+    assert honest.passed and honest.session[2] == {(2, 17): 3, (5, 30): 7}[t_range]
+    attacker = eavesdrop(ReplayAttacker(), honest.transcript)
+    for rng_seed, policy in enumerate(("random", "match", "flip"), start=3):
+        report = replay_attack(attacker, registry, 20, recorded=honest.transcript,
+                               parity_policy=policy, rng_seed=rng_seed)
+        assert [t for t, _, _ in report.outcomes] == PINNED_GAPS[t_range][policy]
+
+
 def test_report_accessors():
     empty = AttackReport(0, 0, 0, 0, 0, 0, outcomes=())
     assert empty.success_rate == 0.0

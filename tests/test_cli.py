@@ -411,6 +411,19 @@ def test_register_rejects_a_tick_gap_beyond_int64(capsys, tmp_path):
                      "--t-max", "99999999999999999999")
 
 
+def test_replay_over_a_tick_gap_range_too_wide_to_list(capsys, tmp_path):
+    # the registry accepts any range up to the int64 maximum; the replay
+    # harness draws from it without listing its gaps
+    dev, reg = built_tag(capsys, tmp_path)
+    assert run_cli(capsys, "auth", "register", "--device", dev, "--out", reg,
+                   "--t-max", "4611686018427387904")[0] == 0
+    for parity in ("random", "match", "flip"):
+        code, out, err = run_cli(capsys, "attack", "replay", "--device", dev,
+                                 "--registry", reg, "--sessions", "5", "--parity", parity)
+        assert code == 0 and err == "" and "Traceback" not in "\n".join(out)
+        assert out[0].split() == ["sessions", "5"]
+
+
 def test_model_attack_rejects_negative_epochs(capsys):
     assert_cli_error(capsys, "attack", "model", "--stages", "8", "--train", "10",
                      "--test", "10", "--epochs", "-1")

@@ -8,7 +8,10 @@ from hypothesis import strategies as st
 from conftest import make_device
 from dualpuf.adversary import ReplayAttacker
 from dualpuf.device import serialize_response
-from dualpuf.errors import ChannelTimeout, InterfaceFused, NonMonotonicTicks, SimulationError
+from dualpuf.errors import (
+    ChannelTimeout, InterfaceFused, NonMonotonicTicks, SimulationError, ZeroSeed,
+)
+from dualpuf.obfuscator import run_rounds
 from dualpuf.protocol import (
     CHALLENGE,
     READER_TO_TAG,
@@ -235,6 +238,47 @@ def test_forced_session_and_minimum_gap():
     with pytest.raises(NonMonotonicTicks):
         # a gap of 1 would put C2 on the same tick as the first response
         run_authentication(registry, device, forced_session=(0x2A, 0x15, 1))
+
+
+def test_out_of_range_challenge_raises_before_any_frame():
+    # the reader predicts both responses before C1 goes on the wire
+    device, registry = honest_setup()
+    for session in ((0x2A, 0, 4), (0, 0x15, 4), (0x2A, 1 << 8, 4)):
+        channel = SimChannel()
+        with pytest.raises(ZeroSeed):
+            run_authentication(registry, device, channel=channel, forced_session=session)
+        assert channel.log == []
+
+
+def counted_rounds(monkeypatch):
+    """Count the run_rounds calls of the tag (device) and the reader (server)."""
+    counts = {"device": 0, "server": 0}
+    for module in counts:
+        def counted(*args, module=module):
+            counts[module] += 1
+            return run_rounds(*args)
+
+        monkeypatch.setattr(f"dualpuf.{module}.run_rounds", counted)
+    return counts
+
+
+def test_one_reader_evaluation_per_session(monkeypatch):
+    device, registry = honest_setup(k=16)
+    clone = make_device(k=16, device_seed=32)
+    counts = counted_rounds(monkeypatch)
+    assert run_authentication(registry, device).passed
+    assert counts == {"device": 2, "server": 1}
+
+    counts.update(device=0, server=0)
+    result = run_authentication(registry, clone)
+    assert (result.d1, result.d2) == (0, 0)
+    assert counts == {"device": 1, "server": 1}
+    assert [f.kind for f in result.transcript.frames] == [CHALLENGE, RESPONSE]
+
+    counts.update(device=0, server=0)
+    attacker = ReplayAttacker({f.payload: 0 for f in result.transcript.challenge_frames()})
+    result = run_authentication(registry, attacker, forced_session=(*result.session[:2], 4))
+    assert (result.d1, counts) == (0, {"device": 0, "server": 1})
 
 
 def test_first_rejection_suppresses_the_second_challenge():

@@ -135,9 +135,27 @@ def test_tag_readers_and_attacker_agree_on_every_challenge_at_zero_noise():
 
 def test_prediction_rejects_out_of_range():
     registry = model_registry(make_device())
-    for bad in (0, 1 << 8):
+    bads = (0, 1 << 8, -1, 1 << 63, 1 << 70, -(1 << 70), [5, 0], [[3], [256]], [1, 1 << 64])
+    for bad in bads:
         with pytest.raises(ZeroSeed):
             predict_response(registry, bad, 1)
+        with pytest.raises(ZeroSeed):
+            predict_response(registry, np.asarray(bad, dtype=object), 1)
+
+
+def test_array_prediction_matches_scalar_calls():
+    # challenges (3, 40) broadcast against modes (40,): one S + (k,) array,
+    # bit for bit what one scalar call per element gives
+    dev = make_device(k=8)
+    challenges = np.random.default_rng(4).integers(1, 256, size=(3, 40))
+    modes = np.arange(40) % 2
+    for registry in (model_registry(dev), table_registry(dev)):
+        batch = predict_response(registry, challenges, modes)
+        assert batch.shape == (3, 40, 8) and batch.dtype == np.uint8
+        for (i, j), challenge in np.ndenumerate(challenges):
+            single = predict_response(registry, int(challenge), int(modes[j]))
+            assert single.shape == (8,) and np.array_equal(batch[i, j], single)
+        assert predict_response(registry, [], 1).shape == (0, 8)
 
 
 def test_gen_session_bounds_and_determinism():
