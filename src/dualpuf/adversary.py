@@ -16,7 +16,7 @@ import numpy as np
 from .apuf import ApufInstance, features_from_ints
 from .device import PufDevice
 from .errors import EmptyDataset, EmptyStore, InsufficientSample, InvalidParameter, WidthMismatch
-from .obfuscator import run_rounds
+from .obfuscator import run_rounds, shift_tables
 from .postproc import vote_batch, voted_round
 from .protocol import CHALLENGE, RESPONSE, SessionTranscript, run_authentication
 from .server import ServerRegistry
@@ -199,10 +199,7 @@ def collect_obfuscated_crps(
     pair = device.config.lane_pairs[lane]
     inst, config = device.lanes[lane], device.config
     voted = voted_round(inst.weights, inst.offset, config.sigma_noise, config.voter_t, rng)
-    bits = run_rounds(
-        pair.pair[0].feed, pair.pair[1].feed, seeds, mode & 1,
-        pair.rounds_per_response, voted,
-    )
+    bits = run_rounds(shift_tables(pair.feeds), seeds, mode & 1, pair.rounds_per_response, voted)
     return seeds, bits
 
 

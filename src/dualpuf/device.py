@@ -17,8 +17,8 @@ from .apuf import ApufInstance, delay_sums, features_from_ints, sample_instance
 from .errors import InterfaceFused, InvalidParameter, NonMonotonicTicks, WidthMismatch
 from .lfsr import pick_lfsr_pair
 from .obfuscator import (
-    DEFAULT_ROUNDS, DualLfsrSpec, check_external_challenge, check_lane_pairs, lane_feeds,
-    run_rounds,
+    DEFAULT_ROUNDS, DualLfsrSpec, check_external_challenge, check_lane_pairs, run_rounds,
+    shift_tables,
 )
 from .persist import atomic_write, pair_from_json, pair_to_json, reading
 from .postproc import AdjustParams, AdjustReport, lane_bits, randomness_adjust, voted_round
@@ -69,7 +69,7 @@ class PufDevice:
     _noise_rng: np.random.Generator = field(init=False, repr=False, compare=False)
     _weights: np.ndarray = field(init=False, repr=False, compare=False)
     _offsets: np.ndarray = field(init=False, repr=False, compare=False)
-    _feeds: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+    _tables: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.lanes) != self.config.k:
@@ -84,7 +84,7 @@ class PufDevice:
         direct lane mutation; __post_init__ builds them once)."""
         self._weights = np.stack([lane.weights for lane in self.lanes])
         self._offsets = np.array([lane.offset for lane in self.lanes])
-        self._feeds = lane_feeds(self.config.lane_pairs)
+        self._tables = shift_tables([pair.feeds for pair in self.config.lane_pairs])
 
     # -- enrollment-only raw path -------------------------------------------
 
@@ -143,10 +143,7 @@ class PufDevice:
         rng = noise_stream if noise_stream is not None else self._noise_rng
         config = self.config
         voted = voted_round(self._weights, self._offsets, config.sigma_noise, config.voter_t, rng)
-        feed1, feed2 = self._feeds
-        return run_rounds(
-            feed1, feed2, challenge, mode & 1, config.rounds_per_response, voted
-        )
+        return run_rounds(self._tables, challenge, mode & 1, config.rounds_per_response, voted)
 
     # -- protocol responder interface ----------------------------------------
 

@@ -19,7 +19,7 @@ import numpy as np
 from .device import DEFAULT_VOTER_T, deserialize_response, serialize_response
 from .errors import InvalidParameter, WidthMismatch
 from .obfuscator import (
-    DualLfsrSpec, check_external_challenge, check_lane_pairs, lane_feeds, run_rounds,
+    DualLfsrSpec, check_external_challenge, check_lane_pairs, run_rounds, shift_tables,
 )
 from .persist import atomic_write, pair_from_json, pair_to_json, reading
 from .postproc import voted_round
@@ -28,6 +28,7 @@ TABLE_MODE = "table"
 MODEL_MODE = "model"
 MAX_TABLE_ORDER = 20
 DEFAULT_T_RANGE = (2, 17)
+PREDICT_SLICE = 256  # challenges of one predict_response batch per run_rounds call
 
 
 def default_tau(k: int, sigma_noise: float) -> int:
@@ -57,8 +58,9 @@ class ServerRegistry:
         if not 0 <= self.tau < self.k:
             raise InvalidParameter(f"tau {self.tau} outside [0, k={self.k})")
         t_min, t_max = self.t_range
+        # a gap of 1 would put C2 on the tick of the first response, and
         # gen_session draws t as one int64
-        if not 1 <= t_min <= t_max <= np.iinfo(np.int64).max:
+        if not 2 <= t_min <= t_max <= np.iinfo(np.int64).max:
             raise InvalidParameter(f"bad t range [{t_min}, {t_max}]")
         check_lane_pairs(self.lane_pairs, self.k, self.n_stages)
         if self.mode == TABLE_MODE and self.n_stages > MAX_TABLE_ORDER:
@@ -78,7 +80,9 @@ class ServerRegistry:
                 f"{np.shape(self.offsets)} for k={self.k} at order {self.n_stages}"
             )
         self._rng = np.random.default_rng(self.rng_seed)
-        self._feeds = lane_feeds(self.lane_pairs)
+        self._tables = shift_tables([pair.feeds for pair in self.lane_pairs])
+        # column c of lane i is word i * 2^n + c of the flattened table
+        self._lane_starts = np.arange(self.k) << self.n_stages
 
     @property
     def rounds_per_response(self) -> int:
@@ -123,24 +127,33 @@ def predict_response(registry: ServerRegistry, challenge, mode) -> np.ndarray:
     """R_m: the tag responses the server expects, lane axis last.
 
     challenge and mode broadcast to a shape S, and the S + (k,) uint8
-    result comes from one run_rounds call: a scalar pair gives one (k,)
-    response, and run_authentication predicts a session's (C1, mode 1) and
-    (C2, t & 1) together as soon as it draws them.  Any challenge outside
-    the nonzero n-bit range raises ZeroSeed.
+    result comes from one run_rounds call per PREDICT_SLICE elements of S:
+    a scalar pair gives one (k,) response, and run_authentication predicts
+    a session's (C1, mode 1) and (C2, t & 1) together as soon as it draws
+    them.  Any challenge outside the nonzero n-bit range raises ZeroSeed.
     """
     seeds = check_external_challenge(challenge, registry.n_stages)[..., None]
     if registry.mode == TABLE_MODE:
-        table, lane_idx = registry.table, np.arange(registry.k)
+        table, lane_starts = registry.table, registry._lane_starts
 
         def naked(candidates: np.ndarray) -> np.ndarray:
-            return table[lane_idx, candidates]
+            return table.take(candidates + lane_starts)
 
     else:
         naked = voted_round(registry.weights, registry.offsets)
 
-    feed1, feed2 = registry._feeds
     modes = np.asarray(mode)[..., None] & 1
-    return run_rounds(feed1, feed2, seeds, modes, registry.rounds_per_response, naked)
+    rounds, tables = registry.rounds_per_response, registry._tables
+    rows = np.broadcast(seeds, modes)
+    if rows.size <= PREDICT_SLICE:
+        return run_rounds(tables, seeds, modes, rounds, naked)
+    # noiseless, so slices of the rows give the same bits, whichever axis is
+    # long, and hold one slice's candidates, features and sums at a time
+    seeds, modes = (np.broadcast_to(a, rows.shape).reshape(-1, 1) for a in (seeds, modes))
+    return np.concatenate([
+        run_rounds(tables, seeds[i:i + PREDICT_SLICE], modes[i:i + PREDICT_SLICE], rounds, naked)
+        for i in range(0, rows.size, PREDICT_SLICE)
+    ]).reshape(rows.shape[:-1] + (registry.k,))
 
 
 def gen_session(registry: ServerRegistry) -> tuple[int, int, int]:

@@ -40,7 +40,7 @@ from dualpuf.lfsr import (
     is_m_sequence,
     period,
 )
-from dualpuf.obfuscator import run_rounds
+from dualpuf.obfuscator import run_rounds, shift_tables
 from dualpuf.postproc import AdjustParams, randomness_adjust, vote_batch
 from dualpuf.protocol import run_authentication, run_registration
 from dualpuf.server import MODEL_MODE, predict_response
@@ -97,7 +97,7 @@ def test_criterion_02_reference_cycle_replay():
         walked.extend(candidates[:, 0].tolist())
         return np.zeros_like(candidates, dtype=np.uint8)
 
-    run_rounds(feed, feed, 0b001, 1, 7, record)
+    run_rounds(shift_tables((feed, feed)), 0b001, 1, 7, record)
     assert walked[0] == 0b101  # first shift
     assert walked == [0b101, 0b111, 0b110, 0b011, 0b100, 0b010, 0b001]
     _record("criterion 02 PASS: 7-state reference cycle reproduced exactly")
@@ -223,8 +223,7 @@ def test_criterion_07_mode_flip_avalanche():
         challenges = np.random.default_rng(10_000 + device_seed).integers(
             1, 256, size=50
         )
-        feed1 = np.array([p.pair[0].feed for p in device.config.lane_pairs])
-        feed2 = np.array([p.pair[1].feed for p in device.config.lane_pairs])
+        lanes_first = shift_tables([[p.feeds] for p in device.config.lane_pairs])
         weights = np.stack([lane.weights for lane in device.lanes])
         offsets = np.array([lane.offset for lane in device.lanes])
 
@@ -233,8 +232,7 @@ def test_criterion_07_mode_flip_avalanche():
             return (mu + offsets[:, None] > 0).astype(np.uint8)
 
         responses = [
-            run_rounds(feed1[:, None], feed2[:, None], challenges[None, :],
-                       mode, 5, naked)
+            run_rounds(lanes_first, challenges[None, :], mode, 5, naked)
             for mode in (0, 1)
         ]
         distance += float((responses[0] ^ responses[1]).mean())

@@ -411,6 +411,26 @@ def test_register_rejects_a_tick_gap_beyond_int64(capsys, tmp_path):
                      "--t-max", "99999999999999999999")
 
 
+def test_register_rejects_a_tick_gap_of_one(capsys, tmp_path):
+    # a gap of 1 puts C2 on the tick of the first response
+    dev, reg = built_tag(capsys, tmp_path)
+    assert_cli_error(capsys, "auth", "register", "--device", dev, "--out", reg,
+                     "--t-min", "1")
+
+
+@pytest.mark.parametrize("rounds", [1, 7])
+def test_single_round_and_multi_block_tags_authenticate(capsys, tmp_path, rounds):
+    # one round is a short block; seven rounds are a full block of five and
+    # a short one of two
+    dev, reg = str(tmp_path / "dev.json"), str(tmp_path / "reg.json")
+    assert run_cli(capsys, "device", "build", "--stages", "8", "--lanes", "8",
+                   "--seed", "4", "--rounds", str(rounds), "--out", dev)[0] == 0
+    assert run_cli(capsys, "auth", "register", "--device", dev, "--out", reg)[0] == 0
+    code, out, _ = run_cli(capsys, "auth", "run", "--device", dev, "--registry", reg,
+                           "--sessions", "20")
+    assert code == 0 and out == ["pass=20/20"]
+
+
 def test_replay_over_a_tick_gap_range_too_wide_to_list(capsys, tmp_path):
     # the registry accepts any range up to the int64 maximum; the replay
     # harness draws from it without listing its gaps

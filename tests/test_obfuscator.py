@@ -5,7 +5,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import reference
@@ -14,7 +14,7 @@ from dualpuf.adversary import collect_obfuscated_crps
 from dualpuf.apuf import features_from_ints, sample_instance
 from dualpuf.errors import WidthMismatch, ZeroSeed
 from dualpuf.lfsr import LfsrSpec, pick_lfsr_pair
-from dualpuf.obfuscator import DualLfsrSpec, run_rounds, trace_records
+from dualpuf.obfuscator import DualLfsrSpec, run_rounds, shift_tables, trace_records
 from dualpuf.protocol import run_registration
 from dualpuf.server import predict_response
 
@@ -131,8 +131,52 @@ def test_run_rounds_folds_round_bits_by_parity(bits):
     def both_candidates(candidates):
         return np.repeat(np.array(bits, dtype=np.uint8), 2).reshape(candidates.shape)
 
-    folded = run_rounds(PAIR.pair[0].feed, PAIR.pair[1].feed, 1, 1, len(bits), both_candidates)
+    folded = run_rounds(shift_tables(PAIR.feeds), 1, 1, len(bits), both_candidates)
     assert int(folded) == sum(bits) % 2
+
+
+@given(
+    order=st.integers(3, 16),
+    first_pair=st.integers(0, 10_000),
+    rounds=st.integers(1, 12),
+    mode=st.integers(0, 1),
+    draw_seed=st.integers(0, 2**32 - 1),
+)
+@example(order=3, first_pair=0, rounds=1, mode=0, draw_seed=1)
+@example(order=8, first_pair=5, rounds=5, mode=1, draw_seed=2)
+@example(order=12, first_pair=9, rounds=6, mode=0, draw_seed=3)
+@example(order=16, first_pair=2, rounds=11, mode=1, draw_seed=4)
+def test_tables_match_the_one_shift_walk(order, first_pair, rounds, mode, draw_seed):
+    # the bit of a round is an arbitrary function of the round and the
+    # candidate, so any slip of a register state or of the selection shows
+    specs = [DualLfsrSpec(pick_lfsr_pair(order, first_pair + i), rounds) for i in range(3)]
+    rng = np.random.default_rng(draw_seed)
+    votes = rng.integers(0, 2, (rounds, 1 << order), dtype=np.uint8)
+    seeds = rng.integers(1, 1 << order, 4)
+    calls = []
+
+    def evaluate(candidates):
+        calls.append(candidates.dtype)
+        round_no = np.arange(rounds).reshape((rounds,) + (1,) * (candidates.ndim - 1))
+        return votes[round_no, candidates]
+
+    def walk(spec, seed, m):
+        _, bits = reference.rounds(spec, int(seed), m, lambda r, c: int(votes[r, c]))
+        return sum(bits) % 2
+
+    expected = np.array([[[walk(spec, seed, m) for spec in specs] for seed in seeds]
+                         for m in (0, 1)])  # (mode, S, k)
+    lanes = shift_tables([spec.feeds for spec in specs])
+    lanes_first = shift_tables([[spec.feeds] for spec in specs])
+    scalar = run_rounds(shift_tables(specs[0].feeds), seeds[0], mode, rounds, evaluate)
+    assert int(scalar) == expected[mode, 0, 0]
+    batch = run_rounds(lanes, seeds[:, None], mode, rounds, evaluate)
+    assert np.array_equal(batch, expected[mode])
+    transposed = run_rounds(lanes_first, seeds[None, :], mode, rounds, evaluate)
+    assert np.array_equal(transposed, expected[mode].T)
+    both_modes = run_rounds(lanes, seeds[0], np.array([[0], [1]]), rounds, evaluate)
+    assert np.array_equal(both_modes, expected[:, 0])
+    assert calls == [np.int64] * 4  # one evaluator call per response batch
 
 
 def test_engine_matches_scalar_loop_exhaustively():
@@ -148,14 +192,7 @@ def test_engine_matches_scalar_loop_exhaustively():
         spec = DualLfsrSpec(pick_lfsr_pair(3, idx))
         seeds = np.arange(1, 8)
         calls = []
-        folded = run_rounds(
-            spec.pair[0].feed,
-            spec.pair[1].feed,
-            seeds,
-            mode,
-            5,
-            noiseless,
-        )
+        folded = run_rounds(shift_tables(spec.feeds), seeds, mode, 5, noiseless)
         assert len(calls) == 1  # one evaluator call for all rounds
         candidates = calls[0]
         assert candidates.shape == (5, 2, 7)
@@ -179,8 +216,7 @@ def test_engine_matches_scalar_loop_exhaustively():
 
 def test_engine_broadcasts_lane_and_batch_axes():
     specs = [DualLfsrSpec(pick_lfsr_pair(4, i)) for i in range(3)]
-    feed1 = np.array([s.pair[0].feed for s in specs])[:, None]
-    feed2 = np.array([s.pair[1].feed for s in specs])[:, None]
+    lanes_first = shift_tables([[s.feeds] for s in specs])
     seeds = np.array([1, 9, 14, 7])[None, :]
     inst = sample_instance(4, 5)
     weights = inst.weights
@@ -188,7 +224,7 @@ def test_engine_broadcasts_lane_and_batch_axes():
     def noiseless(candidates):
         return (features_from_ints(candidates, 4) @ weights > 0).astype(np.uint8)
 
-    folded = run_rounds(feed1, feed2, seeds, 1, 5, noiseless)
+    folded = run_rounds(lanes_first, seeds, 1, 5, noiseless)
     assert folded.shape == (3, 4)
     for i, spec in enumerate(specs):
         for j, seed in enumerate(seeds[0].tolist()):

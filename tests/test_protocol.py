@@ -11,7 +11,7 @@ from dualpuf.device import serialize_response
 from dualpuf.errors import (
     ChannelTimeout, InterfaceFused, NonMonotonicTicks, SimulationError, ZeroSeed,
 )
-from dualpuf.obfuscator import run_rounds
+from dualpuf.obfuscator import run_rounds, shift_tables
 from dualpuf.protocol import (
     CHALLENGE,
     READER_TO_TAG,
@@ -279,6 +279,22 @@ def test_one_reader_evaluation_per_session(monkeypatch):
     attacker = ReplayAttacker({f.payload: 0 for f in result.transcript.challenge_frames()})
     result = run_authentication(registry, attacker, forced_session=(*result.session[:2], 4))
     assert (result.d1, counts) == (0, {"device": 0, "server": 1})
+
+
+def test_shift_tables_are_built_once_per_tag_and_registry(monkeypatch):
+    builds = []
+
+    def counted(*args):
+        builds.append(len(args[0]))
+        return shift_tables(*args)
+
+    for module in ("device", "server"):
+        monkeypatch.setattr(f"dualpuf.{module}.shift_tables", counted)
+    device, registry = honest_setup(k=16)
+    assert builds == [16, 16]  # the tag's and the registry's, at construction
+    for _ in range(50):
+        assert run_authentication(registry, device).passed
+    assert builds == [16, 16]
 
 
 def test_first_rejection_suppresses_the_second_challenge():

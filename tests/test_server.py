@@ -3,6 +3,7 @@ comparison, and persistence."""
 
 import hashlib
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -15,10 +16,12 @@ from dualpuf.errors import (
     WidthMismatch,
     ZeroSeed,
 )
+from dualpuf.obfuscator import run_rounds
 from dualpuf.protocol import run_registration
 from dualpuf.server import (
     DEFAULT_T_RANGE,
     MODEL_MODE,
+    PREDICT_SLICE,
     TABLE_MODE,
     ServerRegistry,
     compare,
@@ -67,6 +70,9 @@ def test_registry_validation():
         register_from_ttp(table, dev.config.lane_pairs, tau=2)  # tau >= k
     with pytest.raises(ValueError):
         register_from_ttp(table, dev.config.lane_pairs, tau=0, t_range=(0, 4))
+    with pytest.raises(ValueError):
+        # a gap of 1 would put C2 on the tick of the first response
+        register_from_ttp(table, dev.config.lane_pairs, tau=0, t_range=(1, 4))
     with pytest.raises(WidthMismatch):
         register_from_ttp(list(dev.lanes[:1]), dev.config.lane_pairs, tau=0)
 
@@ -158,6 +164,46 @@ def test_array_prediction_matches_scalar_calls():
         assert predict_response(registry, [], 1).shape == (0, 8)
 
 
+def test_prediction_in_slices_matches_scalar_calls(monkeypatch):
+    # a batch of more than one slice goes through one run_rounds call per
+    # slice, whichever axis is long, and the bits are those of one scalar
+    # call per element
+    dev = make_device(k=8)
+    rng = np.random.default_rng(6)
+    count = 2 * PREDICT_SLICE + 37
+    challenges = rng.integers(1, 256, size=count)
+    modes = rng.integers(0, 2, size=count)
+    calls = []
+
+    def counted(*args):
+        calls.append(len(args[1]))
+        return run_rounds(*args)
+
+    monkeypatch.setattr("dualpuf.server.run_rounds", counted)
+    for registry in (model_registry(dev), table_registry(dev)):
+        calls.clear()
+        batch = predict_response(registry, challenges, modes)
+        assert batch.shape == (count, 8) and batch.dtype == np.uint8
+        assert calls == [PREDICT_SLICE, PREDICT_SLICE, 37]
+        for row, challenge, mode in zip(batch, challenges.tolist(), modes.tolist()):
+            assert np.array_equal(row, predict_response(registry, challenge, mode))
+        # a short leading mode axis against the long challenge axis
+        calls.clear()
+        both = predict_response(registry, challenges, np.array([[0], [1]]))
+        assert both.shape == (2, count, 8) and len(calls) == 5
+        assert np.array_equal(both[modes, np.arange(count)], batch)
+
+
+def test_tag_and_registries_survive_pickling():
+    # the shift tables are arrays and the evaluators are built per call, so
+    # a pickled tag or registry answers as the original does
+    dev = make_device(k=8)
+    for registry in (model_registry(dev), table_registry(dev)):
+        back = pickle.loads(pickle.dumps(registry))
+        assert np.array_equal(predict_response(back, 0x5A, 1), predict_response(registry, 0x5A, 1))
+    assert np.array_equal(pickle.loads(pickle.dumps(dev)).respond(0x5A, 0), dev.respond(0x5A, 0))
+
+
 def test_gen_session_bounds_and_determinism():
     dev = make_device()
     a = table_registry(dev, rng_seed=42)
@@ -170,7 +216,7 @@ def test_gen_session_bounds_and_determinism():
 
 
 def test_gen_session_tick_gap_parity_is_balanced():
-    registry = table_registry(make_device(), rng_seed=3, t_range=(1, 16))
+    registry = table_registry(make_device(), rng_seed=3, t_range=(2, 17))
     odd = sum(gen_session(registry)[2] % 2 for _ in range(6000))
     assert abs(odd / 6000 - 0.5) < 0.025  # 3-sigma binomial band is 0.019
 
