@@ -142,18 +142,17 @@ def predict_response(registry: ServerRegistry, challenge, mode) -> np.ndarray:
     else:
         naked = voted_round(registry.weights, registry.offsets)
 
-    modes = np.asarray(mode)[..., None] & 1
-    rounds, tables = registry.rounds_per_response, registry._tables
-    rows = np.broadcast(seeds, modes)
-    if rows.size <= PREDICT_SLICE:
-        return run_rounds(tables, seeds, modes, rounds, naked)
+    seeds, modes = np.broadcast_arrays(seeds, np.asarray(mode)[..., None] & 1)
+    shape = seeds.shape[:-1] + (registry.k,)
     # noiseless, so slices of the rows give the same bits, whichever axis is
-    # long, and hold one slice's candidates, features and sums at a time
-    seeds, modes = (np.broadcast_to(a, rows.shape).reshape(-1, 1) for a in (seeds, modes))
+    # long, and hold one slice's candidates, features and sums at a time; an
+    # empty batch still makes one call, on a (0, 1) slice
+    seeds, modes = seeds.reshape(-1, 1), modes.reshape(-1, 1)
+    rounds, tables = registry.rounds_per_response, registry._tables
     return np.concatenate([
         run_rounds(tables, seeds[i:i + PREDICT_SLICE], modes[i:i + PREDICT_SLICE], rounds, naked)
-        for i in range(0, rows.size, PREDICT_SLICE)
-    ]).reshape(rows.shape[:-1] + (registry.k,))
+        for i in range(0, max(len(seeds), 1), PREDICT_SLICE)
+    ]).reshape(shape)
 
 
 def gen_session(registry: ServerRegistry) -> tuple[int, int, int]:
