@@ -34,7 +34,6 @@ from .lfsr import (
     classify,
     find_primitive,
     is_m_sequence,
-    period,
     pick_lfsr_pair,
 )
 from .obfuscator import (
@@ -100,7 +99,6 @@ __all__ = [
     "load_device",
     "load_registry",
     "parity_features",
-    "period",
     "pick_lfsr_pair",
     "predict_response",
     "puf_metrics",

@@ -9,7 +9,7 @@ restricted by construction to CRPs: a challenge array and a label array.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -66,21 +66,27 @@ class AttackReport:
     """Replay campaign outcome with the parity breakdown.
 
     outcomes holds one (drawn_t, parity_matched, succeeded) triple per
-    session so totals can be reconciled against per-session logs.
+    session; every tally is derived from them, so none can disagree.
     """
 
-    trials: int
-    successes: int
+    trials: int = field(init=False)
+    successes: int = field(init=False)
     success_rate: float = field(init=False)
-    parity_match_trials: int
-    parity_match_successes: int
-    parity_mismatch_trials: int
-    parity_mismatch_successes: int
+    parity_match_trials: int = field(init=False)
+    parity_match_successes: int = field(init=False)
+    parity_mismatch_trials: int = field(init=False)
+    parity_mismatch_successes: int = field(init=False)
     outcomes: tuple[tuple[int, int, int], ...] = field(repr=False)
 
     def __post_init__(self) -> None:
-        rate = self.successes / self.trials if self.trials else 0.0
-        object.__setattr__(self, "success_rate", rate)
+        match = [won for _, matched, won in self.outcomes if matched]
+        mismatch = [won for _, matched, won in self.outcomes if not matched]
+        trials, successes = len(self.outcomes), sum(match) + sum(mismatch)
+        rate = successes / trials if trials else 0.0
+        # in field order, outcomes last
+        tallies = (trials, successes, rate, len(match), sum(match), len(mismatch), sum(mismatch))
+        for name, value in zip((f.name for f in fields(self)), tallies):
+            object.__setattr__(self, name, value)
 
     def table_rows(self) -> list[tuple[str, str]]:
         return [
@@ -117,6 +123,12 @@ def replay_attack(
         raise ValueError("reuse_challenges needs the recorded session")
     if sessions < 0:
         raise InvalidParameter(f"session count {sessions} < 0")
+    if parity_policy not in ("random", "match", "flip"):
+        raise InvalidParameter(f"unknown parity policy {parity_policy!r}")
+    if parity_policy != "random" and not reuse_challenges:
+        raise InvalidParameter(
+            f"parity policy {parity_policy!r} needs the recorded challenges reused"
+        )
     rng = np.random.default_rng(rng_seed)
     t_min, t_max = registry.t_range
     if recorded is not None:
@@ -126,10 +138,8 @@ def replay_attack(
         # the policy's gaps are first, first + step, ... up to t_max
         if parity_policy == "random":
             first, step = t_min, 1
-        elif parity_policy in ("match", "flip"):
-            first, step = t_min + (t_min - t_rec + (parity_policy == "flip")) % 2, 2
         else:
-            raise ValueError(f"unknown parity policy {parity_policy!r}")
+            first, step = t_min + (t_min - t_rec + (parity_policy == "flip")) % 2, 2
         count = (t_max - first) // step + 1
         if count <= 0:
             raise InvalidParameter(
@@ -147,18 +157,7 @@ def replay_attack(
         t_drawn = result.session[2]
         matched = int(recorded is not None and t_drawn % 2 == t_rec % 2)
         outcomes.append((t_drawn, matched, int(result.passed)))
-
-    match = [o for o in outcomes if o[1]]
-    mismatch = [o for o in outcomes if not o[1]]
-    return AttackReport(
-        trials=len(outcomes),
-        successes=sum(o[2] for o in outcomes),
-        parity_match_trials=len(match),
-        parity_match_successes=sum(o[2] for o in match),
-        parity_mismatch_trials=len(mismatch),
-        parity_mismatch_successes=sum(o[2] for o in mismatch),
-        outcomes=tuple(outcomes),
-    )
+    return AttackReport(tuple(outcomes))
 
 
 # -- modeling ----------------------------------------------------------------

@@ -66,8 +66,8 @@ class ApufInstance:
             raise WidthMismatch(
                 f"weights shape {self.weights.shape} != ({self.n_stages + 1},)"
             )
-        if self.sigma_noise < 0:
-            raise InvalidParameter("sigma_noise must be >= 0")
+        if not 0 <= self.sigma_noise < float("inf"):  # nan fails too
+            raise InvalidParameter(f"sigma_noise {self.sigma_noise} is not a finite number >= 0")
         if self.delta_unit <= 0:
             raise InvalidParameter("delta_unit must be > 0")
         if self.adjust_up < 0 or self.adjust_low < 0:

@@ -37,19 +37,19 @@ from .protocol import run_authentication, run_registration
 from .server import DEFAULT_T_RANGE, load_registry
 
 
-def _common() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="run seed")
-    common.add_argument("--out", help="output file path")
-    common.add_argument(
-        "--format", choices=("table", "records"), default="table",
-        help="report style: aligned table or key=value records",
-    )
-    return common
+def _flag(*names, **options) -> argparse.ArgumentParser:
+    """A parent parser holding one shared flag."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*names, **options)
+    return parent
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = _common()
+    # each command takes only the shared flags it reads
+    seed = _flag("--seed", type=int, default=0, help="run seed")
+    style = _flag("--format", choices=("table", "records"), default="table",
+                  help="report style: aligned table or key=value records")
+    copy = _flag("--out", help="also write the report to this file")
     parser = argparse.ArgumentParser(
         prog="dualpuf",
         description="Simulation toolkit for a time-variant dual-LFSR arbiter "
@@ -59,11 +59,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     lfsr = top.add_parser("lfsr", help="register and polynomial analysis")
     lfsr_sub = lfsr.add_subparsers(dest="command", required=True)
-    p = lfsr_sub.add_parser("primitive", parents=[common], help="list primitive polynomials")
+    p = lfsr_sub.add_parser("primitive", parents=[copy], help="list primitive polynomials")
     p.add_argument("--order", type=int, required=True)
-    p = lfsr_sub.add_parser("classify", parents=[common], help="cycle partition of a polynomial")
+    p = lfsr_sub.add_parser("classify", parents=[style, copy], help="cycles of a polynomial")
     p.add_argument("--poly", required=True, help="mask (0b1011) or human form (x^3+x+1)")
-    p = lfsr_sub.add_parser("trace", parents=[common], help="challenge trace for a vote history")
+    p = lfsr_sub.add_parser("trace", parents=[copy], help="challenge trace for a vote history")
     p.add_argument("--poly", required=True)
     p.add_argument("--poly2", required=True)
     p.add_argument("--challenge", required=True, help="external challenge, any int literal")
@@ -72,27 +72,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     device = top.add_parser("device", help="tag lifecycle")
     device_sub = device.add_subparsers(dest="command", required=True)
-    p = device_sub.add_parser("build", parents=[common], help="manufacture and initialize a tag")
+    p = device_sub.add_parser("build", parents=[seed], help="manufacture and initialize a tag")
+    p.add_argument("--out", dest="target", help="device file to write")
     p.add_argument("--stages", type=int, required=True)
     p.add_argument("--lanes", type=int, default=1)
     p.add_argument("--sigma", type=float, default=0.0)
     p.add_argument("--voter-t", type=int, default=DEFAULT_VOTER_T)
     p.add_argument("--rounds", type=int, default=DEFAULT_ROUNDS)
-    p = device_sub.add_parser("fuse", parents=[common], help="close the raw interface")
+    p = device_sub.add_parser("fuse", parents=[copy], help="close the raw interface")
     p.add_argument("--device", required=True)
-    p = device_sub.add_parser("crp", parents=[common], help="raw naked query (pre-fuse only)")
+    p = device_sub.add_parser("crp", parents=[copy], help="raw naked query (pre-fuse only)")
     p.add_argument("--device", required=True)
     p.add_argument("--challenge", required=True)
 
     auth = top.add_parser("auth", help="registration and authentication")
     auth_sub = auth.add_subparsers(dest="command", required=True)
-    p = auth_sub.add_parser("register", parents=[common], help="enroll a device, fuse it")
+    p = auth_sub.add_parser("register", parents=[seed], help="enroll a device, fuse it")
+    p.add_argument("--out", dest="target", help="registry file to write")
     p.add_argument("--device", required=True)
     p.add_argument("--policy", choices=("auto", "full", "params"), default="auto")
     p.add_argument("--tau", type=int)
     p.add_argument("--t-min", type=int, default=DEFAULT_T_RANGE[0])
     p.add_argument("--t-max", type=int, default=DEFAULT_T_RANGE[1])
-    p = auth_sub.add_parser("run", parents=[common], help="honest sessions")
+    p = auth_sub.add_parser("run", parents=[copy], help="honest sessions")
     p.add_argument("--device", required=True)
     p.add_argument("--registry", required=True)
     p.add_argument("--sessions", type=int, default=100)
@@ -100,13 +102,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     attack = top.add_parser("attack", help="adversary harnesses")
     attack_sub = attack.add_subparsers(dest="command", required=True)
-    p = attack_sub.add_parser("replay", parents=[common], help="record one session, replay it")
+    p = attack_sub.add_parser("replay", parents=[seed, style, copy], help="replay a recorded session")
     p.add_argument("--device", required=True)
     p.add_argument("--registry", required=True)
     p.add_argument("--sessions", type=int, default=2000)
     p.add_argument("--parity", choices=("random", "flip", "match"), default="random")
     p.add_argument("--no-reuse", action="store_true", help="server draws fresh challenges")
-    p = attack_sub.add_parser("model", parents=[common], help="linear modeling attack")
+    p = attack_sub.add_parser("model", parents=[seed, style, copy], help="linear modeling attack",
+                              description="The report is key = value lines in either --format.")
     p.add_argument("--stages", type=int, required=True)
     p.add_argument("--train", type=int, default=20000)
     p.add_argument("--test", type=int, default=5000)
@@ -114,7 +117,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=float, default=0.5)
     p.add_argument("--obfuscated", action="store_true", help="attack the external interface")
 
-    p = top.add_parser("metrics", parents=[common], help="uniformity/reliability/uniqueness")
+    p = top.add_parser("metrics", parents=[seed, style, copy],
+                       help="uniformity/reliability/uniqueness")
     p.add_argument("--stages", type=int, required=True)
     p.add_argument("--lanes", type=int, default=50)
     p.add_argument("--challenges", type=int, default=1000)
@@ -141,7 +145,7 @@ def report_lines(report, style: str) -> list[str]:
 def _emit(args, lines: list[str]) -> None:
     text = "\n".join(lines)
     print(text)
-    if args.out:
+    if getattr(args, "out", None):  # the report copy; artifact commands have none
         atomic_write(args.out, text + "\n")
 
 
@@ -191,7 +195,7 @@ def _cmd_lfsr(args) -> list[str]:
 
 def _cmd_device(args) -> list[str]:
     if args.command == "build":
-        if not args.out:
+        if not args.target:
             raise SimulationError("device build needs --out for the device file")
         config = DeviceConfig(
             k=args.lanes,
@@ -201,11 +205,8 @@ def _cmd_device(args) -> list[str]:
             sigma_noise=args.sigma,
             device_seed=args.seed,
         )
-        device = build_device(config)
-        # --out is the device file here, not a report copy
-        target, args.out = args.out, None
-        save_device(device, target)
-        return [f"built k={args.lanes} stages={args.stages} -> {target}"]
+        save_device(build_device(config), args.target)
+        return [f"built k={args.lanes} stages={args.stages} -> {args.target}"]
     if args.command == "fuse":
         device = load_device(args.device)
         device.fuse()
@@ -218,21 +219,19 @@ def _cmd_device(args) -> list[str]:
 
 def _cmd_auth(args) -> list[str]:
     if args.command == "register":
-        if not args.out:
+        if not args.target:
             raise SimulationError("auth register needs --out for the registry file")
         device = load_device(args.device)
-        # --out is the registry file here, not a report copy
-        target, args.out = args.out, None
         registry = run_registration(
             device,
-            registry_path=target,
+            registry_path=args.target,
             policy=args.policy,
             tau=args.tau,
             t_range=(args.t_min, args.t_max),
             rng_seed=args.seed,
         )
         save_device(device, args.device)  # persist the fused flag
-        return [f"registered mode={registry.mode} tau={registry.tau} -> {target}"]
+        return [f"registered mode={registry.mode} tau={registry.tau} -> {args.target}"]
     if args.sessions < 0:
         raise InvalidParameter(f"--sessions {args.sessions} < 0")
     device = load_device(args.device)

@@ -52,6 +52,8 @@ class DeviceConfig:
         check_lane_pairs(self.lane_pairs, self.k, self.n_stages)
         if self.voter_t < 1 or self.voter_t % 2 == 0:
             raise InvalidParameter(f"voter width {self.voter_t} must be odd")
+        if not 0 <= self.sigma_noise < float("inf"):  # nan fails too
+            raise InvalidParameter(f"sigma_noise {self.sigma_noise} is not a finite number >= 0")
 
     @property
     def rounds_per_response(self) -> int:
@@ -88,7 +90,7 @@ class PufDevice:
 
     # -- enrollment-only raw path -------------------------------------------
 
-    def _naked_rows(self, challenges: np.ndarray, noise_stream) -> np.ndarray:
+    def _naked_rows(self, challenges: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """(k, S) voted naked bits of every lane for S raw challenges.
 
         The parity features are computed once; the lanes then vote one by
@@ -97,7 +99,6 @@ class PufDevice:
         """
         if self.fused:
             raise InterfaceFused("raw interface is fused")
-        rng = noise_stream if noise_stream is not None else self._noise_rng
         phi = features_from_ints(challenges, self.config.n_stages)
         config = self.config
         rows = np.empty((config.k, challenges.size), dtype=np.uint8)
@@ -107,7 +108,7 @@ class PufDevice:
             rows[i] = lane_bits(mu, config.sigma_noise, config.voter_t, rng)[:, 0]
         return rows
 
-    def raw_crp_query(self, challenge: int, noise_stream: np.random.Generator | None = None) -> np.ndarray:
+    def raw_crp_query(self, challenge: int) -> np.ndarray:
         """Voted naked response of every lane to one raw challenge.
 
         Bypasses the obfuscator entirely; the challenge may be zero here.
@@ -117,14 +118,15 @@ class PufDevice:
             raise WidthMismatch(
                 f"challenge {challenge:#x} does not fit {self.config.n_stages} stages"
             )
-        return self._naked_rows(np.array([challenge]), noise_stream)[:, 0]
+        return self._naked_rows(np.array([challenge]), self._noise_rng)[:, 0]
 
     def raw_crp_table(self, noise_stream: np.random.Generator | None = None) -> np.ndarray:
         """Full naked-CRP table in the registry's layout: a (k, 2^n) uint8
         array whose column c holds every lane's voted bit at raw challenge
         c.  Column 0, the zero challenge, is unused and 0."""
         challenges = np.arange(1, 1 << self.config.n_stages, dtype=np.int64)
-        return np.pad(self._naked_rows(challenges, noise_stream), ((0, 0), (1, 0)))
+        rng = noise_stream if noise_stream is not None else self._noise_rng
+        return np.pad(self._naked_rows(challenges, rng), ((0, 0), (1, 0)))
 
     def fuse(self) -> None:
         """Permanently close the raw interface.  Idempotent."""

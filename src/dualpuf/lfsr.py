@@ -25,12 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    InsufficientPrimitives,
-    MalformedPolynomial,
-    OrderTooLarge,
-    ZeroSeed,
-)
+from .errors import InsufficientPrimitives, MalformedPolynomial, OrderTooLarge
 
 #: classify enumerates all 2^n states and find_primitive all 2^(n-1)
 #: candidate masks, so both stop at desk-scale memory and time
@@ -137,19 +132,6 @@ class SequenceClassification:
 def step_array(feed: "np.ndarray | int", bits: np.ndarray) -> np.ndarray:
     """Vectorised Galois shift; ``feed`` broadcasts against ``bits``."""
     return (bits >> 1) ^ (feed * (bits & 1))
-
-
-def period(spec: LfsrSpec, seed: int) -> int:
-    """Length of the cycle through ``seed``, by plain iteration."""
-    if seed == 0:
-        raise ZeroSeed("period of the all-zero state is degenerate")
-    feed = spec.feed
-    s = (seed >> 1) ^ (feed if seed & 1 else 0)
-    p = 1
-    while s != seed:
-        s = (s >> 1) ^ (feed if s & 1 else 0)
-        p += 1
-    return p
 
 
 def classify(spec: LfsrSpec) -> SequenceClassification:

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameter, WidthMismatch, ZeroSeed
-from .lfsr import LfsrSpec, is_m_sequence
+from .lfsr import LfsrSpec, is_m_sequence, step_array
 
 DEFAULT_ROUNDS = 5
 BLOCK = 5  # rounds one table lookup covers
@@ -98,7 +98,7 @@ def shift_tables(feeds) -> tuple[np.ndarray, np.ndarray]:
     state = np.broadcast_to(low, low.shape[:1] + feed.shape)
     table = np.empty(state.shape[:1] + (BLOCK,) + state.shape[1:], dtype=np.int64)
     for r in range(BLOCK):
-        state = (state >> 1) ^ (feed * (state & 1))
+        state = step_array(feed, state)
         table[:, r] = state ^ (low >> (r + 1))
     return table.reshape(-1), np.arange(table[0].size).reshape(table.shape[1:])
 

@@ -1,8 +1,9 @@
 """Scalar reference of the tag's response chain, used only by the tests.
 
 Plain Python, one register shift, one arbiter evaluation and one noise draw
-at a time: the parity transform and delay of dualpuf.apuf, the temporal
-majority voter of postproc.lane_bits and the dual-register selection rule of
+at a time: the period walk that lfsr.is_m_sequence replaces with algebra, the
+parity transform and delay of dualpuf.apuf, the temporal majority voter of
+postproc.lane_bits and the dual-register selection rule of
 obfuscator.run_rounds.  The package computes all of these on arrays; the
 tests compare it against the functions here.
 """
@@ -11,10 +12,23 @@ import math
 
 import numpy as np
 
+from dualpuf.errors import ZeroSeed
+
 
 def shift(feed: int, state: int) -> int:
     """One Galois shift of a register holding state."""
     return (state >> 1) ^ (feed if state & 1 else 0)
+
+
+def period(spec, seed: int) -> int:
+    """Length of the cycle through seed, by plain iteration."""
+    if seed == 0:
+        raise ZeroSeed("period of the all-zero state is degenerate")
+    feed = spec.feed
+    state, length = shift(feed, seed), 1
+    while state != seed:
+        state, length = shift(feed, state), length + 1
+    return length
 
 
 def challenge_bits(challenge: int, n_stages: int) -> list[int]:

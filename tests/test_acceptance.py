@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import reference
+from reference import period
 from dualpuf.adversary import (
     ReplayAttacker,
     collect_naked_crps,
@@ -38,7 +39,6 @@ from dualpuf.lfsr import (
     classify,
     find_primitive,
     is_m_sequence,
-    period,
 )
 from dualpuf.obfuscator import run_rounds, shift_tables
 from dualpuf.postproc import AdjustParams, randomness_adjust, vote_batch

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import reference
 from conftest import make_device
@@ -176,12 +178,35 @@ def test_replay_gap_draws_are_pinned(t_range):
 
 
 def test_report_accessors():
-    empty = AttackReport(0, 0, 0, 0, 0, 0, outcomes=())
+    empty = AttackReport(outcomes=())
     assert empty.success_rate == 0.0
-    some = AttackReport(4, 1, 2, 1, 2, 0, outcomes=((3, 1, 1),) * 4)
+    some = AttackReport(outcomes=((3, 1, 1), (4, 0, 0), (5, 1, 0), (6, 0, 0)))
     table = "\n".join(report_lines(some, "table"))
     assert "success rate" in table and "0.2500" in table
     assert any(line.startswith("successes = 1") for line in field_lines(some))
+
+
+@given(st.lists(st.tuples(st.integers(1, 1 << 20), st.integers(0, 1), st.integers(0, 1))))
+def test_report_tallies_add_up(outcomes):
+    report = AttackReport(tuple(outcomes))
+    assert report.trials == len(outcomes)
+    assert report.trials == report.parity_match_trials + report.parity_mismatch_trials
+    assert report.successes == sum(won for _, _, won in outcomes)
+    assert report.successes == report.parity_match_successes + report.parity_mismatch_successes
+    assert report.parity_match_successes <= report.parity_match_trials
+    assert report.parity_mismatch_successes <= report.parity_mismatch_trials
+    assert report.parity_match_trials == sum(matched for _, matched, _ in outcomes)
+    assert report.success_rate == (report.successes / report.trials if outcomes else 0.0)
+
+
+def test_replay_refuses_a_parity_policy_without_reuse():
+    _, registry, result = honest_recording()
+    attacker = eavesdrop(ReplayAttacker(), result.transcript)
+    for policy in ("match", "flip", "weird"):
+        with pytest.raises(InvalidParameter):
+            replay_attack(attacker, registry, 1, reuse_challenges=False, parity_policy=policy)
+    report = replay_attack(attacker, registry, 3, reuse_challenges=False)
+    assert report.trials == 3 and report.parity_match_trials == 0
 
 
 # -- CRP harvesting and the linear model ---------------------------------------

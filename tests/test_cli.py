@@ -1,5 +1,6 @@
 """Command-line behavior, via dispatch() plus real-process smoke tests."""
 
+import argparse
 import json
 import os
 import shutil
@@ -13,7 +14,7 @@ import pytest
 import dualpuf
 import reference
 from conftest import make_device
-from dualpuf.cli import dispatch
+from dualpuf.cli import build_parser, dispatch
 from dualpuf.device import default_lane_pairs, load_device, serialize_response
 from dualpuf.errors import SimulationError
 from dualpuf.lfsr import LfsrSpec
@@ -234,6 +235,50 @@ def test_exit_codes(capsys, tmp_path):
     assert code == 1 and err.startswith("error:")
 
 
+def command_options(parser, words=()):
+    """Every command of parser, as its words, mapped to its sorted option strings."""
+    groups = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not groups:
+        options = (o for a in parser._actions if a.dest != "help" for o in a.option_strings)
+        return {" ".join(words): sorted(options)}
+    return {
+        command: options
+        for name, sub in groups[0].choices.items()
+        for command, options in command_options(sub, words + (name,)).items()
+    }
+
+
+def test_command_options_are_pinned():
+    # each command takes only the shared --seed, --format and --out it reads;
+    # adding or dropping a flag means editing this map on purpose
+    assert command_options(build_parser()) == {
+        "lfsr primitive": ["--order", "--out"],
+        "lfsr classify": ["--format", "--out", "--poly"],
+        "lfsr trace": ["--bits", "--challenge", "--mode", "--out", "--poly", "--poly2"],
+        "device build": ["--lanes", "--out", "--rounds", "--seed", "--sigma", "--stages",
+                         "--voter-t"],
+        "device fuse": ["--device", "--out"],
+        "device crp": ["--challenge", "--device", "--out"],
+        "auth register": ["--device", "--out", "--policy", "--seed", "--t-max", "--t-min",
+                          "--tau"],
+        "auth run": ["--device", "--out", "--registry", "--sessions", "--tau"],
+        "attack replay": ["--device", "--format", "--no-reuse", "--out", "--parity",
+                          "--registry", "--seed", "--sessions"],
+        "attack model": ["--epochs", "--format", "--lr", "--obfuscated", "--out", "--seed",
+                         "--stages", "--test", "--train"],
+        "metrics": ["--challenges", "--format", "--lanes", "--out", "--repeats", "--seed",
+                    "--sigma", "--stages"],
+    }
+
+
+def test_a_flag_the_command_does_not_read_is_a_usage_error(capsys):
+    # argparse refuses it before any file is opened
+    assert dispatch(["auth", "run", "--device", "t.json", "--registry", "r.json",
+                     "--seed", "1"]) == 2
+    assert dispatch(["lfsr", "primitive", "--order", "3", "--format", "records"]) == 2
+    capsys.readouterr()
+
+
 # -- invalid flags and malformed files: error line and exit 1 -------------------
 
 
@@ -335,6 +380,24 @@ def test_replay_rejects_a_parity_policy_with_no_tick_gap(capsys, tmp_path):
                    "--t-min", "4", "--t-max", "4")[0] == 0
     assert_cli_error(capsys, "attack", "replay", "--device", dev, "--registry", reg,
                      "--parity", "flip", "--sessions", "5")
+
+
+def test_replay_refuses_a_parity_policy_without_reuse(capsys, tmp_path):
+    # fresh challenges have no recorded gap for --parity to match or flip
+    dev, reg = built_tag(capsys, tmp_path, register=True)
+    assert_cli_error(capsys, "attack", "replay", "--device", dev, "--registry", reg,
+                     "--no-reuse", "--parity", "flip", "--sessions", "5")
+
+
+@pytest.mark.parametrize("sigma", ["nan", "inf"])
+def test_build_rejects_a_sigma_that_is_not_finite(capsys, tmp_path, sigma):
+    assert_cli_error(capsys, "device", "build", "--stages", "8", "--sigma", sigma,
+                     "--out", str(tmp_path / "dev.json"))
+    assert not (tmp_path / "dev.json").exists()
+
+
+def test_metrics_rejects_a_nan_sigma(capsys):
+    assert_cli_error(capsys, "metrics", "--stages", "8", "--lanes", "2", "--sigma", "nan")
 
 
 def test_stages_beyond_int64_challenges_are_refused(capsys):

@@ -11,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import reference
+from reference import period
 from dualpuf.device import default_lane_pairs
 from dualpuf.errors import (
     InsufficientPrimitives,
@@ -25,7 +26,6 @@ from dualpuf.lfsr import (
     classify,
     find_primitive,
     is_m_sequence,
-    period,
     pick_lfsr_pair,
     step_array,
 )

@@ -92,6 +92,19 @@ def test_one_raw_lane_evaluator():
     assert offenders_outside(allowed, evaluates) == []
 
 
+def test_one_galois_shift():
+    # registers step in lfsr.step_array alone, so (state >> 1) ^ feedback
+    # is spelled once; the scalar oracle in tests/reference.py is not scanned
+    def halves_and_xors(node) -> bool:
+        return isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitXor) and any(
+            isinstance(side, ast.BinOp) and isinstance(side.op, ast.RShift)
+            and getattr(side.right, "value", None) == 1
+            for side in (node.left, node.right)
+        )
+
+    assert offenders_outside({("lfsr.py", "step_array")}, halves_and_xors) == []
+
+
 def test_one_parity_feature_kernel():
     # features_from_ints computes phi from the challenge integer; a running
     # product over the bits would be a second feature kernel
@@ -172,7 +185,6 @@ def test_public_names_are_pinned():
         "load_device",
         "load_registry",
         "parity_features",
-        "period",
         "pick_lfsr_pair",
         "predict_response",
         "puf_metrics",
