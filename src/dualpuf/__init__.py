@@ -15,7 +15,6 @@ from .adversary import (
 )
 from .apuf import (
     ApufInstance,
-    parity_features,
     sample_instance,
 )
 from .device import (
@@ -98,7 +97,6 @@ __all__ = [
     "is_m_sequence",
     "load_device",
     "load_registry",
-    "parity_features",
     "pick_lfsr_pair",
     "predict_response",
     "puf_metrics",

@@ -120,7 +120,7 @@ def replay_attack(
     if not attacker.store:
         raise EmptyStore("attacker has not eavesdropped any session")
     if reuse_challenges and recorded is None:
-        raise ValueError("reuse_challenges needs the recorded session")
+        raise InvalidParameter("reuse_challenges needs the recorded session")
     if sessions < 0:
         raise InvalidParameter(f"session count {sessions} < 0")
     if parity_policy not in ("random", "match", "flip"):
@@ -171,10 +171,6 @@ class LinearAttackModel:
     train_size: int
     holdout_accuracy: float
 
-    def predict_batch(self, challenges: np.ndarray) -> np.ndarray:
-        phi = features_from_ints(challenges, self.weights.size - 1).astype(np.float64)
-        return (phi @ self.weights > 0).astype(np.uint8)
-
 
 def collect_naked_crps(
     instance: ApufInstance, count: int, rng_seed: int = 0
@@ -183,8 +179,7 @@ def collect_naked_crps(
     (challenges, labels) arrays."""
     rng = np.random.default_rng(rng_seed)
     challenges = rng.integers(0, 1 << instance.n_stages, size=count)
-    noiseless = voted_round(instance.weights, instance.offset)
-    return challenges, noiseless(challenges[:, None])[:, 0]
+    return challenges, vote_batch(instance.weights, instance.offset, challenges)
 
 
 def collect_obfuscated_crps(
@@ -282,10 +277,10 @@ def puf_metrics(lanes_or_devices, challenges: np.ndarray, repeats: int = 11, rng
     """Uniformity, reliability, and uniqueness over a common challenge sample.
 
     Accepts a sequence of lane instances and/or devices (devices contribute
-    all their lanes).  Reliability re-evaluates each lane `repeats` times
-    with fresh noise against its noiseless reference; at sigma 0 it is
-    exactly 1.  Uniqueness averages pairwise Hamming fractions between lane
-    references.
+    all their lanes) of one width.  Reliability re-evaluates each lane
+    `repeats` times with fresh noise against its noiseless reference; at
+    sigma 0 it is exactly 1.  Uniqueness averages pairwise Hamming
+    fractions between lane references.
     """
     lanes: list[ApufInstance] = []
     for item in lanes_or_devices:
@@ -302,14 +297,17 @@ def puf_metrics(lanes_or_devices, challenges: np.ndarray, repeats: int = 11, rng
         raise InsufficientSample("no lanes to measure")
     if repeats < 1:
         raise InvalidParameter(f"repeats {repeats} < 1")
+    if len({lane.n_stages for lane in lanes}) > 1:
+        raise WidthMismatch("lanes of different widths share no challenge sample")
 
     rng = np.random.default_rng(rng_seed)
-    reference = np.empty((len(lanes), challenges.size), dtype=np.uint8)
+    weights = np.stack([lane.weights for lane in lanes])
+    reference = vote_batch(weights, np.array([lane.offset for lane in lanes]), challenges)
     flips = 0
-    for i, lane in enumerate(lanes):
-        reference[i] = voted_round(lane.weights, lane.offset)(challenges[:, None])[:, 0]
+    for lane, expected in zip(lanes, reference):
         for _ in range(repeats):
-            flips += int((vote_batch(lane, challenges, 1, rng) ^ reference[i]).sum())
+            noisy = vote_batch(lane.weights, lane.offset, challenges, lane.sigma_noise, 1, rng)
+            flips += int((noisy ^ expected).sum())
     uniformity = float(reference.mean())
     reliability = 1.0 - flips / (len(lanes) * repeats * challenges.size)
 

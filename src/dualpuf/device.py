@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .apuf import ApufInstance, delay_sums, features_from_ints, sample_instance
+from .apuf import ApufInstance, sample_instance
 from .errors import InterfaceFused, InvalidParameter, NonMonotonicTicks, WidthMismatch
 from .lfsr import pick_lfsr_pair
 from .obfuscator import (
@@ -21,7 +21,7 @@ from .obfuscator import (
     shift_tables,
 )
 from .persist import atomic_write, pair_from_json, pair_to_json, reading
-from .postproc import AdjustParams, AdjustReport, lane_bits, randomness_adjust, voted_round
+from .postproc import AdjustParams, AdjustReport, randomness_adjust, vote_batch, voted_round
 
 DEFAULT_VOTER_T = 5
 
@@ -90,23 +90,14 @@ class PufDevice:
 
     # -- enrollment-only raw path -------------------------------------------
 
-    def _naked_rows(self, challenges: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """(k, S) voted naked bits of every lane for S raw challenges.
-
-        The parity features are computed once; the lanes then vote one by
-        one, so noise is drawn per lane, per challenge, per vote, and no
-        (S, k) float array is ever held.
-        """
+    def _naked_bits(self, challenges, rng: np.random.Generator) -> np.ndarray:
+        """(k, *challenges.shape) voted naked bits of every lane."""
         if self.fused:
             raise InterfaceFused("raw interface is fused")
-        phi = features_from_ints(challenges, self.config.n_stages)
         config = self.config
-        rows = np.empty((config.k, challenges.size), dtype=np.uint8)
-        for i in range(config.k):
-            # each challenge is one evaluation with a single alternative
-            mu = delay_sums(phi, self._weights[i], self._offsets[i])[:, None]
-            rows[i] = lane_bits(mu, config.sigma_noise, config.voter_t, rng)[:, 0]
-        return rows
+        return vote_batch(
+            self._weights, self._offsets, challenges, config.sigma_noise, config.voter_t, rng
+        )
 
     def raw_crp_query(self, challenge: int) -> np.ndarray:
         """Voted naked response of every lane to one raw challenge.
@@ -118,7 +109,7 @@ class PufDevice:
             raise WidthMismatch(
                 f"challenge {challenge:#x} does not fit {self.config.n_stages} stages"
             )
-        return self._naked_rows(np.array([challenge]), self._noise_rng)[:, 0]
+        return self._naked_bits(challenge, self._noise_rng)
 
     def raw_crp_table(self, noise_stream: np.random.Generator | None = None) -> np.ndarray:
         """Full naked-CRP table in the registry's layout: a (k, 2^n) uint8
@@ -126,7 +117,7 @@ class PufDevice:
         c.  Column 0, the zero challenge, is unused and 0."""
         challenges = np.arange(1, 1 << self.config.n_stages, dtype=np.int64)
         rng = noise_stream if noise_stream is not None else self._noise_rng
-        return np.pad(self._naked_rows(challenges, rng), ((0, 0), (1, 0)))
+        return np.pad(self._naked_bits(challenges, rng), ((0, 0), (1, 0)))
 
     def fuse(self) -> None:
         """Permanently close the raw interface.  Idempotent."""

@@ -9,9 +9,11 @@ acceptance window.  lane_bits draws nothing at sigma 0, but a round still
 takes its pulse_count noise draws: later rounds' challenges, hence the
 counters of every sigma-0 tag built, depend on that stream position.
 
-lane_bits is the one voter and voted_round the one lane evaluator of
-obfuscator.run_rounds for the tag, the model reader and the attacker;
-vote_batch applies it to one lane's raw challenges.
+lane_bits is the one voter.  vote_batch evaluates stacked lanes at raw
+challenges (enrollment harvest, adjustment loop, CRP collector, metrics):
+parity features once, then lane after lane, so noise runs lane by lane,
+challenge by challenge, vote by vote.  voted_round is the lane evaluator of
+obfuscator.run_rounds for the tag, the model reader and the attacker.
 run_rounds hands the evaluator every round's two candidate challenges at
 once, laid out (rounds, 2, *shape); the evaluator transforms them with one
 features_from_ints call and one delay_sums call, and votes them with one
@@ -97,7 +99,9 @@ def randomness_adjust(instance: ApufInstance, params: AdjustParams) -> AdjustRep
         challenges = rng.integers(0, 1 << instance.n_stages, size=params.pulse_count)
         if instance.sigma_noise == 0:
             rng.standard_normal(params.pulse_count)  # keeps the stream; see module doc
-        bits = vote_batch(instance, challenges, 1, rng)
+        bits = vote_batch(
+            instance.weights, instance.offset, challenges, instance.sigma_noise, 1, rng
+        )
         zeros = params.pulse_count - int(bits.sum())
         if lower < zeros < upper:
             return AdjustReport(
@@ -169,15 +173,23 @@ def voted_round(
 
 
 def vote_batch(
-    instance: ApufInstance,
-    challenges: np.ndarray,
-    voter_t: int,
-    noise_stream: np.random.Generator,
+    weights: np.ndarray,
+    offsets,
+    challenges,
+    sigma: float = 0.0,
+    voter_t: int = 1,
+    noise_stream: np.random.Generator | None = None,
 ) -> np.ndarray:
-    """Voted bits of one lane for a whole challenge array, each challenge
-    its own evaluation."""
+    """Voted bits, shaped *lanes + challenges.shape, of the lanes that
+    weights (*lanes, N+1) and offsets (*lanes,) describe at every raw
+    challenge, each challenge its own evaluation."""
     challenges = np.asarray(challenges)
-    voted = voted_round(
-        instance.weights, instance.offset, instance.sigma_noise, voter_t, noise_stream
-    )
-    return voted(challenges.reshape(-1, 1)).reshape(challenges.shape)
+    lanes = np.shape(weights)[:-1]
+    phi = features_from_ints(challenges.reshape(-1), np.shape(weights)[-1] - 1)
+    offsets = np.broadcast_to(offsets, lanes)
+    bits = np.empty(lanes + (challenges.size,), dtype=np.uint8)
+    for lane in np.ndindex(lanes):
+        # each challenge is one evaluation with a single alternative
+        mu = delay_sums(phi, weights[lane], offsets[lane])[:, None]
+        bits[lane] = lane_bits(mu, sigma, voter_t, noise_stream)[:, 0]
+    return bits.reshape(lanes + challenges.shape)

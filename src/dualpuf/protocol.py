@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .device import PufDevice, deserialize_response
-from .errors import ChannelTimeout, InterfaceFused, NonMonotonicTicks
+from .errors import ChannelTimeout, InterfaceFused, InvalidParameter, NonMonotonicTicks
 from .persist import atomic_write, reading
 from .server import (
     DEFAULT_T_RANGE,
@@ -83,7 +83,7 @@ class SessionTranscript:
         """t as an eavesdropper would recover it from the challenge ticks."""
         cf = self.challenge_frames()
         if len(cf) < 2:
-            raise ValueError("transcript holds fewer than two challenge frames")
+            raise InvalidParameter("transcript holds fewer than two challenge frames")
         return cf[1].tick - cf[0].tick
 
     def save(self, path: str) -> None:
@@ -196,7 +196,7 @@ def run_registration(
     elif policy == "params":
         lane_data = list(device.lanes)
     else:
-        raise ValueError(f"unknown registration policy {policy!r}")
+        raise InvalidParameter(f"unknown registration policy {policy!r}")
     device.fuse()
     if tau is None:
         tau = default_tau(device.config.k, device.config.sigma_noise)

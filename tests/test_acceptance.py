@@ -131,7 +131,7 @@ def test_criterion_04_bias_compensation_restores_uniformity():
     weights[16] += 0.35  # constant-path bias: the lane leans hard to 1
     lane = ApufInstance(n_stages=16, weights=weights, sigma_noise=0.0)
     challenges = np.random.default_rng(777008).integers(0, 1 << 16, size=10_000)
-    zeros_pre = 1.0 - float(vote_batch(lane, challenges, 1, None).mean())
+    zeros_pre = 1.0 - float(vote_batch(lane.weights, lane.offset, challenges).mean())
     assert zeros_pre <= 0.25
 
     report = randomness_adjust(lane, AdjustParams(max_rounds=200, rng_seed=8))
@@ -140,7 +140,7 @@ def test_criterion_04_bias_compensation_restores_uniformity():
     assert 42 < report.final_zero_count < 54
     assert lane.delta_unit == 0.05
 
-    uniformity = float(vote_batch(lane, challenges, 1, None).mean())
+    uniformity = float(vote_batch(lane.weights, lane.offset, challenges).mean())
     assert abs(uniformity - 0.5) <= 0.08
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0
@@ -180,7 +180,8 @@ def test_criterion_05_voter_suppresses_noise_like_the_binomial():
     challenges = np.zeros(100_000, dtype=np.int64)
     errors = {}
     for voter_t, seed in ((5, 42), (1, 43), (11, 44)):
-        bits = vote_batch(lane, challenges, voter_t, np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        bits = vote_batch(lane.weights, lane.offset, challenges, sigma, voter_t, rng)
         errors[voter_t] = float((bits == 0).mean())
     assert abs(errors[5] - oracle) <= 0.003
     assert abs(errors[1] - epsilon) <= 0.01

@@ -20,13 +20,14 @@ from dualpuf.adversary import (
     replay_attack,
     train_linear_attack,
 )
-from dualpuf.apuf import ApufInstance, sample_instance
+from dualpuf.apuf import ApufInstance, features_from_ints, sample_instance
 from dualpuf.cli import field_lines, report_lines
 from dualpuf.errors import (
     EmptyDataset,
     EmptyStore,
     InsufficientSample,
     InvalidParameter,
+    SimulationError,
     WidthMismatch,
 )
 from dualpuf.protocol import SessionTranscript, run_authentication, run_registration
@@ -93,14 +94,14 @@ def test_replay_attack_input_validation():
     with pytest.raises(EmptyStore):
         replay_attack(ReplayAttacker(), registry, 1, recorded=result.transcript)
     attacker = eavesdrop(ReplayAttacker(), result.transcript)
-    with pytest.raises(ValueError):
+    with pytest.raises(SimulationError):
         replay_attack(attacker, registry, 1)  # reuse needs the recorded session
     with pytest.raises(ValueError):
         replay_attack(
             attacker, registry, 1, recorded=result.transcript, parity_policy="weird"
         )
     partial = SessionTranscript(frames=result.transcript.frames[:2])
-    with pytest.raises(ValueError):
+    with pytest.raises(SimulationError):
         replay_attack(attacker, registry, 1, recorded=partial)
 
 
@@ -266,9 +267,9 @@ def test_bare_lane_is_linearly_learnable():
         challenges, labels, 8, split=0.8, epochs=2000, learning_rate=0.5, rng_seed=2
     )
     assert model.holdout_accuracy == 1.0
-    assert np.array_equal(model.predict_batch(challenges), labels)
+    assert np.array_equal(features_from_ints(challenges, 8) @ model.weights > 0, labels)
     for challenge, label in zip(challenges[:20], labels[:20]):
-        assert model.predict_batch(challenge) == label
+        assert (features_from_ints(challenge, 8) @ model.weights > 0) == label
 
 
 def test_accuracy_grows_with_training_data():
@@ -296,6 +297,8 @@ def test_metrics_sample_guards():
         puf_metrics([lane], np.arange(999))
     with pytest.raises(InsufficientSample):
         puf_metrics([], np.arange(1000))
+    with pytest.raises(WidthMismatch):
+        puf_metrics([lane, sample_instance(9, rng_seed=0)], np.arange(1000))
 
 
 def test_metrics_on_complementary_lanes():

@@ -76,7 +76,7 @@ def test_top_bit_flip_negates_all_but_constant(n, raw):
     assert flipped[n] == 1.0
     # responses under the flip agree with direct recomputation
     inst = sample_instance(n, 17)
-    assert vote_batch(inst, challenge ^ (1 << (n - 1)), 1, None) == int(
+    assert vote_batch(inst.weights, inst.offset, challenge ^ (1 << (n - 1))) == int(
         inst.weights @ flipped > 0
     )
 
@@ -96,7 +96,9 @@ def test_batch_helpers_match_scalar():
     inst = sample_instance(6, 3, sigma_noise=1.0)
     noise = np.random.default_rng(1).standard_normal(40)
     assert np.array_equal(
-        vote_batch(inst, challenges, 1, np.random.default_rng(1)),
+        vote_batch(
+            inst.weights, inst.offset, challenges, inst.sigma_noise, 1, np.random.default_rng(1)
+        ),
         reference.raw_bits(inst, challenges, noise),
     )
 
@@ -104,7 +106,7 @@ def test_batch_helpers_match_scalar():
 def test_exact_tie_yields_zero():
     inst = ApufInstance(4, np.zeros(5), 0.0)
     assert reference.delta(inst, 9) == 0.0
-    assert vote_batch(inst, np.array([9]), 1, None).tolist() == [0]
+    assert vote_batch(inst.weights, inst.offset, np.array([9])).tolist() == [0]
 
 
 def test_compensation_is_monotone():
@@ -113,12 +115,12 @@ def test_compensation_is_monotone():
     up_bits = []
     for up in range(8):
         probe = ApufInstance(8, inst.weights, 0.0, adjust_up=up, delta_unit=0.3)
-        up_bits.append(int(vote_batch(probe, challenge, 1, None)))
+        up_bits.append(int(vote_batch(probe.weights, probe.offset, challenge)))
     assert up_bits == sorted(up_bits, reverse=True)  # non-increasing
     low_bits = []
     for low in range(8):
         probe = ApufInstance(8, inst.weights, 0.0, adjust_low=low, delta_unit=0.3)
-        low_bits.append(int(vote_batch(probe, challenge, 1, None)))
+        low_bits.append(int(vote_batch(probe.weights, probe.offset, challenge)))
     assert low_bits == sorted(low_bits)  # non-decreasing
     probe = ApufInstance(8, inst.weights, 0.0, adjust_up=2, adjust_low=5)
     assert probe.offset == pytest.approx(3 * 0.05)
@@ -126,8 +128,8 @@ def test_compensation_is_monotone():
 
 def test_noiseless_evaluation_repeats():
     inst = sample_instance(10, 2)
-    first = vote_batch(inst, np.arange(1, 200), 1, None)
-    assert np.array_equal(first, vote_batch(inst, np.arange(1, 200), 1, None))
+    first = vote_batch(inst.weights, inst.offset, np.arange(1, 200))
+    assert np.array_equal(first, vote_batch(inst.weights, inst.offset, np.arange(1, 200)))
 
 
 def test_response_probability_degenerate_indicator():
@@ -138,7 +140,8 @@ def test_response_probability_degenerate_indicator():
 def test_response_probability_matches_monte_carlo():
     inst = ApufInstance(2, np.array([0.0, 0.0, 1.0]), 1.0)  # margin +1, sigma 1
     p = reference.p_one(inst, 0)
-    bits = vote_batch(inst, np.zeros(200_000, dtype=np.int64), 1, np.random.default_rng(6))
+    zeros, rng = np.zeros(200_000, dtype=np.int64), np.random.default_rng(6)
+    bits = vote_batch(inst.weights, inst.offset, zeros, inst.sigma_noise, 1, rng)
     assert abs(p - float(bits.mean())) < 0.005
     mirrored = ApufInstance(2, np.array([0.0, 0.0, -1.0]), 1.0)
     assert p + reference.p_one(mirrored, 0) == pytest.approx(1.0, abs=1e-12)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import reference
 from conftest import make_device
-from dualpuf.adversary import collect_obfuscated_crps
+from dualpuf.adversary import collect_naked_crps, collect_obfuscated_crps
 from dualpuf.apuf import features_from_ints, sample_instance
 from dualpuf.errors import WidthMismatch, ZeroSeed
 from dualpuf.lfsr import LfsrSpec, pick_lfsr_pair
@@ -259,7 +259,7 @@ def test_one_lane_call_per_response(monkeypatch):
         counts["features"] += 1
         return features_from_ints(*args, **kwargs)
 
-    for module in ("apuf", "postproc", "device", "adversary"):
+    for module in ("apuf", "postproc", "adversary"):
         monkeypatch.setattr(f"dualpuf.{module}.features_from_ints", counted_features)
     real_rng = np.random.default_rng
     monkeypatch.setattr(np.random, "default_rng", lambda *a: CountingStream(real_rng(*a), counts))
@@ -272,3 +272,6 @@ def test_one_lane_call_per_response(monkeypatch):
     assert calls(lambda: tag.respond(0x5A, 1, CountingStream(real_rng(1), counts))) == (1, 1)
     assert calls(lambda: predict_response(registry, 0x5A, 0)) == (1, 0)
     assert calls(lambda: collect_obfuscated_crps(lane, 500)) == (1, 1)
+    # the raw harvest transforms every challenge once and draws once per lane
+    assert calls(lambda: tag.raw_crp_table(CountingStream(real_rng(2), counts))) == (1, 8)
+    assert calls(lambda: collect_naked_crps(lane.lanes[0], 500)) == (1, 0)

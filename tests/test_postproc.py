@@ -1,6 +1,8 @@
 """Initialization-time randomness adjustment and the temporal majority
 voter, against the scalar reference."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -52,7 +54,7 @@ def test_branch_semantics_with_scripted_counts(monkeypatch):
     # zero counts per round: boundary, boundary, below, above, inside
     script = iter([42, 54, 41, 55, 48])
 
-    def scripted_vote(instance, challenges, voter_t, noise_stream):
+    def scripted_vote(weights, offsets, challenges, sigma, voter_t, noise_stream):
         zeros = next(script)
         bits = np.ones(challenges.size, dtype=np.uint8)
         bits[:zeros] = 0
@@ -114,7 +116,7 @@ def test_vote_rejects_even_or_empty_width():
         with pytest.raises(EvenVoterWidth):
             lane_bits(np.array([0.5]), 0.0, bad, rng)
         with pytest.raises(EvenVoterWidth):
-            vote_batch(inst, np.array([1]), bad, rng)
+            vote_batch(inst.weights, inst.offset, np.array([1]), inst.sigma_noise, bad, rng)
 
 
 def test_vote_majority_with_scripted_noise():
@@ -133,15 +135,34 @@ def test_vote_batch_matches_scalar_stream():
     challenges = np.arange(64)
     rng = np.random.default_rng(9)
     scalar = [reference.vote(inst, int(c), 5, rng) for c in challenges]
-    batched = vote_batch(inst, challenges, 5, np.random.default_rng(9))
+    batched = vote_batch(inst.weights, inst.offset, challenges, 0.5, 5, np.random.default_rng(9))
     assert batched.tolist() == scalar
+    # stacked lanes in one call vote lane after lane, challenge after
+    # challenge, vote after vote, on one generator
+    for sigma, voter_t, shape in itertools.product((0.0, 0.3), (1, 5), ((), (24,), (3, 8))):
+        lanes = [
+            ApufInstance(6, sample_instance(6, 9 + i).weights, sigma, adjust_low=i)
+            for i in range(4)
+        ]
+        challenges = np.random.default_rng(5).integers(0, 64, size=shape)
+        rng, stream = np.random.default_rng(9), np.random.default_rng(9)
+        scalar = [
+            [reference.vote(lane, int(c), voter_t, rng) for c in challenges.ravel()]
+            for lane in lanes
+        ]
+        weights = np.stack([lane.weights for lane in lanes])
+        offsets = np.array([lane.offset for lane in lanes])
+        batched = vote_batch(weights, offsets, challenges, sigma, voter_t, stream)
+        assert batched.shape == (4,) + shape
+        assert batched.reshape(4, -1).tolist() == scalar
+        assert rng.standard_normal() == stream.standard_normal()  # as many draws
 
 
 def test_vote_noiseless_equals_raw():
     inst = sample_instance(6, 4)
     rng = np.random.default_rng(1)
     challenges = rng.integers(0, 64, size=30)
-    voted = vote_batch(inst, challenges, 5, rng)
+    voted = vote_batch(inst.weights, inst.offset, challenges, inst.sigma_noise, 5, rng)
     assert voted.tolist() == [reference.evaluate(inst, int(c)) for c in challenges]
     assert voted.tolist() == [reference.vote(inst, int(c), 5, rng) for c in challenges]
 
@@ -152,7 +173,8 @@ def test_wider_voter_suppresses_noise():
     trials = np.ones(20_000, dtype=np.int64)
     err = {}
     for t, seed in ((1, 21), (5, 22), (11, 23)):
-        bits = vote_batch(inst, trials, t, np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        bits = vote_batch(inst.weights, inst.offset, trials, inst.sigma_noise, t, rng)
         err[t] = float((bits == 0).mean())
     assert abs(err[1] - 0.1587) < 0.01
     assert abs(err[5] - 0.0311) < 0.007  # binomial majority-of-5 oracle

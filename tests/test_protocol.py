@@ -84,7 +84,7 @@ def test_unreadable_transcripts_raise_simulation_errors(tmp_path):
 
 def test_tick_gap_needs_two_challenges():
     partial = SessionTranscript(frames=[Frame(0, READER_TO_TAG, CHALLENGE, 1, 8)])
-    with pytest.raises(ValueError):
+    with pytest.raises(SimulationError):
         partial.tick_gap()
 
 
@@ -196,7 +196,7 @@ def test_registration_param_policy_and_order_cutover():
 
 def test_bad_registration_policy_leaves_the_interface_alive():
     device = make_device()
-    with pytest.raises(ValueError):
+    with pytest.raises(SimulationError):
         run_registration(device, policy="bogus")
     assert not device.fused
     assert run_registration(device, policy="full").mode == TABLE_MODE
