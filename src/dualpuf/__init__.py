@@ -40,7 +40,6 @@ from .obfuscator import (
     trace_records,
 )
 from .postproc import (
-    AdjustParams,
     AdjustReport,
     randomness_adjust,
 )
@@ -66,7 +65,6 @@ from .server import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdjustParams",
     "AdjustReport",
     "ApufInstance",
     "AttackReport",

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .apuf import ApufInstance, features_from_ints
+from .apuf import ApufInstance, features_from_ints, stack_lanes
 from .device import PufDevice
 from .errors import EmptyDataset, EmptyStore, InsufficientSample, InvalidParameter, WidthMismatch
 from .obfuscator import run_rounds, shift_tables
@@ -188,10 +188,12 @@ def collect_obfuscated_crps(
     """External-interface CRPs: uniform nonzero external challenges and one
     lane's final folded bit for each at a fixed mode, as (challenges, labels)
     arrays."""
+    config = device.config
+    if not 0 <= lane < config.k:
+        raise InvalidParameter(f"lane {lane} outside [0, k={config.k})")
     rng = np.random.default_rng(rng_seed)
-    seeds = rng.integers(1, 1 << device.config.n_stages, size=count)
-    pair = device.config.lane_pairs[lane]
-    inst, config = device.lanes[lane], device.config
+    seeds = rng.integers(1, 1 << config.n_stages, size=count)
+    pair, inst = config.lane_pairs[lane], device.lanes[lane]
     voted = voted_round(inst.weights, inst.offset, config.sigma_noise, config.voter_t, rng)
     bits = run_rounds(shift_tables(pair.feeds), seeds, mode & 1, pair.rounds_per_response, voted)
     return seeds, bits
@@ -230,6 +232,8 @@ def train_linear_attack(
 
     order = np.random.default_rng(rng_seed).permutation(challenges.size)
     cut = int(round(split * challenges.size))
+    if cut == 0:
+        raise EmptyDataset(f"split {split} of {challenges.size} CRPs leaves none to train on")
     train_idx, hold_idx = order[:cut], order[cut:]
     x_train, y_train = phi[train_idx], labels[train_idx]
     x_hold, y_hold = phi[hold_idx], labels[hold_idx]
@@ -297,12 +301,10 @@ def puf_metrics(lanes_or_devices, challenges: np.ndarray, repeats: int = 11, rng
         raise InsufficientSample("no lanes to measure")
     if repeats < 1:
         raise InvalidParameter(f"repeats {repeats} < 1")
-    if len({lane.n_stages for lane in lanes}) > 1:
-        raise WidthMismatch("lanes of different widths share no challenge sample")
 
     rng = np.random.default_rng(rng_seed)
-    weights = np.stack([lane.weights for lane in lanes])
-    reference = vote_batch(weights, np.array([lane.offset for lane in lanes]), challenges)
+    # one challenge sample serves lanes of one width only
+    reference = vote_batch(*stack_lanes(lanes, lanes[0].n_stages), challenges)
     flips = 0
     for lane, expected in zip(lanes, reference):
         for _ in range(repeats):

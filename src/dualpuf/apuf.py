@@ -83,24 +83,23 @@ def sample_instance(
     n_stages: int,
     rng_seed: int | np.random.SeedSequence,
     sigma_noise: float = 0.0,
-    delta_unit: float = DEFAULT_DELTA_UNIT,
-    bias: float = 0.0,
 ) -> ApufInstance:
-    """Draw one lane with i.i.d. standard normal weights.
-
-    bias is added to the constant weight w[N], standing in for a fixed
-    routing imbalance between the two paths; 0 gives an unbiased lane.
-    Same seed, same instance.
-    """
+    """Draw one lane with i.i.d. standard normal weights.  Same seed, same
+    instance."""
     rng = np.random.default_rng(rng_seed)
-    weights = rng.standard_normal(n_stages + 1)
-    weights[n_stages] += bias
     return ApufInstance(
-        n_stages=n_stages,
-        weights=weights,
-        sigma_noise=sigma_noise,
-        delta_unit=delta_unit,
+        n_stages=n_stages, weights=rng.standard_normal(n_stages + 1), sigma_noise=sigma_noise
     )
+
+
+def stack_lanes(lanes, n_stages: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (k, N+1) weights and (k,) offsets of k lanes of n_stages stages,
+    stacked for the lane evaluators.  Lanes of any other width, or no lanes,
+    raise WidthMismatch."""
+    widths = {lane.n_stages for lane in lanes}
+    if widths != {n_stages}:
+        raise WidthMismatch(f"lanes of {sorted(widths)} stages where {n_stages} are expected")
+    return np.stack([lane.weights for lane in lanes]), np.array([lane.offset for lane in lanes])
 
 
 def parity_features(bits) -> np.ndarray:

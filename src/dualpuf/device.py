@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .apuf import ApufInstance, sample_instance
+from .apuf import ApufInstance, sample_instance, stack_lanes
 from .errors import InterfaceFused, InvalidParameter, NonMonotonicTicks, WidthMismatch
 from .lfsr import pick_lfsr_pair
 from .obfuscator import (
@@ -21,7 +21,7 @@ from .obfuscator import (
     shift_tables,
 )
 from .persist import atomic_write, pair_from_json, pair_to_json, reading
-from .postproc import AdjustParams, AdjustReport, randomness_adjust, vote_batch, voted_round
+from .postproc import randomness_adjust, vote_batch, voted_round
 
 DEFAULT_VOTER_T = 5
 
@@ -67,7 +67,7 @@ class PufDevice:
     config: DeviceConfig
     lanes: list[ApufInstance]
     fused: bool = False
-    last_challenge_tick: int | None = None
+    last_challenge_tick: int | None = field(default=None, init=False)
     _noise_rng: np.random.Generator = field(init=False, repr=False, compare=False)
     _weights: np.ndarray = field(init=False, repr=False, compare=False)
     _offsets: np.ndarray = field(init=False, repr=False, compare=False)
@@ -84,8 +84,7 @@ class PufDevice:
     def refresh_caches(self) -> None:
         """Rebuild the vectorised views of lane parameters (call after any
         direct lane mutation; __post_init__ builds them once)."""
-        self._weights = np.stack([lane.weights for lane in self.lanes])
-        self._offsets = np.array([lane.offset for lane in self.lanes])
+        self._weights, self._offsets = stack_lanes(self.lanes, self.config.n_stages)
         self._tables = shift_tables([pair.feeds for pair in self.config.lane_pairs])
 
     # -- enrollment-only raw path -------------------------------------------
@@ -191,24 +190,19 @@ def build_device(config: DeviceConfig) -> "PufDevice":
 
     Lane weights come from per-lane children of the device seed; each lane
     then runs the randomness adjustment so its raw path is balanced.
-    Returns an unfused device.  Reports of the per-lane adjustment are kept
-    on the device as build_reports.
+    Returns an unfused device.
     """
     children = np.random.SeedSequence(config.device_seed).spawn(2 * config.k)
     lanes = []
-    reports: list[AdjustReport] = []
     for i in range(config.k):
         lane = sample_instance(
             config.n_stages,
             children[2 * i],
             sigma_noise=config.sigma_noise,
         )
-        seed_int = int(children[2 * i + 1].generate_state(1)[0])
-        reports.append(randomness_adjust(lane, AdjustParams(rng_seed=seed_int)))
+        randomness_adjust(lane, rng_seed=int(children[2 * i + 1].generate_state(1)[0]))
         lanes.append(lane)
-    device = PufDevice(config=config, lanes=lanes)
-    device.build_reports = reports
-    return device
+    return PufDevice(config=config, lanes=lanes)
 
 
 # -- persistence -------------------------------------------------------------

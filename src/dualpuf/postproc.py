@@ -2,12 +2,15 @@
 temporal majority voter.
 
 The adjustment loop is a successive approximation on the lane's compensation
-counters: each round feeds a burst of fresh random challenges through the raw
-arbiter (vote_batch, one voter), counts zero responses, and nudges one
-counter by a single unit until the zero count falls strictly inside the
-acceptance window.  lane_bits draws nothing at sigma 0, but a round still
-takes its pulse_count noise draws: later rounds' challenges, hence the
-counters of every sigma-0 tag built, depend on that stream position.
+counters, run once per lane when the tag is built.  Its window is a design
+constant of the compensation circuit: each round feeds PULSE_COUNT = 96
+fresh random challenges through the raw arbiter (vote_batch, one voter),
+counts zero responses, and nudges one counter by a single unit until the
+zero count falls strictly inside BAND = (42, 54), giving up with
+NoConvergence after MAX_ROUNDS = 1000 rounds.  lane_bits draws nothing at
+sigma 0, but a round still takes its PULSE_COUNT noise draws: later rounds'
+challenges, hence the counters of every sigma-0 tag built, depend on that
+stream position.
 
 lane_bits is the one voter.  vote_batch evaluates stacked lanes at raw
 challenges (enrollment harvest, adjustment loop, CRP collector, metrics):
@@ -32,93 +35,54 @@ from dataclasses import dataclass
 import numpy as np
 
 from .apuf import ApufInstance, delay_sums, features_from_ints
-from .errors import EvenVoterWidth, InvalidParameter, NoConvergence, WidthMismatch
+from .errors import EvenVoterWidth, NoConvergence, WidthMismatch
 
-DEFAULT_PULSE_COUNT = 96
-DEFAULT_WINDOW_HALFWIDTH = 6
-DEFAULT_MAX_ROUNDS = 1000
-
-
-@dataclass(frozen=True)
-class AdjustParams:
-    """Knobs of the initialization loop.
-
-    The acceptance window is exclusive: with 96 pulses and halfwidth 6 a
-    round passes when the zero count lies strictly between 42 and 54.
-    """
-
-    pulse_count: int = DEFAULT_PULSE_COUNT
-    window_halfwidth: int = DEFAULT_WINDOW_HALFWIDTH
-    max_rounds: int = DEFAULT_MAX_ROUNDS
-    rng_seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.pulse_count % 2:
-            raise InvalidParameter(f"pulse_count {self.pulse_count} must be even")
-        if not 0 < self.window_halfwidth < self.pulse_count / 2:
-            raise InvalidParameter(
-                f"window halfwidth {self.window_halfwidth} outside "
-                f"(0, {self.pulse_count / 2})"
-            )
-        if self.max_rounds < 1:
-            raise InvalidParameter("max_rounds must be >= 1")
-
-    @property
-    def band(self) -> tuple[int, int]:
-        """Exclusive (lower, upper) bounds on the accepted zero count."""
-        half = self.pulse_count // 2
-        return half - self.window_halfwidth, half + self.window_halfwidth
+PULSE_COUNT = 96  # fresh random challenges per adjustment round
+BAND = (42, 54)  # exclusive bounds on a round's accepted zero count
+MAX_ROUNDS = 1000
 
 
 @dataclass(frozen=True)
 class AdjustReport:
-    """Outcome of one randomness_adjust run."""
+    """Outcome of one randomness_adjust run; the counters it settled on
+    stay on the lane."""
 
     rounds_used: int
     final_zero_count: int
-    adjust_up: int
-    adjust_low: int
-    f_ready: int
 
 
-def randomness_adjust(instance: ApufInstance, params: AdjustParams) -> AdjustReport:
+def randomness_adjust(instance: ApufInstance, rng_seed: int = 0) -> AdjustReport:
     """Balance a lane's 0/1 rate by successive approximation.
 
-    Each round evaluates pulse_count fresh seeded random challenges with
-    fresh noise draws and counts zeros.  Strictly inside the band: done,
+    Each round evaluates PULSE_COUNT fresh seeded random challenges with
+    fresh noise draws and counts zeros.  Strictly inside BAND: done,
     counters kept as they are.  Below the band (too many ones) adjust_up
     gains one unit; above it adjust_low does.  A count sitting exactly on a
     bound changes nothing and the loop simply re-measures.  Mutates the
-    instance counters; raises NoConvergence if max_rounds pass without
+    instance counters; raises NoConvergence if MAX_ROUNDS pass without
     acceptance.
     """
-    rng = np.random.default_rng(params.rng_seed)
-    lower, upper = params.band
+    rng = np.random.default_rng(rng_seed)
+    lower, upper = BAND
     zeros = -1
-    for round_no in range(1, params.max_rounds + 1):
-        challenges = rng.integers(0, 1 << instance.n_stages, size=params.pulse_count)
+    for round_no in range(1, MAX_ROUNDS + 1):
+        challenges = rng.integers(0, 1 << instance.n_stages, size=PULSE_COUNT)
         if instance.sigma_noise == 0:
-            rng.standard_normal(params.pulse_count)  # keeps the stream; see module doc
+            rng.standard_normal(PULSE_COUNT)  # keeps the stream; see module doc
         bits = vote_batch(
             instance.weights, instance.offset, challenges, instance.sigma_noise, 1, rng
         )
-        zeros = params.pulse_count - int(bits.sum())
+        zeros = PULSE_COUNT - int(bits.sum())
         if lower < zeros < upper:
-            return AdjustReport(
-                rounds_used=round_no,
-                final_zero_count=zeros,
-                adjust_up=instance.adjust_up,
-                adjust_low=instance.adjust_low,
-                f_ready=1,
-            )
+            return AdjustReport(rounds_used=round_no, final_zero_count=zeros)
         if zeros < lower:
             instance.adjust_up += 1
         elif zeros > upper:
             instance.adjust_low += 1
         # zeros exactly on a bound: leave counters alone, measure again
     raise NoConvergence(
-        f"no acceptance in {params.max_rounds} rounds "
-        f"(last zero count {zeros}/{params.pulse_count}, "
+        f"no acceptance in {MAX_ROUNDS} rounds "
+        f"(last zero count {zeros}/{PULSE_COUNT}, "
         f"up={instance.adjust_up}, low={instance.adjust_low})"
     )
 

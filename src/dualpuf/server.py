@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .apuf import stack_lanes
 from .device import DEFAULT_VOTER_T, deserialize_response, serialize_response
 from .errors import InvalidParameter, WidthMismatch
 from .obfuscator import (
@@ -105,9 +106,9 @@ def register_from_ttp(
     of lane parameter instances (model mode; noise is irrelevant because the
     server predicts noiselessly).
     """
-    k = len(lane_pairs)
+    k, n_stages = len(lane_pairs), lane_pairs[0].order
     common = dict(
-        k=k, n_stages=lane_pairs[0].order, lane_pairs=lane_pairs,
+        k=k, n_stages=n_stages, lane_pairs=lane_pairs,
         tau=tau, t_range=t_range, rng_seed=rng_seed, voter_t=voter_t,
     )
     if isinstance(lane_data, np.ndarray):
@@ -115,12 +116,8 @@ def register_from_ttp(
     lanes = list(lane_data)
     if len(lanes) != k:
         raise WidthMismatch(f"{len(lanes)} lane models for k={k}")
-    return ServerRegistry(
-        mode=MODEL_MODE,
-        weights=np.stack([lane.weights for lane in lanes]),
-        offsets=np.array([lane.offset for lane in lanes]),
-        **common,
-    )
+    weights, offsets = stack_lanes(lanes, n_stages)
+    return ServerRegistry(mode=MODEL_MODE, weights=weights, offsets=offsets, **common)
 
 
 def predict_response(registry: ServerRegistry, challenge, mode) -> np.ndarray:

@@ -230,6 +230,9 @@ def test_collect_obfuscated_crps_match_the_external_interface():
     assert challenges.min() >= 1 and challenges.max() < 1 << 8
     for challenge, label in zip(challenges[:50].tolist(), labels[:50].tolist()):
         assert label == int(device.respond(challenge, 1)[2])
+    for bad_lane in (3, -1):  # -1 must not wrap around to lane 2
+        with pytest.raises(InvalidParameter):
+            collect_obfuscated_crps(device, 60, lane=bad_lane)
 
 
 def test_training_input_validation():
@@ -245,6 +248,8 @@ def test_training_input_validation():
             train_linear_attack(*crps, 6, split=bad_split)
     with pytest.raises(InvalidParameter):
         train_linear_attack(*crps, 6, epochs=-1)
+    with pytest.raises(EmptyDataset):
+        train_linear_attack(*collect_naked_crps(sample_instance(6, 0), 5), 6, split=0.1)
     for bad_rate in (0.0, -0.5, math.nan, math.inf):
         with pytest.raises(InvalidParameter):
             train_linear_attack(*crps, 6, learning_rate=bad_rate)

@@ -37,13 +37,10 @@ def test_constructor_validation():
         ApufInstance(2, np.zeros(3), 0.0, adjust_up=-1)
 
 
-def test_sample_instance_deterministic_and_biased():
+def test_sample_instance_is_deterministic():
     a = sample_instance(8, 5)
     b = sample_instance(8, 5)
     assert np.array_equal(a.weights, b.weights)
-    biased = sample_instance(8, 5, bias=0.7)
-    assert np.array_equal(biased.weights[:8], a.weights[:8])
-    assert biased.weights[8] == a.weights[8] + 0.7
 
 
 def test_challenge_bits_oracle():

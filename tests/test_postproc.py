@@ -10,7 +10,6 @@ import reference
 from dualpuf.apuf import ApufInstance, sample_instance
 from dualpuf.errors import EvenVoterWidth, NoConvergence, WidthMismatch
 from dualpuf.postproc import (
-    AdjustParams,
     AdjustReport,
     lane_bits,
     randomness_adjust,
@@ -28,25 +27,6 @@ class ScriptedRng:
         return np.asarray(next(self.rows), dtype=float).reshape(size)
 
 
-# -- adjustment parameters ---------------------------------------------------
-
-
-def test_params_validation():
-    with pytest.raises(ValueError):
-        AdjustParams(pulse_count=95)
-    with pytest.raises(ValueError):
-        AdjustParams(window_halfwidth=0)
-    with pytest.raises(ValueError):
-        AdjustParams(window_halfwidth=48)
-    with pytest.raises(ValueError):
-        AdjustParams(max_rounds=0)
-
-
-def test_default_band_is_exclusive_42_54():
-    assert AdjustParams().band == (42, 54)
-    assert AdjustParams(pulse_count=4, window_halfwidth=1).band == (1, 3)
-
-
 # -- adjustment loop ---------------------------------------------------------
 
 
@@ -62,35 +42,33 @@ def test_branch_semantics_with_scripted_counts(monkeypatch):
 
     monkeypatch.setattr("dualpuf.postproc.vote_batch", scripted_vote)
     inst = ApufInstance(4, np.zeros(5), 0.0)
-    report = randomness_adjust(inst, AdjustParams())
+    report = randomness_adjust(inst)
     # boundary rounds change nothing; one counter moves per corrective round
-    assert report == AdjustReport(
-        rounds_used=5, final_zero_count=48, adjust_up=1, adjust_low=1, f_ready=1
-    )
+    assert report == AdjustReport(rounds_used=5, final_zero_count=48)
     assert (inst.adjust_up, inst.adjust_low) == (1, 1)
 
 
 def test_no_convergence_on_oscillating_lane():
     # all-zero weights tie to bit 0; each correction overshoots straight to
-    # all ones and back, so the count alternates 96 / 0 forever
+    # all ones and back, so the count alternates 96 / 0 for all 1,000 rounds
     inst = ApufInstance(4, np.zeros(5), 0.0)
     with pytest.raises(NoConvergence):
-        randomness_adjust(inst, AdjustParams(max_rounds=7, rng_seed=0))
-    assert (inst.adjust_up, inst.adjust_low) == (3, 4)
+        randomness_adjust(inst, rng_seed=0)
+    assert (inst.adjust_up, inst.adjust_low) == (500, 500)
 
 
 def test_adjust_deterministic_given_seed():
-    first = randomness_adjust(sample_instance(8, 2), AdjustParams(rng_seed=102))
-    second = randomness_adjust(sample_instance(8, 2), AdjustParams(rng_seed=102))
-    assert first == second
+    first, second = sample_instance(8, 2), sample_instance(8, 2)
+    assert randomness_adjust(first, rng_seed=102) == randomness_adjust(second, rng_seed=102)
+    assert (first.adjust_up, first.adjust_low) == (second.adjust_up, second.adjust_low)
 
 
 def test_adjust_idempotent_after_round_one_acceptance():
     inst = sample_instance(8, 2)
-    params = AdjustParams(rng_seed=102)
-    report = randomness_adjust(inst, params)
-    assert report == AdjustReport(1, 45, 0, 0, 1)
-    rerun = randomness_adjust(inst, params)  # same stream, same measurement
+    report = randomness_adjust(inst, rng_seed=102)
+    assert report == AdjustReport(1, 45)
+    assert (inst.adjust_up, inst.adjust_low) == (0, 0)
+    rerun = randomness_adjust(inst, rng_seed=102)  # same stream, same measurement
     assert rerun == report
     assert (inst.adjust_up, inst.adjust_low) == (0, 0)
 
@@ -100,10 +78,11 @@ def test_adjust_balances_a_biased_lane():
     weights = rng.standard_normal(17) * 0.06
     weights[16] += 0.35  # routing imbalance toward response 1
     inst = ApufInstance(16, weights, 0.0)
-    report = randomness_adjust(inst, AdjustParams(max_rounds=200, rng_seed=8))
-    assert report == AdjustReport(8, 43, 7, 0, 1)
+    report = randomness_adjust(inst, rng_seed=8)
+    assert report == AdjustReport(8, 43)
+    assert (inst.adjust_up, inst.adjust_low) == (7, 0)
     assert 42 < report.final_zero_count < 54
-    assert report.adjust_up + report.adjust_low <= report.rounds_used - 1
+    assert inst.adjust_up + inst.adjust_low <= report.rounds_used - 1
 
 
 # -- voter -------------------------------------------------------------------

@@ -10,7 +10,8 @@ import pytest
 
 from conftest import make_device
 from dualpuf.adversary import collect_obfuscated_crps
-from dualpuf.device import save_device
+from dualpuf.apuf import sample_instance
+from dualpuf.device import default_lane_pairs, save_device
 from dualpuf.errors import (
     SimulationError,
     WidthMismatch,
@@ -75,6 +76,10 @@ def test_registry_validation():
         register_from_ttp(table, dev.config.lane_pairs, tau=0, t_range=(1, 4))
     with pytest.raises(WidthMismatch):
         register_from_ttp(list(dev.lanes[:1]), dev.config.lane_pairs, tau=0)
+    with pytest.raises(WidthMismatch):
+        # a 9-stage lane model among the pairs' order-8 lanes
+        lanes = [sample_instance(8, 0), sample_instance(9, 0)]
+        register_from_ttp(lanes, default_lane_pairs(8, 2), tau=0)
 
 
 def test_register_table_mode_requires_full_coverage():

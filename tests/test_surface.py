@@ -156,6 +156,81 @@ def test_only_persist_touches_files():
     assert any(map(touches_files, ast.walk(ast.parse(persist.read_text()))))
 
 
+def defaulted_parameters(node, prefix=""):
+    """(function.parameter, position) of every parameter with a default in
+    the functions and methods under node.  position counts the arguments a
+    caller writes, so a method's self is not one; it is None for a
+    keyword-only parameter."""
+    found = []
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ClassDef):
+            found += defaulted_parameters(child, f"{prefix}{child.name}.")
+        elif isinstance(child, ast.FunctionDef):
+            name, args = prefix + child.name, child.args
+            positional = args.posonlyargs + args.args
+            if positional and positional[0].arg in ("self", "cls"):
+                positional = positional[1:]
+            found += [
+                (f"{name}.{param.arg}", position)
+                for position, param in enumerate(positional)
+                if position >= len(positional) - len(args.defaults)
+            ]
+            found += [
+                (f"{name}.{param.arg}", None)
+                for param, default in zip(args.kwonlyargs, args.kw_defaults)
+                if default is not None
+            ]
+            found += defaulted_parameters(child, f"{name}.")
+    return found
+
+
+def unpassed_parameters(defining, calling) -> list[str]:
+    """Every defaulted parameter of the functions in the defining files
+    that no call in the calling files passes, by keyword or by position.
+    Calls match by the callee's last name; *args passes every position and
+    **kwargs every keyword."""
+    calls_by_name: dict[str, list[tuple[float, set]]] = {}
+    for path in calling:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                callee = getattr(node.func, "attr", None) or getattr(node.func, "id", None)
+                starred = any(isinstance(arg, ast.Starred) for arg in node.args)
+                keywords = {keyword.arg for keyword in node.keywords}
+                calls_by_name.setdefault(callee, []).append(
+                    (float("inf") if starred else len(node.args), keywords)
+                )
+    unpassed = []
+    for path in defining:
+        for qualified, position in defaulted_parameters(ast.parse(path.read_text())):
+            function, param = qualified.split(".")[-2:]
+            if not any(
+                param in keywords or None in keywords
+                or (position is not None and count > position)
+                for count, keywords in calls_by_name.get(function, [])
+            ):
+                unpassed.append(qualified)
+    return unpassed
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    # a default that no call in the package or the benchmark overrides is a
+    # knob nobody turns: it becomes a constant or goes
+    calling = SOURCES + sorted((Path(__file__).parents[1] / "perfbench").glob("*.py"))
+    allowed = {
+        # tests substitute a counting noise stream
+        "PufDevice.respond.noise_stream",
+        "PufDevice.raw_crp_table.noise_stream",
+        # interceptor experiments put a tap on the channel
+        "run_authentication.channel",
+        # a per-lane attacker picks the mode and the lane it models
+        "collect_obfuscated_crps.mode",
+        "collect_obfuscated_crps.lane",
+    }
+    unpassed = set(unpassed_parameters(SOURCES, calling))
+    assert sorted(unpassed - allowed) == []
+    assert sorted(allowed - unpassed) == []  # an entry some call now passes goes
+
+
 def test_every_exported_name_resolves():
     assert len(set(dualpuf.__all__)) == len(dualpuf.__all__)
     assert [name for name in dualpuf.__all__ if not hasattr(dualpuf, name)] == []
@@ -164,7 +239,6 @@ def test_every_exported_name_resolves():
 def test_public_names_are_pinned():
     # adding or removing a public name means editing this list on purpose
     assert sorted(dualpuf.__all__) == [
-        "AdjustParams",
         "AdjustReport",
         "ApufInstance",
         "AttackReport",
