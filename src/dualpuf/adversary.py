@@ -177,6 +177,8 @@ def collect_naked_crps(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Noiseless raw-lane CRPs at uniform random challenges, as
     (challenges, labels) arrays."""
+    if count < 0:
+        raise InvalidParameter(f"CRP count {count} < 0")
     rng = np.random.default_rng(rng_seed)
     challenges = rng.integers(0, 1 << instance.n_stages, size=count)
     return challenges, vote_batch(instance.weights, instance.offset, challenges)
@@ -191,6 +193,8 @@ def collect_obfuscated_crps(
     config = device.config
     if not 0 <= lane < config.k:
         raise InvalidParameter(f"lane {lane} outside [0, k={config.k})")
+    if count < 0:
+        raise InvalidParameter(f"CRP count {count} < 0")
     rng = np.random.default_rng(rng_seed)
     seeds = rng.integers(1, 1 << config.n_stages, size=count)
     pair, inst = config.lane_pairs[lane], device.lanes[lane]
@@ -277,21 +281,19 @@ class MetricsRecord:
         ]
 
 
-def puf_metrics(lanes_or_devices, challenges: np.ndarray, repeats: int = 11, rng_seed: int = 0) -> MetricsRecord:
+def puf_metrics(
+    lanes, challenges: np.ndarray, sigma: float = 0.0, repeats: int = 11, rng_seed: int = 0
+) -> MetricsRecord:
     """Uniformity, reliability, and uniqueness over a common challenge sample.
 
-    Accepts a sequence of lane instances and/or devices (devices contribute
-    all their lanes) of one width.  Reliability re-evaluates each lane
-    `repeats` times with fresh noise against its noiseless reference; at
-    sigma 0 it is exactly 1.  Uniqueness averages pairwise Hamming
-    fractions between lane references.
+    lanes is a sequence of lane instances of one width (a tag's are
+    device.lanes, measured at device.config.sigma_noise), and every
+    challenge must fit that width.  Reliability re-evaluates each lane
+    `repeats` times with fresh noise of std sigma against its noiseless
+    reference; at sigma 0 it is exactly 1.  Uniqueness averages pairwise
+    Hamming fractions between lane references.
     """
-    lanes: list[ApufInstance] = []
-    for item in lanes_or_devices:
-        if isinstance(item, PufDevice):
-            lanes.extend(item.lanes)
-        else:
-            lanes.append(item)
+    lanes = list(lanes)
     challenges = np.asarray(challenges, dtype=np.int64)
     if challenges.size < 1000:
         raise InsufficientSample(
@@ -304,11 +306,14 @@ def puf_metrics(lanes_or_devices, challenges: np.ndarray, repeats: int = 11, rng
 
     rng = np.random.default_rng(rng_seed)
     # one challenge sample serves lanes of one width only
-    reference = vote_batch(*stack_lanes(lanes, lanes[0].n_stages), challenges)
+    n_stages = lanes[0].n_stages
+    if challenges.min() < 0 or challenges.max() >> n_stages:
+        raise WidthMismatch(f"a challenge does not fit {n_stages} stages")
+    reference = vote_batch(*stack_lanes(lanes, n_stages), challenges)
     flips = 0
     for lane, expected in zip(lanes, reference):
         for _ in range(repeats):
-            noisy = vote_batch(lane.weights, lane.offset, challenges, lane.sigma_noise, 1, rng)
+            noisy = vote_batch(lane.weights, lane.offset, challenges, sigma, 1, rng)
             flips += int((noisy ^ expected).sum())
     uniformity = float(reference.mean())
     reliability = 1.0 - flips / (len(lanes) * repeats * challenges.size)

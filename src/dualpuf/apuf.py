@@ -4,11 +4,13 @@ A stage-N arbiter is parametrized by N+1 real weights w and evaluated on the
 parity transform of the challenge: the arbiter sees the accumulated delay
 difference
 
-    delta = w . phi(C) + noise + (adjust_low - adjust_up) * delta_unit
+    delta = w . phi(C) + noise + (adjust_low - adjust_up) * DELTA_UNIT
 
 and outputs 1 when delta > 0 (an exact tie yields 0).  The adjust counters
 model compensation units inserted into the two racing paths; incrementing
-adjust_up pulls delta down, so it corrects an excess of 1-responses.
+adjust_up pulls delta down, so it corrects an excess of 1-responses.  A lane
+is what manufacture fixes, its weights and counters; the noise belongs to
+the operating point, so whoever evaluates a lane passes its sigma.
 
 Challenge bit C_j is bit j of the challenge integer (C_0 = LSB), which wires
 LFSR flip-flop D_1 to stage 0.
@@ -36,60 +38,46 @@ import numpy as np
 from .errors import InvalidParameter, WidthMismatch
 from .lfsr import MAX_PERIOD_CHECK_ORDER
 
-DEFAULT_DELTA_UNIT = 0.05
+DELTA_UNIT = 0.05  # delay of one compensation unit
 
 
 @dataclass
 class ApufInstance:
-    """One arbiter lane.
+    """One arbiter lane: n_stages+1 weights (the last entry is the
+    challenge-independent path offset) and the compensation counters, which
+    only the initialization loop moves."""
 
-    weights has length n_stages+1 (the last entry is the challenge-independent
-    path offset).  sigma_noise is the std of per-evaluation additive noise.
-    The adjust counters are mutated only by the initialization loop.
-    """
-
-    n_stages: int
     weights: np.ndarray
-    sigma_noise: float
     adjust_up: int = 0
     adjust_low: int = 0
-    delta_unit: float = DEFAULT_DELTA_UNIT
 
     def __post_init__(self) -> None:
         self.weights = np.asarray(self.weights, dtype=np.float64)
-        if not 1 <= self.n_stages <= MAX_PERIOD_CHECK_ORDER:
-            # wider challenges do not fit the int64 challenge integers
-            raise InvalidParameter(
-                f"n_stages {self.n_stages} outside [1, {MAX_PERIOD_CHECK_ORDER}]"
-            )
-        if self.weights.shape != (self.n_stages + 1,):
+        # wider challenges do not fit the int64 challenge integers
+        if self.weights.ndim != 1 or not 2 <= self.weights.size <= MAX_PERIOD_CHECK_ORDER + 1:
             raise WidthMismatch(
-                f"weights shape {self.weights.shape} != ({self.n_stages + 1},)"
+                f"weights shape {self.weights.shape} is not (N+1,) for N in "
+                f"[1, {MAX_PERIOD_CHECK_ORDER}]"
             )
-        if not 0 <= self.sigma_noise < float("inf"):  # nan fails too
-            raise InvalidParameter(f"sigma_noise {self.sigma_noise} is not a finite number >= 0")
-        if self.delta_unit <= 0:
-            raise InvalidParameter("delta_unit must be > 0")
         if self.adjust_up < 0 or self.adjust_low < 0:
             raise InvalidParameter("adjust counters must be >= 0")
 
     @property
+    def n_stages(self) -> int:
+        return self.weights.size - 1
+
+    @property
     def offset(self) -> float:
         """Compensation contribution to delta."""
-        return (self.adjust_low - self.adjust_up) * self.delta_unit
+        return (self.adjust_low - self.adjust_up) * DELTA_UNIT
 
 
-def sample_instance(
-    n_stages: int,
-    rng_seed: int | np.random.SeedSequence,
-    sigma_noise: float = 0.0,
-) -> ApufInstance:
+def sample_instance(n_stages: int, rng_seed: int | np.random.SeedSequence) -> ApufInstance:
     """Draw one lane with i.i.d. standard normal weights.  Same seed, same
     instance."""
-    rng = np.random.default_rng(rng_seed)
-    return ApufInstance(
-        n_stages=n_stages, weights=rng.standard_normal(n_stages + 1), sigma_noise=sigma_noise
-    )
+    if not 1 <= n_stages <= MAX_PERIOD_CHECK_ORDER:
+        raise InvalidParameter(f"n_stages {n_stages} outside [1, {MAX_PERIOD_CHECK_ORDER}]")
+    return ApufInstance(np.random.default_rng(rng_seed).standard_normal(n_stages + 1))
 
 
 def stack_lanes(lanes, n_stages: int) -> tuple[np.ndarray, np.ndarray]:

@@ -291,12 +291,12 @@ def _cmd_attack(args) -> list[str]:
 
 def _cmd_metrics(args) -> list[str]:
     lanes = [
-        sample_instance(args.stages, np.random.SeedSequence([args.seed, i]), args.sigma)
+        sample_instance(args.stages, np.random.SeedSequence([args.seed, i]))
         for i in range(args.lanes)
     ]
     rng = np.random.default_rng(args.seed)
     challenges = rng.integers(0, 1 << args.stages, size=args.challenges)
-    record = puf_metrics(lanes, challenges, repeats=args.repeats, rng_seed=args.seed + 1)
+    record = puf_metrics(lanes, challenges, args.sigma, repeats=args.repeats, rng_seed=args.seed + 1)
     return report_lines(record, args.format)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .apuf import ApufInstance, sample_instance, stack_lanes
+from .apuf import DELTA_UNIT, ApufInstance, sample_instance, stack_lanes
 from .errors import InterfaceFused, InvalidParameter, NonMonotonicTicks, WidthMismatch
 from .lfsr import pick_lfsr_pair
 from .obfuscator import (
@@ -195,12 +195,8 @@ def build_device(config: DeviceConfig) -> "PufDevice":
     children = np.random.SeedSequence(config.device_seed).spawn(2 * config.k)
     lanes = []
     for i in range(config.k):
-        lane = sample_instance(
-            config.n_stages,
-            children[2 * i],
-            sigma_noise=config.sigma_noise,
-        )
-        randomness_adjust(lane, rng_seed=int(children[2 * i + 1].generate_state(1)[0]))
+        lane = sample_instance(config.n_stages, children[2 * i])
+        randomness_adjust(lane, config.sigma_noise, int(children[2 * i + 1].generate_state(1)[0]))
         lanes.append(lane)
     return PufDevice(config=config, lanes=lanes)
 
@@ -223,7 +219,7 @@ def save_device(device: PufDevice, path: str) -> None:
                 "weights": [float(w) for w in lane.weights],
                 "adjust_up": lane.adjust_up,
                 "adjust_low": lane.adjust_low,
-                "delta_unit": lane.delta_unit,
+                "delta_unit": DELTA_UNIT,
             }
             for lane in device.lanes
         ],
@@ -233,7 +229,8 @@ def save_device(device: PufDevice, path: str) -> None:
 
 def load_device(path: str) -> PufDevice:
     """Read back a tag written by save_device.  A file that cannot be read,
-    is not JSON, lacks a key or holds a value of the wrong type or range
+    is not JSON, lacks a key or holds a value of the wrong type or range (a
+    lane saved with a compensation unit other than DELTA_UNIT included)
     raises SimulationError."""
     with reading(path, "device file") as fh:
         doc = json.load(fh)
@@ -245,15 +242,9 @@ def load_device(path: str) -> PufDevice:
             sigma_noise=doc["sigma_noise"],
             device_seed=doc["device_seed"],
         )
-        lanes = [
-            ApufInstance(
-                n_stages=doc["n_stages"],
-                weights=np.array(entry["weights"]),
-                sigma_noise=doc["sigma_noise"],
-                adjust_up=entry["adjust_up"],
-                adjust_low=entry["adjust_low"],
-                delta_unit=entry["delta_unit"],
-            )
-            for entry in doc["lanes"]
-        ]
+        lanes = []
+        for entry in doc["lanes"]:
+            if entry["delta_unit"] != DELTA_UNIT:
+                raise InvalidParameter(f"lane delta_unit {entry['delta_unit']} != {DELTA_UNIT}")
+            lanes.append(ApufInstance(entry["weights"], entry["adjust_up"], entry["adjust_low"]))
         return PufDevice(config=config, lanes=lanes, fused=doc["fused"])

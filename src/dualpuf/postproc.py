@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .apuf import ApufInstance, delay_sums, features_from_ints
-from .errors import EvenVoterWidth, NoConvergence, WidthMismatch
+from .errors import EvenVoterWidth, InvalidParameter, NoConvergence, WidthMismatch
 
 PULSE_COUNT = 96  # fresh random challenges per adjustment round
 BAND = (42, 54)  # exclusive bounds on a round's accepted zero count
@@ -51,27 +51,25 @@ class AdjustReport:
     final_zero_count: int
 
 
-def randomness_adjust(instance: ApufInstance, rng_seed: int = 0) -> AdjustReport:
+def randomness_adjust(instance: ApufInstance, sigma: float = 0.0, rng_seed: int = 0) -> AdjustReport:
     """Balance a lane's 0/1 rate by successive approximation.
 
     Each round evaluates PULSE_COUNT fresh seeded random challenges with
-    fresh noise draws and counts zeros.  Strictly inside BAND: done,
-    counters kept as they are.  Below the band (too many ones) adjust_up
-    gains one unit; above it adjust_low does.  A count sitting exactly on a
-    bound changes nothing and the loop simply re-measures.  Mutates the
-    instance counters; raises NoConvergence if MAX_ROUNDS pass without
-    acceptance.
+    fresh noise draws of std sigma (the tag's, from its config) and counts
+    zeros.  Strictly inside BAND: done, counters kept as they are.  Below
+    the band (too many ones) adjust_up gains one unit; above it adjust_low
+    does.  A count sitting exactly on a bound changes nothing and the loop
+    simply re-measures.  Mutates the instance counters; raises
+    NoConvergence if MAX_ROUNDS pass without acceptance.
     """
     rng = np.random.default_rng(rng_seed)
     lower, upper = BAND
     zeros = -1
     for round_no in range(1, MAX_ROUNDS + 1):
         challenges = rng.integers(0, 1 << instance.n_stages, size=PULSE_COUNT)
-        if instance.sigma_noise == 0:
+        if sigma == 0:
             rng.standard_normal(PULSE_COUNT)  # keeps the stream; see module doc
-        bits = vote_batch(
-            instance.weights, instance.offset, challenges, instance.sigma_noise, 1, rng
-        )
+        bits = vote_batch(instance.weights, instance.offset, challenges, sigma, 1, rng)
         zeros = PULSE_COUNT - int(bits.sum())
         if lower < zeros < upper:
             return AdjustReport(rounds_used=round_no, final_zero_count=zeros)
@@ -101,10 +99,13 @@ def lane_bits(
     so the stream runs evaluation by evaluation, element by element and vote
     by vote; the alternatives of an evaluation (a round's two candidate
     challenges) share its draws.  Each bit is the majority of its voter_t
-    noisy evaluations.
+    noisy evaluations.  A sigma that is not a finite number >= 0 raises
+    InvalidParameter.
     """
     if voter_t < 1 or voter_t % 2 == 0:
         raise EvenVoterWidth(f"voter width {voter_t} must be odd and >= 1")
+    if not 0 <= sigma < float("inf"):  # nan fails too
+        raise InvalidParameter(f"sigma {sigma} is not a finite number >= 0")
     if mu.ndim < 2:
         raise WidthMismatch(f"delay sums of shape {mu.shape} lack an alternatives axis")
     if sigma == 0:

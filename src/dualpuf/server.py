@@ -106,6 +106,8 @@ def register_from_ttp(
     of lane parameter instances (model mode; noise is irrelevant because the
     server predicts noiselessly).
     """
+    if not lane_pairs:
+        raise WidthMismatch("no register pairs, so no lanes to register")
     k, n_stages = len(lane_pairs), lane_pairs[0].order
     common = dict(
         k=k, n_stages=n_stages, lane_pairs=lane_pairs,

@@ -62,18 +62,18 @@ def raw_bits(lane, challenges, noise) -> np.ndarray:
     )
 
 
-def p_one(lane, challenge: int) -> float:
+def p_one(lane, challenge: int, sigma: float) -> float:
     """Closed-form P(bit = 1) of one evaluation under Gaussian noise, sigma > 0."""
     mu = delta(lane, challenge)
-    return 0.5 * (1.0 + math.erf(mu / (lane.sigma_noise * math.sqrt(2.0))))
+    return 0.5 * (1.0 + math.erf(mu / (sigma * math.sqrt(2.0))))
 
 
-def vote(lane, challenge: int, voter_t: int, noise_stream) -> int:
-    """Majority of voter_t noisy evaluations; at sigma 0 one noiseless
-    evaluation and no draw."""
-    if lane.sigma_noise == 0:
+def vote(lane, challenge: int, sigma: float, voter_t: int, noise_stream) -> int:
+    """Majority of voter_t noisy evaluations of std sigma; at sigma 0 one
+    noiseless evaluation and no draw."""
+    if sigma == 0:
         return evaluate(lane, challenge)
-    draws = noise_stream.standard_normal(voter_t) * lane.sigma_noise
+    draws = noise_stream.standard_normal(voter_t) * sigma
     ones = sum(evaluate(lane, challenge, float(d)) for d in draws)
     return 1 if 2 * ones > voter_t else 0
 
@@ -96,7 +96,11 @@ def rounds(spec, challenge: int, mode: int, round_bit) -> tuple[list[int], list[
     return challenges, bits
 
 
-def response(spec, lane, challenge: int, mode: int, voter_t: int = 1, noise_stream=None) -> int:
+def response(
+    spec, lane, challenge: int, mode: int, sigma: float = 0.0, voter_t: int = 1, noise_stream=None
+) -> int:
     """One lane's response: the XOR fold of its voted round bits."""
-    _, bits = rounds(spec, challenge, mode, lambda _, c: vote(lane, c, voter_t, noise_stream))
+    _, bits = rounds(
+        spec, challenge, mode, lambda _, c: vote(lane, c, sigma, voter_t, noise_stream)
+    )
     return sum(bits) % 2

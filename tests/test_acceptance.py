@@ -22,6 +22,7 @@ from dualpuf.adversary import (
     train_linear_attack,
 )
 from dualpuf.apuf import (
+    DELTA_UNIT,
     ApufInstance,
     features_from_ints,
     sample_instance,
@@ -129,7 +130,7 @@ def test_criterion_04_bias_compensation_restores_uniformity():
     t0 = time.perf_counter()
     weights = np.random.default_rng(8).standard_normal(17) * 0.06
     weights[16] += 0.35  # constant-path bias: the lane leans hard to 1
-    lane = ApufInstance(n_stages=16, weights=weights, sigma_noise=0.0)
+    lane = ApufInstance(weights)
     challenges = np.random.default_rng(777008).integers(0, 1 << 16, size=10_000)
     zeros_pre = 1.0 - float(vote_batch(lane.weights, lane.offset, challenges).mean())
     assert zeros_pre <= 0.25
@@ -137,7 +138,7 @@ def test_criterion_04_bias_compensation_restores_uniformity():
     report = randomness_adjust(lane, rng_seed=8)
     assert report.rounds_used <= 200
     assert 42 < report.final_zero_count < 54
-    assert lane.delta_unit == 0.05
+    assert DELTA_UNIT == 0.05
 
     uniformity = float(vote_batch(lane.weights, lane.offset, challenges).mean())
     assert abs(uniformity - 0.5) <= 0.08
@@ -153,12 +154,10 @@ def test_criterion_05_voter_suppresses_noise_like_the_binomial():
     # choose sigma so one noisy evaluation errs with probability 0.1
     lane_sigma = [0.1, 5.0]
     target = 0.9
+    lane = ApufInstance(np.r_[np.zeros(8), 1.0])
 
     def p_one(sigma: float) -> float:
-        probe = ApufInstance(
-            n_stages=8, weights=np.r_[np.zeros(8), 1.0], sigma_noise=sigma
-        )
-        return reference.p_one(probe, 0)
+        return reference.p_one(lane, 0, sigma)
 
     for _ in range(200):
         mid = sum(lane_sigma) / 2
@@ -175,7 +174,6 @@ def test_criterion_05_voter_suppresses_noise_like_the_binomial():
     )
     assert oracle == pytest.approx(0.00856, abs=1e-12)
 
-    lane = ApufInstance(n_stages=8, weights=np.r_[np.zeros(8), 1.0], sigma_noise=sigma)
     challenges = np.zeros(100_000, dtype=np.int64)
     errors = {}
     for voter_t, seed in ((5, 42), (1, 43), (11, 44)):

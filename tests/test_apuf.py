@@ -12,29 +12,33 @@ from hypothesis import strategies as st
 import reference
 from conftest import make_device
 from dualpuf.apuf import (
+    DELTA_UNIT,
     ApufInstance,
     delay_sums,
     features_from_ints,
     parity_features,
     sample_instance,
 )
-from dualpuf.errors import WidthMismatch
+from dualpuf.errors import InvalidParameter, WidthMismatch
 from dualpuf.postproc import lane_bits, vote_batch
 
 bit_vectors = st.lists(st.integers(0, 1), min_size=1, max_size=12)
 
 
 def test_constructor_validation():
-    with pytest.raises(WidthMismatch):
-        ApufInstance(4, np.zeros(4), 0.0)  # needs N+1 weights
-    with pytest.raises(ValueError):
-        ApufInstance(0, np.zeros(1), 0.0)
-    with pytest.raises(ValueError):
-        ApufInstance(2, np.zeros(3), -0.1)
-    with pytest.raises(ValueError):
-        ApufInstance(2, np.zeros(3), 0.0, delta_unit=0.0)
-    with pytest.raises(ValueError):
-        ApufInstance(2, np.zeros(3), 0.0, adjust_up=-1)
+    # a lane has N+1 weights for N in [1, 62]: wider challenges overflow int64
+    for bad in (np.zeros(1), np.zeros(64), np.zeros((2, 3)), np.float64(1.0)):
+        with pytest.raises(WidthMismatch):
+            ApufInstance(bad)
+    assert ApufInstance(np.zeros(2)).n_stages == 1
+    assert ApufInstance(np.zeros(63)).n_stages == 62
+    with pytest.raises(InvalidParameter):
+        ApufInstance(np.zeros(3), adjust_up=-1)
+    with pytest.raises(InvalidParameter):
+        ApufInstance(np.zeros(3), adjust_low=-1)
+    for bad_order in (0, 63):
+        with pytest.raises(InvalidParameter):
+            sample_instance(bad_order, 0)
 
 
 def test_sample_instance_is_deterministic():
@@ -90,37 +94,36 @@ def test_batch_helpers_match_scalar():
         np.array([reference.parity_features(int(c), 6) for c in challenges]),
     )
     # one vote per challenge: the draws are the scalar chain's explicit noise
-    inst = sample_instance(6, 3, sigma_noise=1.0)
+    inst = sample_instance(6, 3)
     noise = np.random.default_rng(1).standard_normal(40)
     assert np.array_equal(
-        vote_batch(
-            inst.weights, inst.offset, challenges, inst.sigma_noise, 1, np.random.default_rng(1)
-        ),
+        vote_batch(inst.weights, inst.offset, challenges, 1.0, 1, np.random.default_rng(1)),
         reference.raw_bits(inst, challenges, noise),
     )
 
 
 def test_exact_tie_yields_zero():
-    inst = ApufInstance(4, np.zeros(5), 0.0)
+    inst = ApufInstance(np.zeros(5))
     assert reference.delta(inst, 9) == 0.0
     assert vote_batch(inst.weights, inst.offset, np.array([9])).tolist() == [0]
 
 
 def test_compensation_is_monotone():
+    # each sweep runs far enough past the lane's delay sum to flip the bit
+    # exactly once: adjust_low raises delta from below zero, adjust_up
+    # lowers it from above
     inst = sample_instance(8, 11)
-    challenge = 0xA5
-    up_bits = []
-    for up in range(8):
-        probe = ApufInstance(8, inst.weights, 0.0, adjust_up=up, delta_unit=0.3)
-        up_bits.append(int(vote_batch(probe.weights, probe.offset, challenge)))
-    assert up_bits == sorted(up_bits, reverse=True)  # non-increasing
-    low_bits = []
-    for low in range(8):
-        probe = ApufInstance(8, inst.weights, 0.0, adjust_low=low, delta_unit=0.3)
-        low_bits.append(int(vote_batch(probe.weights, probe.offset, challenge)))
-    assert low_bits == sorted(low_bits)  # non-decreasing
-    probe = ApufInstance(8, inst.weights, 0.0, adjust_up=2, adjust_low=5)
-    assert probe.offset == pytest.approx(3 * 0.05)
+    for challenge, counter, start in ((0xA5, "adjust_low", 0), (0x5A, "adjust_up", 1)):
+        mu = reference.delta(inst, challenge)
+        assert (mu > 0) == start
+        units = math.ceil(abs(mu) / DELTA_UNIT) + 1
+        sweep = [ApufInstance(inst.weights, **{counter: n}) for n in range(units + 1)]
+        bits = [int(vote_batch(lane.weights, lane.offset, challenge)) for lane in sweep]
+        assert bits[0] == start and bits[-1] == 1 - start
+        assert sum(a != b for a, b in zip(bits, bits[1:])) == 1, (counter, bits)
+    assert math.ceil(-reference.delta(inst, 0xA5) / DELTA_UNIT) == 74
+    probe = ApufInstance(inst.weights, adjust_up=2, adjust_low=5)
+    assert probe.offset == pytest.approx(3 * DELTA_UNIT)
 
 
 def test_noiseless_evaluation_repeats():
@@ -135,13 +138,13 @@ def test_response_probability_degenerate_indicator():
 
 
 def test_response_probability_matches_monte_carlo():
-    inst = ApufInstance(2, np.array([0.0, 0.0, 1.0]), 1.0)  # margin +1, sigma 1
-    p = reference.p_one(inst, 0)
+    inst = ApufInstance(np.array([0.0, 0.0, 1.0]))  # margin +1, at sigma 1
+    p = reference.p_one(inst, 0, 1.0)
     zeros, rng = np.zeros(200_000, dtype=np.int64), np.random.default_rng(6)
-    bits = vote_batch(inst.weights, inst.offset, zeros, inst.sigma_noise, 1, rng)
+    bits = vote_batch(inst.weights, inst.offset, zeros, 1.0, 1, rng)
     assert abs(p - float(bits.mean())) < 0.005
-    mirrored = ApufInstance(2, np.array([0.0, 0.0, -1.0]), 1.0)
-    assert p + reference.p_one(mirrored, 0) == pytest.approx(1.0, abs=1e-12)
+    mirrored = ApufInstance(np.array([0.0, 0.0, -1.0]))
+    assert p + reference.p_one(mirrored, 0, 1.0) == pytest.approx(1.0, abs=1e-12)
     assert p == pytest.approx(0.5 * (1 + math.erf(1 / math.sqrt(2))))
 
 

@@ -3,6 +3,7 @@ obfuscated response path, session bookkeeping, and persistence."""
 
 import copy
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 import reference
 from conftest import make_device
+from dualpuf.adversary import puf_metrics
 from dualpuf.apuf import sample_instance
 from dualpuf.device import (
     DeviceConfig,
@@ -25,11 +27,13 @@ from dualpuf.device import (
 from dualpuf.errors import (
     InterfaceFused,
     NonMonotonicTicks,
+    SimulationError,
     WidthMismatch,
     ZeroSeed,
 )
 from dualpuf.lfsr import LfsrSpec
 from dualpuf.obfuscator import DualLfsrSpec
+from dualpuf.postproc import randomness_adjust
 from dualpuf.protocol import CHALLENGE, READER_TO_TAG, Frame
 
 
@@ -69,9 +73,17 @@ def test_build_is_deterministic():
     assert np.array_equal(a.respond(0x51, 1), b.respond(0x51, 1))
 
 
-def test_build_propagates_noise_level():
-    dev = make_device(sigma_noise=0.3)
-    assert all(lane.sigma_noise == 0.3 for lane in dev.lanes)
+def test_build_propagates_noise_level(monkeypatch):
+    # the config owns sigma; the build adjusts every lane at it
+    seen = []
+
+    def recording_adjust(lane, sigma, rng_seed):
+        seen.append(sigma)
+        return randomness_adjust(lane, sigma, rng_seed=rng_seed)
+
+    monkeypatch.setattr("dualpuf.device.randomness_adjust", recording_adjust)
+    make_device(sigma_noise=0.3)
+    assert seen == [0.3] * 4
 
 
 def test_raw_query_shape_and_bounds():
@@ -102,7 +114,7 @@ def test_raw_table_matches_the_per_lane_vote_loop():
     t = dev.config.voter_t
     expected = np.zeros((5, 256), dtype=np.uint8)
     for i, lane in enumerate(dev.lanes):
-        draws = rng.standard_normal((challenges.size, t)) * lane.sigma_noise
+        draws = rng.standard_normal((challenges.size, t)) * dev.config.sigma_noise
         ones = sum(reference.raw_bits(lane, challenges, draws[:, col]) for col in range(t))
         expected[i, challenges] = 2 * ones > t
     assert np.array_equal(table, expected)
@@ -140,11 +152,12 @@ def test_respond_composes_register_selection_and_voting():
     # with voting noise at k=1 the tag draws round by round and vote by
     # vote, as the reference does; the noise flips about a fifth of these
     noisy = make_device(k=1, sigma_noise=0.4)
-    pair, lane, voter_t = noisy.config.lane_pairs[0], noisy.lanes[0], noisy.config.voter_t
+    pair, lane, config = noisy.config.lane_pairs[0], noisy.lanes[0], noisy.config
     for challenge, mode in itertools.product(range(1, 256), (0, 1)):
         bit = noisy.respond(challenge, mode, np.random.default_rng(challenge))
         assert bit[0] == reference.response(
-            pair, lane, challenge, mode, voter_t, np.random.default_rng(challenge)
+            pair, lane, challenge, mode, config.sigma_noise, config.voter_t,
+            np.random.default_rng(challenge),
         )
 
 
@@ -229,16 +242,37 @@ def test_device_file_round_trip(tmp_path):
     assert not back.fused
     for la, lb in zip(dev.lanes, back.lanes):
         assert np.array_equal(la.weights, lb.weights)
-        assert (la.adjust_up, la.adjust_low, la.delta_unit) == (
-            lb.adjust_up,
-            lb.adjust_low,
-            lb.delta_unit,
-        )
+        assert (la.adjust_up, la.adjust_low) == (lb.adjust_up, lb.adjust_low)
     for challenge in (1, 0x42, 0xFF):
         assert np.array_equal(back.respond(challenge, 0), dev.respond(challenge, 0))
     again = tmp_path / "tag2.json"
     save_device(back, str(again))
     assert path.read_bytes() == again.read_bytes()
+
+
+def test_a_loaded_tag_measures_as_before(tmp_path):
+    # the config is the one owner of the tag's sigma, so the file cannot
+    # change the noise its lanes are measured at
+    config = DeviceConfig(k=2, n_stages=8, lane_pairs=default_lane_pairs(8, 2), sigma_noise=0.3)
+    dev = PufDevice(config, [sample_instance(8, 0), sample_instance(8, 1)])
+    challenges = np.random.default_rng(1).integers(0, 256, size=1000)
+    before = puf_metrics(dev.lanes, challenges, dev.config.sigma_noise)
+    assert before.reliability < 1.0
+    path = tmp_path / "tag.json"
+    save_device(dev, str(path))
+    back = load_device(str(path))
+    assert puf_metrics(back.lanes, challenges, back.config.sigma_noise) == before
+
+
+def test_load_refuses_another_compensation_unit(tmp_path):
+    path = tmp_path / "tag.json"
+    save_device(make_device(k=2), str(path))
+    doc = json.loads(path.read_text())
+    assert [lane["delta_unit"] for lane in doc["lanes"]] == [0.05, 0.05]
+    doc["lanes"][1]["delta_unit"] = 0.3
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SimulationError):
+        load_device(str(path))
 
 
 def test_fused_flag_survives_reload(tmp_path):

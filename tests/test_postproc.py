@@ -2,13 +2,14 @@
 voter, against the scalar reference."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 import reference
 from dualpuf.apuf import ApufInstance, sample_instance
-from dualpuf.errors import EvenVoterWidth, NoConvergence, WidthMismatch
+from dualpuf.errors import EvenVoterWidth, InvalidParameter, NoConvergence, WidthMismatch
 from dualpuf.postproc import (
     AdjustReport,
     lane_bits,
@@ -41,7 +42,7 @@ def test_branch_semantics_with_scripted_counts(monkeypatch):
         return bits
 
     monkeypatch.setattr("dualpuf.postproc.vote_batch", scripted_vote)
-    inst = ApufInstance(4, np.zeros(5), 0.0)
+    inst = ApufInstance(np.zeros(5))
     report = randomness_adjust(inst)
     # boundary rounds change nothing; one counter moves per corrective round
     assert report == AdjustReport(rounds_used=5, final_zero_count=48)
@@ -51,7 +52,7 @@ def test_branch_semantics_with_scripted_counts(monkeypatch):
 def test_no_convergence_on_oscillating_lane():
     # all-zero weights tie to bit 0; each correction overshoots straight to
     # all ones and back, so the count alternates 96 / 0 for all 1,000 rounds
-    inst = ApufInstance(4, np.zeros(5), 0.0)
+    inst = ApufInstance(np.zeros(5))
     with pytest.raises(NoConvergence):
         randomness_adjust(inst, rng_seed=0)
     assert (inst.adjust_up, inst.adjust_low) == (500, 500)
@@ -77,7 +78,7 @@ def test_adjust_balances_a_biased_lane():
     rng = np.random.default_rng(8)
     weights = rng.standard_normal(17) * 0.06
     weights[16] += 0.35  # routing imbalance toward response 1
-    inst = ApufInstance(16, weights, 0.0)
+    inst = ApufInstance(weights)
     report = randomness_adjust(inst, rng_seed=8)
     assert report == AdjustReport(8, 43)
     assert (inst.adjust_up, inst.adjust_low) == (7, 0)
@@ -95,7 +96,18 @@ def test_vote_rejects_even_or_empty_width():
         with pytest.raises(EvenVoterWidth):
             lane_bits(np.array([0.5]), 0.0, bad, rng)
         with pytest.raises(EvenVoterWidth):
-            vote_batch(inst.weights, inst.offset, np.array([1]), inst.sigma_noise, bad, rng)
+            vote_batch(inst.weights, inst.offset, np.array([1]), 0.0, bad, rng)
+
+
+def test_vote_rejects_a_sigma_that_is_not_finite():
+    inst = sample_instance(4, 0)
+    rng = np.random.default_rng(0)
+    for bad in (-0.1, math.nan, math.inf):
+        with pytest.raises(InvalidParameter):
+            lane_bits(np.array([[0.5]]), bad, 1, rng)
+        with pytest.raises(InvalidParameter):
+            randomness_adjust(inst, bad, rng_seed=0)
+    assert (inst.adjust_up, inst.adjust_low) == (0, 0)
 
 
 def test_vote_majority_with_scripted_noise():
@@ -110,23 +122,23 @@ def test_vote_majority_with_scripted_noise():
 
 
 def test_vote_batch_matches_scalar_stream():
-    inst = sample_instance(6, 9, sigma_noise=0.5)
+    inst = sample_instance(6, 9)
     challenges = np.arange(64)
     rng = np.random.default_rng(9)
-    scalar = [reference.vote(inst, int(c), 5, rng) for c in challenges]
+    scalar = [reference.vote(inst, int(c), 0.5, 5, rng) for c in challenges]
     batched = vote_batch(inst.weights, inst.offset, challenges, 0.5, 5, np.random.default_rng(9))
     assert batched.tolist() == scalar
     # stacked lanes in one call vote lane after lane, challenge after
     # challenge, vote after vote, on one generator
     for sigma, voter_t, shape in itertools.product((0.0, 0.3), (1, 5), ((), (24,), (3, 8))):
         lanes = [
-            ApufInstance(6, sample_instance(6, 9 + i).weights, sigma, adjust_low=i)
+            ApufInstance(sample_instance(6, 9 + i).weights, adjust_low=i)
             for i in range(4)
         ]
         challenges = np.random.default_rng(5).integers(0, 64, size=shape)
         rng, stream = np.random.default_rng(9), np.random.default_rng(9)
         scalar = [
-            [reference.vote(lane, int(c), voter_t, rng) for c in challenges.ravel()]
+            [reference.vote(lane, int(c), sigma, voter_t, rng) for c in challenges.ravel()]
             for lane in lanes
         ]
         weights = np.stack([lane.weights for lane in lanes])
@@ -141,19 +153,19 @@ def test_vote_noiseless_equals_raw():
     inst = sample_instance(6, 4)
     rng = np.random.default_rng(1)
     challenges = rng.integers(0, 64, size=30)
-    voted = vote_batch(inst.weights, inst.offset, challenges, inst.sigma_noise, 5, rng)
+    voted = vote_batch(inst.weights, inst.offset, challenges, 0.0, 5, rng)
     assert voted.tolist() == [reference.evaluate(inst, int(c)) for c in challenges]
-    assert voted.tolist() == [reference.vote(inst, int(c), 5, rng) for c in challenges]
+    assert voted.tolist() == [reference.vote(inst, int(c), 0.0, 5, rng) for c in challenges]
 
 
 def test_wider_voter_suppresses_noise():
     # margin +1 with sigma 1: single-evaluation error is about 0.159
-    inst = ApufInstance(2, np.array([0.0, 0.0, 1.0]), 1.0)
+    inst = ApufInstance(np.array([0.0, 0.0, 1.0]))
     trials = np.ones(20_000, dtype=np.int64)
     err = {}
     for t, seed in ((1, 21), (5, 22), (11, 23)):
         rng = np.random.default_rng(seed)
-        bits = vote_batch(inst.weights, inst.offset, trials, inst.sigma_noise, t, rng)
+        bits = vote_batch(inst.weights, inst.offset, trials, 1.0, t, rng)
         err[t] = float((bits == 0).mean())
     assert abs(err[1] - 0.1587) < 0.01
     assert abs(err[5] - 0.0311) < 0.007  # binomial majority-of-5 oracle

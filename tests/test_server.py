@@ -80,6 +80,8 @@ def test_registry_validation():
         # a 9-stage lane model among the pairs' order-8 lanes
         lanes = [sample_instance(8, 0), sample_instance(9, 0)]
         register_from_ttp(lanes, default_lane_pairs(8, 2), tau=0)
+    with pytest.raises(WidthMismatch):
+        register_from_ttp([], (), tau=0)  # no register pairs, no lanes
 
 
 def test_register_table_mode_requires_full_coverage():

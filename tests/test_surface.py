@@ -2,6 +2,7 @@
 exports resolves, and the exported names are pinned."""
 
 import ast
+from dataclasses import fields
 from pathlib import Path
 
 import dualpuf
@@ -229,6 +230,12 @@ def test_every_defaulted_parameter_is_passed_somewhere():
     unpassed = set(unpassed_parameters(SOURCES, calling))
     assert sorted(unpassed - allowed) == []
     assert sorted(allowed - unpassed) == []  # an entry some call now passes goes
+
+
+def test_a_lane_is_its_weights_and_counters():
+    # manufacture fixes these; noise belongs to the operating point and the
+    # compensation unit is the constant DELTA_UNIT
+    assert [f.name for f in fields(dualpuf.ApufInstance)] == ["weights", "adjust_up", "adjust_low"]
 
 
 def test_every_exported_name_resolves():
