@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .apuf import ApufInstance, features_from_ints, stack_lanes
+from .apuf import ApufInstance, features_from_ints, lane_tables, stack_lanes
 from .device import PufDevice
 from .errors import EmptyDataset, EmptyStore, InsufficientSample, InvalidParameter, WidthMismatch
 from .obfuscator import run_rounds, shift_tables
@@ -181,7 +181,7 @@ def collect_naked_crps(
         raise InvalidParameter(f"CRP count {count} < 0")
     rng = np.random.default_rng(rng_seed)
     challenges = rng.integers(0, 1 << instance.n_stages, size=count)
-    return challenges, vote_batch(instance.weights, instance.offset, challenges)
+    return challenges, vote_batch(lane_tables(instance.weights, instance.offset), challenges)
 
 
 def collect_obfuscated_crps(
@@ -198,7 +198,8 @@ def collect_obfuscated_crps(
     rng = np.random.default_rng(rng_seed)
     seeds = rng.integers(1, 1 << config.n_stages, size=count)
     pair, inst = config.lane_pairs[lane], device.lanes[lane]
-    voted = voted_round(inst.weights, inst.offset, config.sigma_noise, config.voter_t, rng)
+    tables = lane_tables(inst.weights, inst.offset)
+    voted = voted_round(tables, config.sigma_noise, config.voter_t, rng)
     bits = run_rounds(shift_tables(pair.feeds), seeds, mode & 1, pair.rounds_per_response, voted)
     return seeds, bits
 
@@ -309,11 +310,12 @@ def puf_metrics(
     n_stages = lanes[0].n_stages
     if challenges.min() < 0 or challenges.max() >> n_stages:
         raise WidthMismatch(f"a challenge does not fit {n_stages} stages")
-    reference = vote_batch(*stack_lanes(lanes, n_stages), challenges)
+    tables = lane_tables(*stack_lanes(lanes, n_stages))
+    reference = vote_batch(tables, challenges)
     flips = 0
-    for lane, expected in zip(lanes, reference):
+    for lane, expected in enumerate(reference):
         for _ in range(repeats):
-            noisy = vote_batch(lane.weights, lane.offset, challenges, sigma, 1, rng)
+            noisy = vote_batch(tables.lane(lane), challenges, sigma, 1, rng)
             flips += int((noisy ^ expected).sum())
     uniformity = float(reference.mean())
     reliability = 1.0 - flips / (len(lanes) * repeats * challenges.size)

@@ -13,20 +13,17 @@ is what manufacture fixes, its weights and counters; the noise belongs to
 the operating point, so whoever evaluates a lane passes its sigma.
 
 Challenge bit C_j is bit j of the challenge integer (C_0 = LSB), which wires
-LFSR flip-flop D_1 to stage 0.
-
-features_from_ints is the one parity-feature kernel.  phi_i is +1 or -1
-according to the parity of the challenge bits j >= i, which is bit i of the
-inverse Gray code C ^ C>>1 ^ C>>2 ^ ...; bit N of that code is 0, so
-phi_N = +1.  The kernel computes the code with log2(N) shifts and unpacks
-it into int8 +-1, so phi is exact by construction.
-
-delay_sums is the one reduction w . phi + b behind every evaluator.  Each
-int8 entry of phi converts to exactly +-1.0, so the sums equal those of a
-float64 phi bit for bit, in every layout the evaluators use.  Lane bits
-are made from the sums in postproc alone, for every caller.  The
-one-challenge-at-a-time reference that the tests compare both against lives
-in tests/reference.py.
+LFSR flip-flop D_1 to stage 0.  phi_i = +-1 is the parity sign of the bits
+j >= i, and phi_N = +1.  Cut C into chunks of at most CHUNK bits, at least
+two: phi_i is then its chunk's own suffix parity sign times the parity sign
+of every bit above the chunk, so w . phi + b is a sum of one table entry per
+chunk.  lane_tables builds the entries once per holder by elementwise adds
+in a fixed stage order, and every evaluator (tag, model reader, harvest,
+adjustment loop, CRP collector) finds and adds them with table_positions
+and lane_sums, so its sums agree with the others' bit for bit in any lane
+layout.  At N <= 20 a sum is two gathers from (2^h + 2 * 2^m) * 8 bytes per
+lane for chunks of h and m bits.  features_from_ints, the attacker's int8
+phi, and tests/reference.py's einsum over it check the sums.
 """
 
 from __future__ import annotations
@@ -39,6 +36,8 @@ from .errors import InvalidParameter, WidthMismatch
 from .lfsr import MAX_PERIOD_CHECK_ORDER
 
 DELTA_UNIT = 0.05  # delay of one compensation unit
+CHUNK = 10  # widest challenge chunk one table covers
+_PARITY = np.array([bin(i).count("1") & 1 for i in range(2 << CHUNK)])  # of chunk positions
 
 
 @dataclass
@@ -59,8 +58,9 @@ class ApufInstance:
                 f"weights shape {self.weights.shape} is not (N+1,) for N in "
                 f"[1, {MAX_PERIOD_CHECK_ORDER}]"
             )
-        if self.adjust_up < 0 or self.adjust_low < 0:
-            raise InvalidParameter("adjust counters must be >= 0")
+        for counter in (self.adjust_up, self.adjust_low):
+            if not (type(counter) is int or isinstance(counter, np.integer)) or counter < 0:
+                raise InvalidParameter(f"adjust counter {counter!r} is not an integer >= 0")
 
     @property
     def n_stages(self) -> int:
@@ -82,8 +82,8 @@ def sample_instance(n_stages: int, rng_seed: int | np.random.SeedSequence) -> Ap
 
 def stack_lanes(lanes, n_stages: int) -> tuple[np.ndarray, np.ndarray]:
     """The (k, N+1) weights and (k,) offsets of k lanes of n_stages stages,
-    stacked for the lane evaluators.  Lanes of any other width, or no lanes,
-    raise WidthMismatch."""
+    stacked for lane_tables.  Lanes of any other width, or no lanes, raise
+    WidthMismatch."""
     widths = {lane.n_stages for lane in lanes}
     if widths != {n_stages}:
         raise WidthMismatch(f"lanes of {sorted(widths)} stages where {n_stages} are expected")
@@ -112,9 +112,70 @@ def features_from_ints(challenges, n_stages: int) -> np.ndarray:
     return 1 - 2 * bits.view(np.int8)
 
 
-def delay_sums(phi: np.ndarray, weights: np.ndarray, offsets) -> np.ndarray:
-    """w . phi + b over the last axis in any broadcast layout: (k,) lanes,
-    (S,) challenges of one lane, or (S, k); each sum comes out bit-identical
-    in all of them."""
-    return np.einsum("...i,...i->...", phi, weights) + offsets
+@dataclass(frozen=True)
+class LaneTables:
+    """Delay-sum tables of lanes laid out *lanes, per chunk, top chunk
+    first: 2^h entries per lane, offset included, for the top chunk and 2 *
+    2^m for a lower one, parity above 0 then 1.  A lower chunk's lift maps
+    the position above to that parity times 2^m."""
 
+    widths: tuple[int, ...]
+    entries: tuple[np.ndarray, ...]  # flat, lane after lane
+    starts: tuple[np.ndarray, ...]  # (*lanes,) positions of each lane's first entry
+    lifts: tuple[np.ndarray, ...]
+
+    def lane(self, index) -> LaneTables:
+        """The tables of the lane at index of the layout."""
+        starts = tuple(start[index] for start in self.starts)
+        return LaneTables(self.widths, self.entries, starts, self.lifts)
+
+    def moved(self, offset: float) -> LaneTables:
+        """Tables built at offset 0 as lane_tables builds them at offset."""
+        entries = (self.entries[0] + offset,) + self.entries[1:]
+        return LaneTables(self.widths, entries, self.starts, self.lifts)
+
+
+def lane_tables(weights, offsets) -> LaneTables:
+    """Tables of the lanes that weights (*lanes, N+1) and offsets (*lanes,)
+    describe.  A chunk's entry adds each stage's weight at its sign, the
+    parity sign of the chunk's bits from the stage up, top stage first; the
+    top chunk starts at w_N and adds the offset last."""
+    weights = np.asarray(weights, dtype=np.float64)
+    offsets = np.asarray(offsets, dtype=np.float64)[..., None]
+    lanes, n_stages = weights.shape[:-1], weights.shape[-1] - 1
+    count = max(2, -(-n_stages // CHUNK))
+    widths = tuple(n_stages // count + (i < n_stages % count) for i in range(count))
+    tables, stop = [], n_stages
+    for width in widths:
+        top = stop == n_stages
+        sums = weights[..., stop:] if top else np.zeros(lanes + (1,))
+        signs = 1 - 2 * _PARITY[np.arange(1 << width)[:, None] >> np.arange(width)]
+        for bit in range(width - 1, -1, -1):
+            sums = sums + weights[..., stop - width + bit, None] * signs[:, bit]
+        tables.append(sums + offsets if top else np.concatenate([sums, -sums], axis=-1))
+        stop -= width
+    starts = tuple(np.arange(0, t.size, t.shape[-1]).reshape(lanes) for t in tables)
+    lifts = tuple(_PARITY[:2 << above] << width for above, width in zip(widths, widths[1:]))
+    return LaneTables(widths, tuple(t.reshape(-1) for t in tables), starts, lifts)
+
+
+def table_positions(tables: LaneTables, challenges: np.ndarray) -> list[np.ndarray]:
+    """Lane-independent positions of in-range int64 challenges in each
+    chunk's table, top chunk first: a lower chunk's bits plus the lift of
+    the position above, whose parity is that of every bit above the chunk."""
+    shift = sum(tables.widths) - tables.widths[0]
+    positions = [challenges >> shift]
+    for width, lift in zip(tables.widths[1:], tables.lifts):
+        shift -= width
+        bits = (challenges >> shift if shift else challenges) & ((1 << width) - 1)
+        positions.append(bits + lift.take(positions[-1]))
+    return positions
+
+
+def lane_sums(tables: LaneTables, positions) -> np.ndarray:
+    """w . phi + b at positions laid out to broadcast against the lanes on
+    the trailing axes: the chunks' entries added top chunk first."""
+    sums = tables.entries[0].take(positions[0] + tables.starts[0])
+    for i in range(1, len(positions)):
+        sums += tables.entries[i].take(positions[i] + tables.starts[i])
+    return sums

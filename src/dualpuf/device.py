@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .apuf import DELTA_UNIT, ApufInstance, sample_instance, stack_lanes
+from .apuf import DELTA_UNIT, ApufInstance, LaneTables, lane_tables, sample_instance, stack_lanes
 from .errors import InterfaceFused, InvalidParameter, NonMonotonicTicks, WidthMismatch
 from .lfsr import pick_lfsr_pair
 from .obfuscator import (
@@ -69,8 +69,7 @@ class PufDevice:
     fused: bool = False
     last_challenge_tick: int | None = field(default=None, init=False)
     _noise_rng: np.random.Generator = field(init=False, repr=False, compare=False)
-    _weights: np.ndarray = field(init=False, repr=False, compare=False)
-    _offsets: np.ndarray = field(init=False, repr=False, compare=False)
+    _lane_tables: LaneTables = field(init=False, repr=False, compare=False)
     _tables: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -82,9 +81,9 @@ class PufDevice:
         self.refresh_caches()
 
     def refresh_caches(self) -> None:
-        """Rebuild the vectorised views of lane parameters (call after any
-        direct lane mutation; __post_init__ builds them once)."""
-        self._weights, self._offsets = stack_lanes(self.lanes, self.config.n_stages)
+        """Rebuild the delay-sum and shift tables of the lanes (call after
+        any direct lane mutation; __post_init__ builds them once)."""
+        self._lane_tables = lane_tables(*stack_lanes(self.lanes, self.config.n_stages))
         self._tables = shift_tables([pair.feeds for pair in self.config.lane_pairs])
 
     # -- enrollment-only raw path -------------------------------------------
@@ -94,9 +93,7 @@ class PufDevice:
         if self.fused:
             raise InterfaceFused("raw interface is fused")
         config = self.config
-        return vote_batch(
-            self._weights, self._offsets, challenges, config.sigma_noise, config.voter_t, rng
-        )
+        return vote_batch(self._lane_tables, challenges, config.sigma_noise, config.voter_t, rng)
 
     def raw_crp_query(self, challenge: int) -> np.ndarray:
         """Voted naked response of every lane to one raw challenge.
@@ -131,11 +128,11 @@ class PufDevice:
         noise_stream: np.random.Generator | None = None,
     ) -> np.ndarray:
         """k-bit obfuscated response, lane 0 first, as a uint8 array."""
-        check_external_challenge(challenge, self.config.n_stages)
+        seed, mode = check_external_challenge(challenge, self.config.n_stages, mode)
         rng = noise_stream if noise_stream is not None else self._noise_rng
         config = self.config
-        voted = voted_round(self._weights, self._offsets, config.sigma_noise, config.voter_t, rng)
-        return run_rounds(self._tables, challenge, mode & 1, config.rounds_per_response, voted)
+        voted = voted_round(self._lane_tables, config.sigma_noise, config.voter_t, rng)
+        return run_rounds(self._tables, seed, mode, config.rounds_per_response, voted)
 
     # -- protocol responder interface ----------------------------------------
 

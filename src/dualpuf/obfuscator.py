@@ -27,7 +27,8 @@ evaluator call, which returns a uint8 bit for every candidate.  A static
 4,096-entry fold table then maps the mode, the selected bit entering a block
 and the block's 2 x 5 bits to the block's XOR fold and the selected bit
 leaving it.  postproc.voted_round, the evaluator of the tag, the model reader
-and the attacker, draws one block of noise per call and lets the two
+and the attacker, sums every candidate from the lanes' delay-sum tables
+(apuf.lane_sums), draws one block of noise per call and lets the two
 candidates of a round share it.  The scalar reference that restates the rule
 one register shift at a time, and that the tests compare the engine against,
 lives in tests/reference.py.
@@ -122,17 +123,25 @@ _BIT_WEIGHTS = 4 << np.arange(2 * BLOCK)
 _SHIFTS = np.arange(1, BLOCK + 1)
 
 
-def check_external_challenge(challenge, order: int) -> np.ndarray:
-    """Return an external challenge, or an array of them, as int64; reject
-    any outside the nonzero order-bit range: zero is the registers' stuck
-    state."""
+def check_external_challenge(challenge, order: int, mode=1):
+    """Return an external challenge and a session mode, or arrays of them,
+    as int64 (a pair of Python ints as ints), the mode reduced to its parity
+    bit.  Either one not of an integer dtype raises InvalidParameter (Python
+    ints beyond int64 come as objects), and a challenge outside the nonzero
+    order-bit range ZeroSeed: zero is the registers' stuck state."""
+    if type(challenge) is int and type(mode) is int and 0 < challenge < 1 << order:
+        return challenge, mode & 1  # one challenge as a frame carries it
+    seeds, modes = np.asarray(challenge), np.asarray(mode)
+    for what, given in (("external challenge", seeds), ("mode", modes)):
+        if given.dtype.kind not in "iuO" and given.size:
+            raise InvalidParameter(f"{what} {given.tolist()!r} is not an integer")
     try:
-        seeds = np.asarray(challenge, dtype=np.int64)
+        seeds = seeds.astype(np.int64, copy=False)
     except OverflowError:  # a Python int beyond int64
         seeds = None
     if seeds is None or not ((seeds > 0) & (seeds < 1 << order)).all():
         raise ZeroSeed(f"external challenge {challenge!r} outside the nonzero {order}-bit range")
-    return seeds
+    return seeds, np.asarray(modes & 1, dtype=np.int64)
 
 
 def trace_records(
@@ -153,8 +162,7 @@ def trace_records(
         )
     if any(bit not in (0, 1) for bit in history):
         raise InvalidParameter(f"response bits {history} must each be 0 or 1")
-    check_external_challenge(external_challenge, spec.order)
-    mode &= 1
+    mode = int(check_external_challenge(external_challenge, spec.order, mode)[1])
     recorded: list[np.ndarray] = []
 
     def replay(candidates: np.ndarray) -> np.ndarray:

@@ -2,29 +2,24 @@
 temporal majority voter.
 
 The adjustment loop is a successive approximation on the lane's compensation
-counters, run once per lane when the tag is built.  Its window is a design
-constant of the compensation circuit: each round feeds PULSE_COUNT = 96
-fresh random challenges through the raw arbiter (vote_batch, one voter),
-counts zero responses, and nudges one counter by a single unit until the
-zero count falls strictly inside BAND = (42, 54), giving up with
-NoConvergence after MAX_ROUNDS = 1000 rounds.  lane_bits draws nothing at
-sigma 0, but a round still takes its PULSE_COUNT noise draws: later rounds'
-challenges, hence the counters of every sigma-0 tag built, depend on that
-stream position.
+counters, run once per lane when the tag is built.  Each round feeds
+PULSE_COUNT = 96 fresh random challenges through the raw arbiter
+(vote_batch, one voter) and nudges one counter by a unit until the zero
+count falls strictly inside BAND = (42, 54), giving up with NoConvergence
+after MAX_ROUNDS = 1000 rounds.  The lane's tables are built once; a
+counter moves only their offset.  A round takes its PULSE_COUNT noise draws
+even at sigma 0, so later rounds' challenges depend on that stream position.
 
-lane_bits is the one voter.  vote_batch evaluates stacked lanes at raw
-challenges (enrollment harvest, adjustment loop, CRP collector, metrics):
-parity features once, then lane after lane, so noise runs lane by lane,
-challenge by challenge, vote by vote.  voted_round is the lane evaluator of
-obfuscator.run_rounds for the tag, the model reader and the attacker.
-run_rounds hands the evaluator every round's two candidate challenges at
-once, laid out (rounds, 2, *shape); the evaluator transforms them with one
-features_from_ints call and one delay_sums call, and votes them with one
-lane_bits call.  That call draws one (rounds, *shape, voter_t) block of
-noise, and the two candidates of a round share their round's draws.  Only
-the selected candidate's bit reaches the response, so the stream yields the
-same numbers, in the same order, as one draw per round would.  The
-one-vote-at-a-time reference that the tests compare them against lives in
+lane_bits is the one voter.  vote_batch evaluates lanes at raw challenges
+(harvest, adjustment loop, CRP collector, metrics): table positions once,
+then lane after lane, so noise runs lane by lane, challenge by challenge,
+vote by vote.  voted_round is the run_rounds evaluator of the tag, the
+model reader and the attacker: it sums a response's (rounds, 2, *shape)
+candidate challenges with one table_positions and one lane_sums call and
+votes them with one lane_bits call, which draws one (rounds, *shape,
+voter_t) block of noise that a round's two candidates share.  Only the
+selected candidate's bit reaches the response, so the stream yields what
+one draw per round would.  The one-vote-at-a-time reference is in
 tests/reference.py.
 """
 
@@ -34,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .apuf import ApufInstance, delay_sums, features_from_ints
+from .apuf import ApufInstance, LaneTables, lane_sums, lane_tables, table_positions
 from .errors import EvenVoterWidth, InvalidParameter, NoConvergence, WidthMismatch
 
 PULSE_COUNT = 96  # fresh random challenges per adjustment round
@@ -65,11 +60,12 @@ def randomness_adjust(instance: ApufInstance, sigma: float = 0.0, rng_seed: int 
     rng = np.random.default_rng(rng_seed)
     lower, upper = BAND
     zeros = -1
+    tables = lane_tables(instance.weights, 0.0)  # the counters move only the offset
     for round_no in range(1, MAX_ROUNDS + 1):
         challenges = rng.integers(0, 1 << instance.n_stages, size=PULSE_COUNT)
         if sigma == 0:
             rng.standard_normal(PULSE_COUNT)  # keeps the stream; see module doc
-        bits = vote_batch(instance.weights, instance.offset, challenges, sigma, 1, rng)
+        bits = vote_batch(tables.moved(instance.offset), challenges, sigma, 1, rng)
         zeros = PULSE_COUNT - int(bits.sum())
         if lower < zeros < upper:
             return AdjustReport(rounds_used=round_no, final_zero_count=zeros)
@@ -109,7 +105,7 @@ def lane_bits(
     if mu.ndim < 2:
         raise WidthMismatch(f"delay sums of shape {mu.shape} lack an alternatives axis")
     if sigma == 0:
-        return (mu > 0).astype(np.uint8)
+        return (mu > 0).view(np.uint8)
     draws = noise_stream.standard_normal(mu.shape[:1] + mu.shape[2:] + (voter_t,)) * sigma
     # votes first, so the majority adds whole arrays; the size-1 axis lets
     # the alternatives of an evaluation share its draws
@@ -119,42 +115,39 @@ def lane_bits(
 
 
 def voted_round(
-    weights: np.ndarray,
-    offsets,
+    tables: LaneTables,
     sigma: float = 0.0,
     voter_t: int = 1,
     noise_stream: np.random.Generator | None = None,
 ):
     """The run_rounds lane evaluator: voted bits, at every candidate
-    challenge, of the lanes that weights and offsets describe (broadcast as
-    in delay_sums)."""
-    n_stages = np.shape(weights)[-1] - 1
+    challenge, of the lanes whose tables are given; the candidates' layout
+    ends in the lanes'."""
 
     def voted(candidates: np.ndarray) -> np.ndarray:
-        mu = delay_sums(features_from_ints(candidates, n_stages), weights, offsets)
+        mu = lane_sums(tables, table_positions(tables, candidates))
         return lane_bits(mu, sigma, voter_t, noise_stream)
 
     return voted
 
 
 def vote_batch(
-    weights: np.ndarray,
-    offsets,
+    tables: LaneTables,
     challenges,
     sigma: float = 0.0,
     voter_t: int = 1,
     noise_stream: np.random.Generator | None = None,
 ) -> np.ndarray:
-    """Voted bits, shaped *lanes + challenges.shape, of the lanes that
-    weights (*lanes, N+1) and offsets (*lanes,) describe at every raw
-    challenge, each challenge its own evaluation."""
-    challenges = np.asarray(challenges)
-    lanes = np.shape(weights)[:-1]
-    phi = features_from_ints(challenges.reshape(-1), np.shape(weights)[-1] - 1)
-    offsets = np.broadcast_to(offsets, lanes)
+    """Voted bits, shaped *lanes + challenges.shape, of the lanes whose
+    tables are given at every raw challenge, each challenge its own
+    evaluation.  Only the low n_stages bits of a challenge count."""
+    challenges = np.asarray(challenges, dtype=np.int64)
+    lanes = tables.starts[0].shape
+    mask = (1 << sum(tables.widths)) - 1
+    positions = table_positions(tables, challenges.reshape(-1) & mask)
     bits = np.empty(lanes + (challenges.size,), dtype=np.uint8)
     for lane in np.ndindex(lanes):
         # each challenge is one evaluation with a single alternative
-        mu = delay_sums(phi, weights[lane], offsets[lane])[:, None]
+        mu = lane_sums(tables.lane(lane), positions)[:, None]
         bits[lane] = lane_bits(mu, sigma, voter_t, noise_stream)[:, 0]
     return bits.reshape(lanes + challenges.shape)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .apuf import stack_lanes
+from .apuf import lane_tables, stack_lanes
 from .device import DEFAULT_VOTER_T, deserialize_response, serialize_response
 from .errors import InvalidParameter, WidthMismatch
 from .obfuscator import (
@@ -84,6 +84,8 @@ class ServerRegistry:
         self._tables = shift_tables([pair.feeds for pair in self.lane_pairs])
         # column c of lane i is word i * 2^n + c of the flattened table
         self._lane_starts = np.arange(self.k) << self.n_stages
+        if self.mode == MODEL_MODE:
+            self._lane_tables = lane_tables(self.weights, self.offsets)
 
     @property
     def rounds_per_response(self) -> int:
@@ -129,9 +131,10 @@ def predict_response(registry: ServerRegistry, challenge, mode) -> np.ndarray:
     result comes from one run_rounds call per PREDICT_SLICE elements of S:
     a scalar pair gives one (k,) response, and run_authentication predicts
     a session's (C1, mode 1) and (C2, t & 1) together as soon as it draws
-    them.  Any challenge outside the nonzero n-bit range raises ZeroSeed.
+    them.  Any challenge outside the nonzero n-bit range raises ZeroSeed,
+    and a challenge or mode that is not an integer InvalidParameter.
     """
-    seeds = check_external_challenge(challenge, registry.n_stages)[..., None]
+    seeds, modes = check_external_challenge(challenge, registry.n_stages, mode)
     if registry.mode == TABLE_MODE:
         table, lane_starts = registry.table, registry._lane_starts
 
@@ -139,12 +142,12 @@ def predict_response(registry: ServerRegistry, challenge, mode) -> np.ndarray:
             return table.take(candidates + lane_starts)
 
     else:
-        naked = voted_round(registry.weights, registry.offsets)
+        naked = voted_round(registry._lane_tables)
 
-    seeds, modes = np.broadcast_arrays(seeds, np.asarray(mode)[..., None] & 1)
-    shape = seeds.shape[:-1] + (registry.k,)
+    seeds, modes = np.broadcast_arrays(seeds, modes)
+    shape = seeds.shape + (registry.k,)
     # noiseless, so slices of the rows give the same bits, whichever axis is
-    # long, and hold one slice's candidates, features and sums at a time; an
+    # long, and hold one slice's candidates, positions and sums at a time; an
     # empty batch still makes one call, on a (0, 1) slice
     seeds, modes = seeds.reshape(-1, 1), modes.reshape(-1, 1)
     rounds, tables = registry.rounds_per_response, registry._tables

@@ -5,13 +5,16 @@ at a time: the period walk that lfsr.is_m_sequence replaces with algebra, the
 parity transform and delay of dualpuf.apuf, the temporal majority voter of
 postproc.lane_bits and the dual-register selection rule of
 obfuscator.run_rounds.  The package computes all of these on arrays; the
-tests compare it against the functions here.
+tests compare it against the functions here.  delay_sums is the one array
+oracle: the parity-feature reduction that the package's delay-sum tables
+replace.
 """
 
 import math
 
 import numpy as np
 
+from dualpuf.apuf import features_from_ints
 from dualpuf.errors import ZeroSeed
 
 
@@ -42,6 +45,13 @@ def parity_features(challenge: int, n_stages: int) -> list[float]:
     for bit in reversed(challenge_bits(challenge, n_stages)):
         phi.insert(0, (1 - 2 * bit) * phi[0])
     return phi
+
+
+def delay_sums(challenges, weights, offsets) -> np.ndarray:
+    """w . phi + b of lanes (*lanes, N+1) at challenges whose layout ends
+    in the lanes', reduced over int8 parity features by einsum."""
+    phi = features_from_ints(challenges, np.shape(weights)[-1] - 1)
+    return np.einsum("...i,...i->...", phi, weights) + offsets
 
 
 def delta(lane, challenge: int, noise: float = 0.0) -> float:

@@ -25,6 +25,7 @@ from dualpuf.apuf import (
     DELTA_UNIT,
     ApufInstance,
     features_from_ints,
+    lane_tables,
     sample_instance,
 )
 from dualpuf.device import (
@@ -132,7 +133,7 @@ def test_criterion_04_bias_compensation_restores_uniformity():
     weights[16] += 0.35  # constant-path bias: the lane leans hard to 1
     lane = ApufInstance(weights)
     challenges = np.random.default_rng(777008).integers(0, 1 << 16, size=10_000)
-    zeros_pre = 1.0 - float(vote_batch(lane.weights, lane.offset, challenges).mean())
+    zeros_pre = 1.0 - float(vote_batch(lane_tables(lane.weights, lane.offset), challenges).mean())
     assert zeros_pre <= 0.25
 
     report = randomness_adjust(lane, rng_seed=8)
@@ -140,7 +141,7 @@ def test_criterion_04_bias_compensation_restores_uniformity():
     assert 42 < report.final_zero_count < 54
     assert DELTA_UNIT == 0.05
 
-    uniformity = float(vote_batch(lane.weights, lane.offset, challenges).mean())
+    uniformity = float(vote_batch(lane_tables(lane.weights, lane.offset), challenges).mean())
     assert abs(uniformity - 0.5) <= 0.08
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0
@@ -178,7 +179,7 @@ def test_criterion_05_voter_suppresses_noise_like_the_binomial():
     errors = {}
     for voter_t, seed in ((5, 42), (1, 43), (11, 44)):
         rng = np.random.default_rng(seed)
-        bits = vote_batch(lane.weights, lane.offset, challenges, sigma, voter_t, rng)
+        bits = vote_batch(lane_tables(lane.weights, lane.offset), challenges, sigma, voter_t, rng)
         errors[voter_t] = float((bits == 0).mean())
     assert abs(errors[5] - oracle) <= 0.003
     assert abs(errors[1] - epsilon) <= 0.01

@@ -12,12 +12,15 @@ from hypothesis import strategies as st
 import reference
 from conftest import make_device
 from dualpuf.apuf import (
+    CHUNK,
     DELTA_UNIT,
     ApufInstance,
-    delay_sums,
     features_from_ints,
+    lane_sums,
+    lane_tables,
     parity_features,
     sample_instance,
+    table_positions,
 )
 from dualpuf.errors import InvalidParameter, WidthMismatch
 from dualpuf.postproc import lane_bits, vote_batch
@@ -39,6 +42,16 @@ def test_constructor_validation():
     for bad_order in (0, 63):
         with pytest.raises(InvalidParameter):
             sample_instance(bad_order, 0)
+
+
+def test_counters_are_integers():
+    # a counter counts compensation units: a fraction or a bool is refused
+    for bad in (1.5, 2.0, True, np.float64(1.0), np.bool_(False), "1", None):
+        with pytest.raises(InvalidParameter):
+            ApufInstance(np.zeros(3), adjust_up=bad)
+        with pytest.raises(InvalidParameter):
+            ApufInstance(np.zeros(3), adjust_low=bad)
+    assert ApufInstance(np.zeros(3), np.int64(2), 3).offset == pytest.approx(DELTA_UNIT)
 
 
 def test_sample_instance_is_deterministic():
@@ -77,9 +90,8 @@ def test_top_bit_flip_negates_all_but_constant(n, raw):
     assert flipped[n] == 1.0
     # responses under the flip agree with direct recomputation
     inst = sample_instance(n, 17)
-    assert vote_batch(inst.weights, inst.offset, challenge ^ (1 << (n - 1))) == int(
-        inst.weights @ flipped > 0
-    )
+    tables = lane_tables(inst.weights, inst.offset)
+    assert vote_batch(tables, challenge ^ (1 << (n - 1))) == int(inst.weights @ flipped > 0)
 
 
 def test_batch_helpers_match_scalar():
@@ -96,8 +108,9 @@ def test_batch_helpers_match_scalar():
     # one vote per challenge: the draws are the scalar chain's explicit noise
     inst = sample_instance(6, 3)
     noise = np.random.default_rng(1).standard_normal(40)
+    tables = lane_tables(inst.weights, inst.offset)
     assert np.array_equal(
-        vote_batch(inst.weights, inst.offset, challenges, 1.0, 1, np.random.default_rng(1)),
+        vote_batch(tables, challenges, 1.0, 1, np.random.default_rng(1)),
         reference.raw_bits(inst, challenges, noise),
     )
 
@@ -105,7 +118,7 @@ def test_batch_helpers_match_scalar():
 def test_exact_tie_yields_zero():
     inst = ApufInstance(np.zeros(5))
     assert reference.delta(inst, 9) == 0.0
-    assert vote_batch(inst.weights, inst.offset, np.array([9])).tolist() == [0]
+    assert vote_batch(lane_tables(inst.weights, inst.offset), np.array([9])).tolist() == [0]
 
 
 def test_compensation_is_monotone():
@@ -118,7 +131,8 @@ def test_compensation_is_monotone():
         assert (mu > 0) == start
         units = math.ceil(abs(mu) / DELTA_UNIT) + 1
         sweep = [ApufInstance(inst.weights, **{counter: n}) for n in range(units + 1)]
-        bits = [int(vote_batch(lane.weights, lane.offset, challenge)) for lane in sweep]
+        bits = [int(vote_batch(lane_tables(lane.weights, lane.offset), challenge))
+                for lane in sweep]
         assert bits[0] == start and bits[-1] == 1 - start
         assert sum(a != b for a, b in zip(bits, bits[1:])) == 1, (counter, bits)
     assert math.ceil(-reference.delta(inst, 0xA5) / DELTA_UNIT) == 74
@@ -128,8 +142,9 @@ def test_compensation_is_monotone():
 
 def test_noiseless_evaluation_repeats():
     inst = sample_instance(10, 2)
-    first = vote_batch(inst.weights, inst.offset, np.arange(1, 200))
-    assert np.array_equal(first, vote_batch(inst.weights, inst.offset, np.arange(1, 200)))
+    tables = lane_tables(inst.weights, inst.offset)
+    first = vote_batch(tables, np.arange(1, 200))
+    assert np.array_equal(first, vote_batch(tables, np.arange(1, 200)))
 
 
 def test_response_probability_degenerate_indicator():
@@ -141,7 +156,7 @@ def test_response_probability_matches_monte_carlo():
     inst = ApufInstance(np.array([0.0, 0.0, 1.0]))  # margin +1, at sigma 1
     p = reference.p_one(inst, 0, 1.0)
     zeros, rng = np.zeros(200_000, dtype=np.int64), np.random.default_rng(6)
-    bits = vote_batch(inst.weights, inst.offset, zeros, 1.0, 1, rng)
+    bits = vote_batch(lane_tables(inst.weights, inst.offset), zeros, 1.0, 1, rng)
     assert abs(p - float(bits.mean())) < 0.005
     mirrored = ApufInstance(np.array([0.0, 0.0, -1.0]))
     assert p + reference.p_one(mirrored, 0, 1.0) == pytest.approx(1.0, abs=1e-12)
@@ -158,50 +173,67 @@ def test_features_from_ints_matches_the_reference_at_every_order():
         assert np.array_equal(phi, np.array(expected)), n
 
 
+def kernel_sums(tables, challenges):
+    return lane_sums(tables, table_positions(tables, challenges))
+
+
 def test_delay_sums_are_bit_identical_in_every_layout():
     # the tag sums (k,) lanes at one challenge each, the harvest one lane's
     # (S,) challenges; at zero noise the reader and the tag agree only if
-    # every layout rounds each lane's sum the same way
+    # every layout gives each lane's sum the same bits
     dev = make_device(k=64, n_stages=12, device_seed=7)
     weights = np.stack([lane.weights for lane in dev.lanes])
     offsets = np.array([lane.offset for lane in dev.lanes])
+    tables = lane_tables(weights, offsets)
+    assert tables.widths == (6, 6) and sum(e.nbytes for e in tables.entries) == 96 * 1024
     challenges = np.arange(1, 1 << 12)
-    phi = features_from_ints(challenges, 12)
-    grid = delay_sums(phi[:, None, :], weights, offsets)
+    grid = kernel_sums(tables, challenges[:, None])
     assert grid.shape == (challenges.size, 64)
     for i in range(64):
-        assert np.array_equal(grid[:, i], delay_sums(phi, weights[i], offsets[i]))
+        assert np.array_equal(grid[:, i], kernel_sums(tables.lane(i), challenges))
+        alone = lane_tables(weights[i], offsets[i])
+        assert np.array_equal(grid[:, i], kernel_sums(alone, challenges))
     lanes = np.arange(64)
     for s in range(challenges.size):
         rows = (s + lanes) % challenges.size  # a different challenge per lane
-        per_challenge = delay_sums(features_from_ints(challenges[rows], 12), weights, offsets)
-        assert np.array_equal(per_challenge, grid[rows, lanes])
+        assert np.array_equal(kernel_sums(tables, challenges[rows]), grid[rows, lanes])
+    # the einsum over parity features rounds differently, never across zero
+    oracle = reference.delay_sums(challenges[:, None], weights, offsets)
+    assert np.allclose(grid, oracle, rtol=0, atol=1e-12)
+    assert np.array_equal(grid > 0, oracle > 0)
 
-    # at every order, int8 phi converts to exactly +-1.0, so every layout the
-    # evaluators use, the round candidates' included, gives the float64
-    # reference sums bit for bit, and the layouts agree with each other
-    rng = np.random.default_rng(62)
-    rounds, k = 5, 8
-    lanes = np.arange(k)
-    for n in range(2, 63):
-        weights, offsets = rng.standard_normal((k, n + 1)), rng.standard_normal(k)
-        challenges = rng.integers(0, 1 << n, size=(rounds, 2, k))
-        phi = features_from_ints(challenges, n)
-        ref = np.array(
-            [reference.parity_features(c, n) for c in challenges.ravel().tolist()]
-        ).reshape(phi.shape)
-        flat, flat_ref = phi.reshape(-1, n + 1), ref.reshape(-1, n + 1)
-        grid = delay_sums(flat_ref[:, None, :], weights, offsets)  # (S, k)
-        layouts = (
-            # (layout, int8 phi, float64 phi, lane weights, lane offsets, grid entries)
-            ("(S, k)", flat[:, None, :], flat_ref[:, None, :], weights, offsets, grid),
-            ("(k,)", phi[0, 0], ref[0, 0], weights, offsets, grid[lanes, lanes]),
-            ("(S,)", flat, flat_ref, weights[0], offsets[0], grid[:, 0]),
-            ("(R, 2, k)", phi, ref, weights, offsets,
-             grid[np.arange(flat.shape[0]), np.tile(lanes, 2 * rounds)].reshape(phi.shape[:-1])),
-            ("(R, 2, S)", phi, ref, weights[0], offsets[0], grid[:, 0].reshape(phi.shape[:-1])),
-        )
-        for layout, p8, p64, w, b, expected in layouts:
-            sums = delay_sums(p8, w, b)
-            assert np.array_equal(sums, delay_sums(p64, w, b)), (n, layout)
-            assert np.array_equal(sums, expected), (n, layout)
+
+def test_a_moved_offset_gives_the_tables_built_at_it():
+    # the adjustment loop builds a lane's tables once at offset 0 and moves
+    # the offset each round; every entry must be what a fresh build gives
+    for n in (1, 8, 12, 21):
+        lane = sample_instance(n, n)
+        still = lane_tables(lane.weights, 0.0)
+        for up, low in ((0, 0), (3, 0), (0, 7), (40, 1)):
+            offset = ApufInstance(lane.weights, up, low).offset
+            built = lane_tables(lane.weights, offset)
+            moved = still.moved(offset).entries
+            assert all(map(np.array_equal, moved, built.entries)), (n, up, low)
+    assert all(map(np.array_equal, still.entries, lane_tables(lane.weights, 0.0).entries))
+
+
+@given(st.integers(1, 62), st.integers(0, 2**32 - 1))
+def test_kernel_sums_agree_in_every_layout_at_every_order(order, seed):
+    # the tag's (R, 2, k), the reader's (R, 2, S, k), vote_batch's one lane
+    # at a time over (k, S) and a lane built alone give the same bits, and
+    # the einsum oracle to rounding; orders above 2 * CHUNK take more chunks
+    rng = np.random.default_rng(seed)
+    rounds, k, sessions = 5, 4, 3
+    weights, offsets = rng.standard_normal((k, order + 1)), rng.standard_normal(k)
+    tables = lane_tables(weights, offsets)
+    assert len(tables.widths) == max(2, -(-order // CHUNK)) and sum(tables.widths) == order
+    reader = rng.integers(0, 1 << order, size=(rounds, 2, sessions, k))
+    sums = kernel_sums(tables, reader)
+    assert np.array_equal(kernel_sums(tables, reader[:, :, 0]), sums[:, :, 0])  # the tag's
+    for lane in range(k):
+        alone = lane_tables(weights[lane], offsets[lane])
+        column = reader[..., lane].reshape(-1)  # vote_batch's row of lane
+        for one in (tables.lane(lane), alone):
+            assert np.array_equal(kernel_sums(one, column), sums[..., lane].reshape(-1))
+    oracle = reference.delay_sums(reader, weights, offsets)
+    assert np.allclose(sums, oracle, rtol=0, atol=1e-12)

@@ -374,6 +374,21 @@ def test_device_file_with_mixed_round_counts(capsys, tmp_path):
     assert_cli_error(capsys, "device", "crp", "--device", dev, "--challenge", "1")
 
 
+@pytest.mark.parametrize("counter, value", [("adjust_up", 1.5), ("adjust_low", True)])
+def test_device_file_with_a_counter_that_is_not_an_integer(capsys, tmp_path, counter, value):
+    # a fractional counter loaded as an offset off the DELTA_UNIT grid, and
+    # a bool one loaded as 1 and was saved back as true
+    dev, _ = built_tag(capsys, tmp_path)
+    doc = json.loads(Path(dev).read_text())
+    doc["lanes"][1][counter] = value
+    Path(dev).write_text(json.dumps(doc))
+    with pytest.raises(SimulationError):
+        load_device(dev)
+    assert_cli_error(capsys, "device", "crp", "--device", dev, "--challenge", "1")
+    assert_cli_error(capsys, "auth", "register", "--device", dev,
+                     "--out", str(tmp_path / "reg.json"))
+
+
 def test_replay_rejects_a_parity_policy_with_no_tick_gap(capsys, tmp_path):
     dev, reg = built_tag(capsys, tmp_path)
     assert run_cli(capsys, "auth", "register", "--device", dev, "--out", reg,

@@ -4,7 +4,9 @@ For a k=64 tag at each order 3-10, every (challenge, mode) input goes
 through every evaluation path: the tag's PufDevice.respond one input at a
 time, predict_response as one array call per registry (table and model
 mode), and the pure-Python reference of tests/reference.py on a spread of
-lanes.  At sigma 0 they must agree bit for bit on every input.  One figure
+lanes.  At sigma 0 they must agree bit for bit on every input.  Under all
+of them, the table kernel's delay sum has the sign of the einsum oracle's at
+every raw challenge of every lane.  One figure
 line per order is printed at the end of the run, after the acceptance
 criteria.
 """
@@ -16,6 +18,7 @@ import pytest
 
 import reference
 from conftest import make_device
+from dualpuf.apuf import lane_sums, lane_tables, stack_lanes, table_positions
 from dualpuf.server import predict_response, register_from_ttp
 
 LANES = 64
@@ -43,6 +46,12 @@ def test_every_input_agrees_on_every_path(order):
             bits = [reference.response(pairs[lane], device.lanes[lane], c, mode)
                     for c in challenges.tolist()]
             assert bits == tag[mode, :, lane].tolist()
+
+    weights, offsets = stack_lanes(device.lanes, order)
+    raw = np.arange(1 << order)[:, None]
+    tables = lane_tables(weights, offsets)
+    sums = lane_sums(tables, table_positions(tables, raw))
+    assert np.array_equal(np.sign(sums), np.sign(reference.delay_sums(raw, weights, offsets)))
 
     mode_blind = int((tag[0] == tag[1]).all(axis=-1).sum())
     elapsed = time.perf_counter() - t0

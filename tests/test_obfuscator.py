@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import reference
 from conftest import make_device
 from dualpuf.adversary import collect_naked_crps, collect_obfuscated_crps
-from dualpuf.apuf import features_from_ints, sample_instance
+from dualpuf.apuf import features_from_ints, lane_sums, sample_instance, table_positions
 from dualpuf.errors import WidthMismatch, ZeroSeed
 from dualpuf.lfsr import LfsrSpec, pick_lfsr_pair
 from dualpuf.obfuscator import DualLfsrSpec, run_rounds, shift_tables, trace_records
@@ -246,32 +246,36 @@ class CountingStream:
 
 
 def test_one_lane_call_per_response(monkeypatch):
-    # every response transforms its 2R candidate challenges in one
-    # features_from_ints call and draws its noise at most once, so a
-    # per-round evaluation cannot creep back into the tag, the model reader
-    # or the attacker
+    # every response finds the table entries of its 2R candidate challenges
+    # in one table_positions call, sums them in one lane_sums call and draws
+    # its noise at most once, so a per-round evaluation cannot creep back
+    # into the tag, the model reader or the attacker
     tag = make_device(k=8, n_stages=8, sigma_noise=0.3)
     registry = run_registration(make_device(k=8, n_stages=8), policy="params")
     lane = make_device(k=1, n_stages=8, sigma_noise=0.3)
-    counts = {"features": 0, "draws": 0}
+    counts = {"positions": 0, "sums": 0, "draws": 0}
 
-    def counted_features(*args, **kwargs):
-        counts["features"] += 1
-        return features_from_ints(*args, **kwargs)
+    def counted(name, kernel):
+        def count(*args, **kwargs):
+            counts[name] += 1
+            return kernel(*args, **kwargs)
 
-    for module in ("apuf", "postproc", "adversary"):
-        monkeypatch.setattr(f"dualpuf.{module}.features_from_ints", counted_features)
+        return count
+
+    monkeypatch.setattr("dualpuf.postproc.table_positions", counted("positions", table_positions))
+    monkeypatch.setattr("dualpuf.postproc.lane_sums", counted("sums", lane_sums))
     real_rng = np.random.default_rng
     monkeypatch.setattr(np.random, "default_rng", lambda *a: CountingStream(real_rng(*a), counts))
 
     def calls(action):
-        counts.update(features=0, draws=0)
+        counts.update(positions=0, sums=0, draws=0)
         action()
-        return counts["features"], counts["draws"]
+        return counts["positions"], counts["sums"], counts["draws"]
 
-    assert calls(lambda: tag.respond(0x5A, 1, CountingStream(real_rng(1), counts))) == (1, 1)
-    assert calls(lambda: predict_response(registry, 0x5A, 0)) == (1, 0)
-    assert calls(lambda: collect_obfuscated_crps(lane, 500)) == (1, 1)
-    # the raw harvest transforms every challenge once and draws once per lane
-    assert calls(lambda: tag.raw_crp_table(CountingStream(real_rng(2), counts))) == (1, 8)
-    assert calls(lambda: collect_naked_crps(lane.lanes[0], 500)) == (1, 0)
+    assert calls(lambda: tag.respond(0x5A, 1, CountingStream(real_rng(1), counts))) == (1, 1, 1)
+    assert calls(lambda: predict_response(registry, 0x5A, 0)) == (1, 1, 0)
+    assert calls(lambda: collect_obfuscated_crps(lane, 500)) == (1, 1, 1)
+    # the raw harvest places every challenge once, then sums and draws once
+    # per lane
+    assert calls(lambda: tag.raw_crp_table(CountingStream(real_rng(2), counts))) == (1, 8, 8)
+    assert calls(lambda: collect_naked_crps(lane.lanes[0], 500)) == (1, 1, 0)

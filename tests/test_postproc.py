@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import reference
-from dualpuf.apuf import ApufInstance, sample_instance
+from dualpuf.apuf import ApufInstance, lane_tables, sample_instance
 from dualpuf.errors import EvenVoterWidth, InvalidParameter, NoConvergence, WidthMismatch
 from dualpuf.postproc import (
     AdjustReport,
@@ -35,7 +35,7 @@ def test_branch_semantics_with_scripted_counts(monkeypatch):
     # zero counts per round: boundary, boundary, below, above, inside
     script = iter([42, 54, 41, 55, 48])
 
-    def scripted_vote(weights, offsets, challenges, sigma, voter_t, noise_stream):
+    def scripted_vote(tables, challenges, sigma, voter_t, noise_stream):
         zeros = next(script)
         bits = np.ones(challenges.size, dtype=np.uint8)
         bits[:zeros] = 0
@@ -96,7 +96,7 @@ def test_vote_rejects_even_or_empty_width():
         with pytest.raises(EvenVoterWidth):
             lane_bits(np.array([0.5]), 0.0, bad, rng)
         with pytest.raises(EvenVoterWidth):
-            vote_batch(inst.weights, inst.offset, np.array([1]), 0.0, bad, rng)
+            vote_batch(lane_tables(inst.weights, inst.offset), np.array([1]), 0.0, bad, rng)
 
 
 def test_vote_rejects_a_sigma_that_is_not_finite():
@@ -126,7 +126,8 @@ def test_vote_batch_matches_scalar_stream():
     challenges = np.arange(64)
     rng = np.random.default_rng(9)
     scalar = [reference.vote(inst, int(c), 0.5, 5, rng) for c in challenges]
-    batched = vote_batch(inst.weights, inst.offset, challenges, 0.5, 5, np.random.default_rng(9))
+    tables = lane_tables(inst.weights, inst.offset)
+    batched = vote_batch(tables, challenges, 0.5, 5, np.random.default_rng(9))
     assert batched.tolist() == scalar
     # stacked lanes in one call vote lane after lane, challenge after
     # challenge, vote after vote, on one generator
@@ -143,7 +144,7 @@ def test_vote_batch_matches_scalar_stream():
         ]
         weights = np.stack([lane.weights for lane in lanes])
         offsets = np.array([lane.offset for lane in lanes])
-        batched = vote_batch(weights, offsets, challenges, sigma, voter_t, stream)
+        batched = vote_batch(lane_tables(weights, offsets), challenges, sigma, voter_t, stream)
         assert batched.shape == (4,) + shape
         assert batched.reshape(4, -1).tolist() == scalar
         assert rng.standard_normal() == stream.standard_normal()  # as many draws
@@ -153,7 +154,7 @@ def test_vote_noiseless_equals_raw():
     inst = sample_instance(6, 4)
     rng = np.random.default_rng(1)
     challenges = rng.integers(0, 64, size=30)
-    voted = vote_batch(inst.weights, inst.offset, challenges, 0.0, 5, rng)
+    voted = vote_batch(lane_tables(inst.weights, inst.offset), challenges, 0.0, 5, rng)
     assert voted.tolist() == [reference.evaluate(inst, int(c)) for c in challenges]
     assert voted.tolist() == [reference.vote(inst, int(c), 0.0, 5, rng) for c in challenges]
 
@@ -165,7 +166,7 @@ def test_wider_voter_suppresses_noise():
     err = {}
     for t, seed in ((1, 21), (5, 22), (11, 23)):
         rng = np.random.default_rng(seed)
-        bits = vote_batch(inst.weights, inst.offset, trials, 1.0, t, rng)
+        bits = vote_batch(lane_tables(inst.weights, inst.offset), trials, 1.0, t, rng)
         err[t] = float((bits == 0).mean())
     assert abs(err[1] - 0.1587) < 0.01
     assert abs(err[5] - 0.0311) < 0.007  # binomial majority-of-5 oracle

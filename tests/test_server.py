@@ -13,6 +13,7 @@ from dualpuf.adversary import collect_obfuscated_crps
 from dualpuf.apuf import sample_instance
 from dualpuf.device import default_lane_pairs, save_device
 from dualpuf.errors import (
+    InvalidParameter,
     SimulationError,
     WidthMismatch,
     ZeroSeed,
@@ -154,6 +155,26 @@ def test_prediction_rejects_out_of_range():
             predict_response(registry, bad, 1)
         with pytest.raises(ZeroSeed):
             predict_response(registry, np.asarray(bad, dtype=object), 1)
+
+
+def test_challenges_and_modes_must_be_integers():
+    # a cast to int64 used to truncate 3.7 to 3 and "5" to 5, and a float
+    # mode ended in a bare TypeError
+    dev = make_device()
+    registry = model_registry(dev)
+    bads = (3.7, 5.0, "5", np.float64(5.5), True, [5, 1.5], np.array([3.0]))
+    for bad in bads:
+        with pytest.raises(InvalidParameter):
+            predict_response(registry, bad, 1)
+        with pytest.raises(InvalidParameter):
+            predict_response(registry, 5, bad)
+        with pytest.raises(InvalidParameter):
+            dev.respond(bad, 1)
+        with pytest.raises(InvalidParameter):
+            dev.respond(5, bad)
+    for mode, bit in ((np.int8(3), 1), (np.uint64(1), 1), (1 << 70, 0)):
+        assert np.array_equal(predict_response(registry, 5, mode), dev.respond(5, bit))
+        assert np.array_equal(dev.respond(5, mode), dev.respond(5, bit))
 
 
 def test_array_prediction_matches_scalar_calls():

@@ -60,23 +60,30 @@ def calls(node, names) -> bool:
 
 
 def test_only_the_delay_sum_reduction_multiplies_lane_weights():
-    # lane weights meet parity features in apuf.delay_sums alone, so the
-    # tag, the readers and the attacker cannot round a delay sum apart; the
-    # attacker's own linear unit holds no lane weights
-    allowed = {("apuf.py", "delay_sums"), ("adversary.py", "train_linear_attack")}
+    # lane weights meet the parity signs in apuf.lane_tables alone, by
+    # elementwise products in a fixed stage order, so the tag, the readers
+    # and the attacker cannot round a delay sum apart; no BLAS product
+    # reorders a sum, and the attacker's own linear unit holds no lane weights
+    attacker = {("adversary.py", "train_linear_attack")}
 
-    def product(node) -> bool:
+    def blas(node) -> bool:
         matmul = isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
         return matmul or calls(node, ["einsum"])
 
-    assert offenders_outside(allowed, product) == []
+    def scales_weights(node) -> bool:
+        return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult) and any(
+            "weights" in ast.unparse(side) for side in (node.left, node.right)
+        )
+
+    assert offenders_outside(attacker, blas) == []
+    assert offenders_outside(attacker | {("apuf.py", "lane_tables")}, scales_weights) == []
 
 
 def test_one_raw_lane_evaluator():
-    # challenges become lane bits in voted_round (candidate challenges of
-    # run_rounds) and vote_batch (raw challenges) and nowhere else; the
-    # attacker's linear unit and the bit-array entry point of the parity
-    # transform only build features
+    # challenges become delay sums and lane bits in voted_round (candidate
+    # challenges of run_rounds) and vote_batch (raw challenges) and nowhere
+    # else; the attacker's linear unit and the bit-array entry point of the
+    # parity transform only build features
     allowed = {
         ("postproc.py", "voted_round"),
         ("postproc.py", "vote_batch"),
@@ -85,7 +92,7 @@ def test_one_raw_lane_evaluator():
     }
 
     def evaluates(node) -> bool:
-        return calls(node, ["features_from_ints", "lane_bits"])
+        return calls(node, ["features_from_ints", "table_positions", "lane_sums", "lane_bits"])
 
     assert offenders_outside(allowed, evaluates) == []
 
