@@ -163,9 +163,10 @@ def serialize_response(bits: np.ndarray):
     gives a list of S ints.  Python ints keep any k exact, k > 64 included.
     """
     bits = np.asarray(bits, dtype=np.uint8)
+    if bits.ndim == 1:
+        return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
     packed = np.packbits(bits.reshape(bits.shape[0], -1).T, axis=-1, bitorder="little")
-    words = [int.from_bytes(row.tobytes(), "little") for row in packed]
-    return words[0] if bits.ndim == 1 else words
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 def deserialize_response(value, k: int) -> np.ndarray:

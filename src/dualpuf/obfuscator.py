@@ -126,14 +126,16 @@ _SHIFTS = np.arange(1, BLOCK + 1)
 def check_external_challenge(challenge, order: int, mode=1):
     """Return an external challenge and a session mode, or arrays of them,
     as int64 (a pair of Python ints as ints), the mode reduced to its parity
-    bit.  Either one not of an integer dtype raises InvalidParameter (Python
+    bit.  Either one not of an integer dtype, or an object array holding
+    anything but Python or NumPy integers, raises InvalidParameter (Python
     ints beyond int64 come as objects), and a challenge outside the nonzero
     order-bit range ZeroSeed: zero is the registers' stuck state."""
     if type(challenge) is int and type(mode) is int and 0 < challenge < 1 << order:
         return challenge, mode & 1  # one challenge as a frame carries it
     seeds, modes = np.asarray(challenge), np.asarray(mode)
     for what, given in (("external challenge", seeds), ("mode", modes)):
-        if given.dtype.kind not in "iuO" and given.size:
+        if given.dtype.kind not in "iuO" and given.size or given.dtype.kind == "O" and not all(
+                isinstance(v, (int, np.integer)) and type(v) is not bool for v in given.flat):
             raise InvalidParameter(f"{what} {given.tolist()!r} is not an integer")
     try:
         seeds = seeds.astype(np.int64, copy=False)
@@ -181,10 +183,10 @@ def trace_records(
 def run_rounds(tables, seed, mode, rounds: int, evaluate) -> np.ndarray:
     """Vectorised selection engine over any broadcastable lane/batch layout.
 
-    tables comes from shift_tables; its lane layout, seed and mode broadcast
-    together to the working shape.  evaluate(candidates) is called once,
-    with the int64 candidate challenges of every round laid out
-    (rounds, 2, *shape), and returns a uint8 bit array of the same shape.
+    tables comes from shift_tables; its lane layout, seed and mode (a parity
+    bit, 0 or 1) broadcast together to the working shape.  evaluate(candidates)
+    is called once, with the int64 candidate challenges of every round laid
+    out (rounds, 2, *shape), and returns a uint8 bit array of the same shape.
     Round r takes the first register's bit when the previous selected bit
     xor mode is 1, else the second's.  Returns the uint8 XOR fold of the
     selected bits.
@@ -193,7 +195,8 @@ def run_rounds(tables, seed, mode, rounds: int, evaluate) -> np.ndarray:
     seed = np.asarray(seed, dtype=np.int64)
     shape = np.broadcast(base[0, 0], seed, mode).shape
     # the register axis of base and the round axis of the shifts lead
-    base = base.reshape(base.shape[:2] + (1,) * (len(shape) + 2 - base.ndim) + base.shape[2:])
+    if base.ndim != len(shape) + 2:
+        base = base.reshape(base.shape[:2] + (1,) * (len(shape) + 2 - base.ndim) + base.shape[2:])
     shifts = _SHIFTS.reshape((BLOCK, 1) + (1,) * len(shape))
     candidates = np.empty((rounds, 2) + shape, dtype=np.int64)
     state = seed
@@ -204,9 +207,11 @@ def run_rounds(tables, seed, mode, rounds: int, evaluate) -> np.ndarray:
         state = block[-1]
     bits = evaluate(candidates).reshape(2 * rounds, -1)
     # the carry of a mode with no selected bit and zero round bits is itself
-    index, folded = np.bitwise_and(mode, 1), 0
+    index = mode
     for start in range(0, 2 * rounds, 2 * BLOCK):
+        if start:
+            index = _CARRY[index]
         block = bits[start:start + 2 * BLOCK]
-        index = _CARRY[index] + _BIT_WEIGHTS[:len(block)].dot(block).reshape(shape)
-        folded = _FOLDED[index] ^ folded
+        index = _BIT_WEIGHTS[:len(block)].dot(block).reshape(shape) + index
+        folded = _FOLDED[index] ^ folded if start else _FOLDED[index]
     return folded

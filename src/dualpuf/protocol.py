@@ -10,15 +10,17 @@ response of a session always runs in mode 1.
 
 The reader fixes C1, C2 and t before it sends anything, so it predicts both
 responses it expects, R(C1, mode 1) and R(C2, t & 1), in one evaluation when
-it draws the session.  Authentication passes only when both comparisons
-pass; a failed first comparison rejects immediately and C2 is never sent.
+it draws the session, and packs them into the two k-bit words it expects.
+A response word passes when the popcount of its XOR with the expected word
+is at most tau.  Authentication passes only when both comparisons pass; a
+failed first comparison rejects immediately and C2 is never sent.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .device import PufDevice, deserialize_response
+from .device import PufDevice, serialize_response
 from .errors import ChannelTimeout, InterfaceFused, InvalidParameter, NonMonotonicTicks
 from .persist import atomic_write, reading
 from .server import (
@@ -108,13 +110,16 @@ class SessionTranscript:
 
 @dataclass(frozen=True)
 class AuthResult:
-    """Outcome of one session."""
+    """Outcome of one session; hd1 and hd2 are the lane distances the
+    comparator found, None where no response was compared."""
 
     d1: int
     d2: int
     passed: bool
     transcript: SessionTranscript
     session: tuple[int, int, int]  # (C1, C2, drawn t)
+    hd1: int | None
+    hd2: int | None
 
 
 class SimChannel:
@@ -230,25 +235,23 @@ def run_authentication(
         channel = SimChannel()
     c1, c2, t = forced_session if forced_session is not None else gen_session(registry)
     k, n = registry.k, registry.n_stages
-    expected = predict_response(registry, (c1, c2), (1, t & 1))
+    expected = serialize_response(predict_response(registry, (c1, c2), (1, t & 1)).T)
     responder.begin_session()
     log_start = len(channel.log)
     tick0 = channel.last_tick + 1
 
-    def verdict(challenge: int, tick: int, expected_row) -> int:
+    def verdict(challenge: int, tick: int, expected_word: int) -> tuple[int, int | None]:
         frame = Frame(tick, READER_TO_TAG, CHALLENGE, challenge, n)
         try:
             reply = channel.exchange(frame, responder, response_width=k)
         except ChannelTimeout:
-            return 0
-        return compare(expected_row, deserialize_response(reply.payload, k), registry.tau)
+            return 0, None
+        return compare(expected_word, reply.payload, k, registry.tau)
 
-    d1 = verdict(c1, tick0, expected[0])
-    d2 = 0
-    if d1 == 1:
-        d2 = verdict(c2, tick0 + t, expected[1])
+    d1, hd1 = verdict(c1, tick0, expected[0])
+    d2, hd2 = verdict(c2, tick0 + t, expected[1]) if d1 == 1 else (0, None)
     passed = d1 == 1 and d2 == 1
     transcript = SessionTranscript(
         frames=list(channel.log[log_start:]), d1=d1, d2=d2, passed=passed
     )
-    return AuthResult(d1=d1, d2=d2, passed=passed, transcript=transcript, session=(c1, c2, t))
+    return AuthResult(d1, d2, passed, transcript, (c1, c2, t), hd1, hd2)

@@ -128,11 +128,11 @@ def predict_response(registry: ServerRegistry, challenge, mode) -> np.ndarray:
     """R_m: the tag responses the server expects, lane axis last.
 
     challenge and mode broadcast to a shape S, and the S + (k,) uint8
-    result comes from one run_rounds call per PREDICT_SLICE elements of S:
+    result is filled by one run_rounds call per PREDICT_SLICE elements of S:
     a scalar pair gives one (k,) response, and run_authentication predicts
-    a session's (C1, mode 1) and (C2, t & 1) together as soon as it draws
-    them.  Any challenge outside the nonzero n-bit range raises ZeroSeed,
-    and a challenge or mode that is not an integer InvalidParameter.
+    a session's (C1, mode 1) and (C2, t & 1) together, in one call, as soon
+    as it draws them.  Any challenge outside the nonzero n-bit range raises
+    ZeroSeed, and a challenge or mode that is not an integer InvalidParameter.
     """
     seeds, modes = check_external_challenge(challenge, registry.n_stages, mode)
     if registry.mode == TABLE_MODE:
@@ -144,17 +144,19 @@ def predict_response(registry: ServerRegistry, challenge, mode) -> np.ndarray:
     else:
         naked = voted_round(registry._lane_tables)
 
-    seeds, modes = np.broadcast_arrays(seeds, modes)
+    seeds, modes = np.asarray(seeds), np.asarray(modes)
+    if seeds.shape != modes.shape:
+        seeds, modes = np.broadcast_arrays(seeds, modes)
     shape = seeds.shape + (registry.k,)
     # noiseless, so slices of the rows give the same bits, whichever axis is
-    # long, and hold one slice's candidates, positions and sums at a time; an
-    # empty batch still makes one call, on a (0, 1) slice
+    # long, and hold one slice's candidates, positions and sums at a time
     seeds, modes = seeds.reshape(-1, 1), modes.reshape(-1, 1)
     rounds, tables = registry.rounds_per_response, registry._tables
-    return np.concatenate([
-        run_rounds(tables, seeds[i:i + PREDICT_SLICE], modes[i:i + PREDICT_SLICE], rounds, naked)
-        for i in range(0, max(len(seeds), 1), PREDICT_SLICE)
-    ]).reshape(shape)
+    out = np.empty((len(seeds), registry.k), dtype=np.uint8)
+    for i in range(0, len(seeds), PREDICT_SLICE):
+        rows = slice(i, i + PREDICT_SLICE)
+        out[rows] = run_rounds(tables, seeds[rows], modes[rows], rounds, naked)
+    return out.reshape(shape)
 
 
 def gen_session(registry: ServerRegistry) -> tuple[int, int, int]:
@@ -169,13 +171,17 @@ def gen_session(registry: ServerRegistry) -> tuple[int, int, int]:
     return c1, c2, t
 
 
-def compare(r_m: np.ndarray, r_p: np.ndarray, tau: int) -> int:
-    """1 iff the responses differ in at most tau lanes."""
-    r_m = np.asarray(r_m, dtype=np.uint8)
-    r_p = np.asarray(r_p, dtype=np.uint8)
-    if r_m.shape != r_p.shape:
-        raise WidthMismatch(f"response widths differ: {r_m.shape} vs {r_p.shape}")
-    return 1 if int((r_m ^ r_p).sum()) <= tau else 0
+def compare(expected: int, payload, k: int, tau: int) -> tuple[int, int]:
+    """(1 iff a k-bit response word is within tau flipped lanes of the
+    expected word, that lane distance).  A payload that is not an integer or
+    does not fit k lanes raises WidthMismatch, as deserialize_response does."""
+    if not isinstance(payload, (int, np.integer)):
+        raise WidthMismatch(f"response {payload!r} is not an integer word")
+    word = int(payload)
+    if not 0 <= word < 1 << k:
+        raise WidthMismatch(f"response {word:#x} does not fit {k} lanes")
+    distance = (expected ^ word).bit_count()
+    return int(distance <= tau), distance
 
 
 # -- persistence -------------------------------------------------------------

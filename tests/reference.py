@@ -7,7 +7,8 @@ postproc.lane_bits and the dual-register selection rule of
 obfuscator.run_rounds.  The package computes all of these on arrays; the
 tests compare it against the functions here.  delay_sums is the one array
 oracle: the parity-feature reduction that the package's delay-sum tables
-replace.
+replace.  compare and session are the reader on lane-bit arrays, which the
+package's comparison of response words replaces.
 """
 
 import math
@@ -15,7 +16,10 @@ import math
 import numpy as np
 
 from dualpuf.apuf import features_from_ints
-from dualpuf.errors import ZeroSeed
+from dualpuf.device import deserialize_response
+from dualpuf.errors import ChannelTimeout, WidthMismatch, ZeroSeed
+from dualpuf.protocol import CHALLENGE, READER_TO_TAG, Frame, SimChannel
+from dualpuf.server import gen_session, predict_response
 
 
 def shift(feed: int, state: int) -> int:
@@ -114,3 +118,40 @@ def response(
         spec, challenge, mode, lambda _, c: vote(lane, c, sigma, voter_t, noise_stream)
     )
     return sum(bits) % 2
+
+
+def compare(r_m, r_p, tau: int) -> int:
+    """1 iff two lane-bit arrays differ in at most tau lanes."""
+    r_m = np.asarray(r_m, dtype=np.uint8)
+    r_p = np.asarray(r_p, dtype=np.uint8)
+    if r_m.shape != r_p.shape:
+        raise WidthMismatch(f"response widths differ: {r_m.shape} vs {r_p.shape}")
+    return 1 if int((r_m ^ r_p).sum()) <= tau else 0
+
+
+def session(registry, responder) -> tuple:
+    """One two-time session as protocol.run_authentication runs it, but
+    with each response payload unpacked by deserialize_response and
+    compared with its predicted lane bits by compare above.  Returns the
+    session, d1, d2, passed, the two distances (None where no response was
+    compared) and the lines of the frames on the wire."""
+    channel = SimChannel()
+    c1, c2, t = gen_session(registry)
+    k, n = registry.k, registry.n_stages
+    expected = predict_response(registry, (c1, c2), (1, t & 1))
+    responder.begin_session()
+    decisions, distances = [0, 0], [None, None]
+    for i, (challenge, tick) in enumerate(((c1, 0), (c2, t))):
+        frame = Frame(tick, READER_TO_TAG, CHALLENGE, challenge, n)
+        try:
+            reply = channel.exchange(frame, responder, response_width=k)
+        except ChannelTimeout:
+            break
+        bits = deserialize_response(reply.payload, k)
+        decisions[i] = compare(expected[i], bits, registry.tau)
+        distances[i] = int((expected[i] ^ bits).sum())
+        if not decisions[i]:
+            break
+    d1, d2 = decisions
+    lines = [f.line() for f in channel.log]
+    return (c1, c2, t), d1, d2, d1 == 1 and d2 == 1, *distances, lines

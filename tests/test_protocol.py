@@ -1,15 +1,18 @@
 """Registration flow, the tick-based channel, and two-time authentication."""
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import reference
 from conftest import make_device
 from dualpuf.adversary import ReplayAttacker
 from dualpuf.device import serialize_response
 from dualpuf.errors import (
-    ChannelTimeout, InterfaceFused, NonMonotonicTicks, SimulationError, ZeroSeed,
+    ChannelTimeout, InterfaceFused, NonMonotonicTicks, SimulationError, WidthMismatch, ZeroSeed,
 )
 from dualpuf.obfuscator import run_rounds, shift_tables
 from dualpuf.protocol import (
@@ -340,3 +343,65 @@ def test_authentication_leaves_the_registry_untouched():
     snapshot = registry.table.copy()
     run_authentication(registry, device)
     assert np.array_equal(registry.table, snapshot)
+
+
+class Wayward:
+    """A tag whose every answer is, by a draw of its own: the tag's word as
+    a Python int or as a NumPy integer (np.int64 where it fits), the word
+    with a few lanes flipped, a word that does not fit k lanes, or silence."""
+
+    def __init__(self, device, seed):
+        self.device, self.rng = device, np.random.default_rng(seed)
+
+    def begin_session(self):
+        self.device.begin_session()
+
+    def answer_challenge(self, frame):
+        word, k = self.device.answer_challenge(frame), self.device.config.k
+        kind = int(self.rng.integers(0, 10))
+        if kind == 0:
+            return None
+        if kind == 1:
+            return (1 << k) + word if self.rng.integers(0, 2) else -1 - word
+        if kind < 5:  # flip up to 3 lanes, some of them maybe twice
+            for lane in self.rng.integers(0, k, int(self.rng.integers(1, 4))):
+                word ^= 1 << int(lane)
+        if kind % 2:
+            return np.int64(word) if word < 1 << 63 else np.uint64(word)
+        return word
+
+
+def outcome(run):
+    try:
+        return run()
+    except WidthMismatch as exc:
+        return "WidthMismatch", str(exc)
+
+
+@pytest.mark.parametrize("k, sigma, policy", [
+    (64, 0.0, "full"), (64, 0.0, "params"), (8, 0.1, "full"), (8, 0.1, "params"),
+])
+def test_sessions_match_the_bit_array_reader(k, sigma, policy):
+    # the reader on words gives the sessions, verdicts, distances and wire
+    # lines of the reader on unpacked bits, also for NumPy integer, flipped,
+    # out-of-range and missing answers; two copies of the tag and registry
+    # draw the same sessions and noise
+    device = make_device(k=k, sigma_noise=sigma, device_seed=41)
+    registry = run_registration(device, policy=policy, rng_seed=9)
+    assert registry.tau == (1 if sigma else 0)
+    twin_device, twin_registry = copy.deepcopy((device, registry))
+    words, bits = Wayward(device, 2), Wayward(twin_device, 2)
+
+    def by_words():
+        r = run_authentication(registry, words)
+        lines = [f.line() for f in r.transcript.frames]
+        assert (r.transcript.d1, r.transcript.d2, r.transcript.passed) == (r.d1, r.d2, r.passed)
+        return r.session, r.d1, r.d2, r.passed, r.hd1, r.hd2, lines
+
+    seen = set()
+    for _ in range(150):
+        got, want = outcome(by_words), outcome(lambda: reference.session(twin_registry, bits))
+        assert got == want
+        seen.add(got[0] if len(got) == 2 else (got[1], got[2], got[4]))
+    # passes, rejections at either challenge, timeouts and refused words
+    assert {(1, 1, 0), (0, 0, None), (1, 0, 0), "WidthMismatch"} <= seen

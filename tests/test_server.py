@@ -7,11 +7,14 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import reference
 from conftest import make_device
 from dualpuf.adversary import collect_obfuscated_crps
 from dualpuf.apuf import sample_instance
-from dualpuf.device import default_lane_pairs, save_device
+from dualpuf.device import default_lane_pairs, deserialize_response, save_device
 from dualpuf.errors import (
     InvalidParameter,
     SimulationError,
@@ -177,6 +180,28 @@ def test_challenges_and_modes_must_be_integers():
         assert np.array_equal(dev.respond(5, mode), dev.respond(5, bit))
 
 
+def test_object_arrays_must_hold_integers():
+    # an object array passed the dtype check whatever it held: a float
+    # element was truncated by the int64 cast, and a float mode element
+    # ended in a bare TypeError
+    dev = make_device(k=8)
+    registry = model_registry(dev)
+    bads = ([5, 6.5], [5.0], [5, "6"], [np.float64(5.0)], [5, True], [[3], [None]])
+    for bad in bads:
+        with pytest.raises(InvalidParameter):
+            predict_response(registry, np.array(bad, dtype=object), 1)
+        with pytest.raises(InvalidParameter):
+            predict_response(registry, 5, np.array(bad, dtype=object))
+        with pytest.raises(InvalidParameter):
+            dev.respond(np.array(bad, dtype=object), 1)
+    mixed = np.array([5, np.int64(6), np.uint8(7)], dtype=object)
+    modes = np.array([1, np.int16(0), 1 << 70], dtype=object)
+    assert np.array_equal(predict_response(registry, mixed, modes),
+                          predict_response(registry, [5, 6, 7], [1, 0, 0]))
+    with pytest.raises(ZeroSeed):  # a Python int beyond int64
+        predict_response(registry, np.array([5, 1 << 70], dtype=object), 1)
+
+
 def test_array_prediction_matches_scalar_calls():
     # challenges (3, 40) broadcast against modes (40,): one S + (k,) array,
     # bit for bit what one scalar call per element gives
@@ -250,14 +275,45 @@ def test_gen_session_tick_gap_parity_is_balanced():
 
 
 def test_compare_thresholds():
-    base = np.array([1, 0, 1, 1, 0, 0, 1, 0], dtype=np.uint8)
-    one_off = base.copy()
-    one_off[3] ^= 1
-    assert compare(base, base, 0) == 1
-    assert compare(base, one_off, 0) == 0
-    assert compare(base, one_off, 1) == 1
+    base = 0b01001101
+    one_off = base ^ 1 << 3
+    assert compare(base, base, 8, 0) == (1, 0)
+    assert compare(base, one_off, 8, 0) == (0, 1)
+    assert compare(base, one_off, 8, 1) == (1, 1)
+    assert compare(base, np.int64(one_off), 8, 1) == (1, 1)
+    for bad in (1 << 8, -1, 5.0, "5", [base], None):
+        with pytest.raises(WidthMismatch):
+            compare(base, bad, 8, 0)
+
+
+NOT_INTEGERS = st.one_of(
+    st.floats(), st.text(max_size=3), st.lists(st.integers(0, 1), max_size=3),
+    st.none(), st.just(np.float64(1.0)), st.just(np.bool_(True)),
+)
+
+
+@given(k=st.integers(1, 130), data=st.data())
+def test_word_compare_matches_the_bit_array_oracle(k, data):
+    # the popcount of the XOR of two words is the lane distance of their
+    # unpacked bits, at any k, beyond 64 lanes included
+    tau = data.draw(st.integers(0, k - 1))
+    expected = data.draw(st.integers(0, (1 << k) - 1))
+    flips = data.draw(st.sets(st.integers(0, k - 1)))
+    payload = expected ^ sum(1 << lane for lane in flips)
+    if payload < 1 << 63 and data.draw(st.booleans()):
+        payload = np.int64(payload)
+    bits = deserialize_response(expected, k)
+    decision, distance = compare(expected, payload, k, tau)
+    assert decision == reference.compare(bits, deserialize_response(payload, k), tau)
+    assert distance == len(flips)
+    # out of range or not an integer: the bit-array path raised as well
+    bad = data.draw(st.one_of(
+        st.integers(1 << k, 1 << k + 70), st.integers(-(1 << k + 70), -1), NOT_INTEGERS,
+    ))
+    with pytest.raises((TypeError, ValueError, WidthMismatch)):
+        reference.compare(bits, deserialize_response(bad, k), tau)
     with pytest.raises(WidthMismatch):
-        compare(base, base[:4], 0)
+        compare(expected, bad, k, tau)
 
 
 def test_table_lookup():
