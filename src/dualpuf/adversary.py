@@ -16,8 +16,7 @@ import numpy as np
 from .apuf import ApufInstance, features_from_ints, lane_tables, stack_lanes
 from .device import PufDevice
 from .errors import EmptyDataset, EmptyStore, InsufficientSample, InvalidParameter, WidthMismatch
-from .obfuscator import run_rounds, shift_tables
-from .postproc import vote_batch, voted_round
+from .postproc import vote_batch
 from .protocol import CHALLENGE, RESPONSE, SessionTranscript, run_authentication
 from .server import ServerRegistry
 
@@ -197,11 +196,8 @@ def collect_obfuscated_crps(
         raise InvalidParameter(f"CRP count {count} < 0")
     rng = np.random.default_rng(rng_seed)
     seeds = rng.integers(1, 1 << config.n_stages, size=count)
-    pair, inst = config.lane_pairs[lane], device.lanes[lane]
-    tables = lane_tables(inst.weights, inst.offset)
-    voted = voted_round(tables, config.sigma_noise, config.voter_t, rng)
-    bits = run_rounds(shift_tables(pair.feeds), seeds, mode & 1, pair.rounds_per_response, voted)
-    return seeds, bits
+    bank = device.bank.lane(lane)
+    return seeds, bank.respond(seeds, mode, config.sigma_noise, config.voter_t, rng)
 
 
 def train_linear_attack(

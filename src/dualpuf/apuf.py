@@ -164,7 +164,7 @@ def table_positions(tables: LaneTables, challenges: np.ndarray) -> list[np.ndarr
     chunk's table, top chunk first: a lower chunk's bits plus the lift of
     the position above, whose parity is that of every bit above the chunk."""
     shift = sum(tables.widths) - tables.widths[0]
-    positions = [challenges >> shift]
+    positions = [challenges >> shift if shift else challenges]
     for width, lift in zip(tables.widths[1:], tables.lifts):
         shift -= width
         bits = (challenges >> shift if shift else challenges) & ((1 << width) - 1)

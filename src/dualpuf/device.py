@@ -13,15 +13,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .apuf import DELTA_UNIT, ApufInstance, LaneTables, lane_tables, sample_instance, stack_lanes
+from .apuf import DELTA_UNIT, ApufInstance, lane_tables, sample_instance, stack_lanes
 from .errors import InterfaceFused, InvalidParameter, NonMonotonicTicks, WidthMismatch
 from .lfsr import pick_lfsr_pair
-from .obfuscator import (
-    DEFAULT_ROUNDS, DualLfsrSpec, check_external_challenge, check_lane_pairs, run_rounds,
-    shift_tables,
-)
+from .obfuscator import DEFAULT_ROUNDS, DualLfsrSpec, LaneBank, check_lane_pairs
 from .persist import atomic_write, pair_from_json, pair_to_json, reading
-from .postproc import randomness_adjust, vote_batch, voted_round
+from .postproc import randomness_adjust, vote_batch
 
 DEFAULT_VOTER_T = 5
 
@@ -55,10 +52,6 @@ class DeviceConfig:
         if not 0 <= self.sigma_noise < float("inf"):  # nan fails too
             raise InvalidParameter(f"sigma_noise {self.sigma_noise} is not a finite number >= 0")
 
-    @property
-    def rounds_per_response(self) -> int:
-        return self.lane_pairs[0].rounds_per_response
-
 
 @dataclass
 class PufDevice:
@@ -69,8 +62,7 @@ class PufDevice:
     fused: bool = False
     last_challenge_tick: int | None = field(default=None, init=False)
     _noise_rng: np.random.Generator = field(init=False, repr=False, compare=False)
-    _lane_tables: LaneTables = field(init=False, repr=False, compare=False)
-    _tables: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+    bank: LaneBank = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.lanes) != self.config.k:
@@ -81,10 +73,9 @@ class PufDevice:
         self.refresh_caches()
 
     def refresh_caches(self) -> None:
-        """Rebuild the delay-sum and shift tables of the lanes (call after
-        any direct lane mutation; __post_init__ builds them once)."""
-        self._lane_tables = lane_tables(*stack_lanes(self.lanes, self.config.n_stages))
-        self._tables = shift_tables([pair.feeds for pair in self.config.lane_pairs])
+        """Rebuild the lane bank after a direct lane mutation."""
+        sums = lane_tables(*stack_lanes(self.lanes, self.config.n_stages))
+        self.bank = LaneBank.build(self.config.lane_pairs, sums)
 
     # -- enrollment-only raw path -------------------------------------------
 
@@ -93,7 +84,7 @@ class PufDevice:
         if self.fused:
             raise InterfaceFused("raw interface is fused")
         config = self.config
-        return vote_batch(self._lane_tables, challenges, config.sigma_noise, config.voter_t, rng)
+        return vote_batch(self.bank.sums, challenges, config.sigma_noise, config.voter_t, rng)
 
     def raw_crp_query(self, challenge: int) -> np.ndarray:
         """Voted naked response of every lane to one raw challenge.
@@ -128,11 +119,9 @@ class PufDevice:
         noise_stream: np.random.Generator | None = None,
     ) -> np.ndarray:
         """k-bit obfuscated response, lane 0 first, as a uint8 array."""
-        seed, mode = check_external_challenge(challenge, self.config.n_stages, mode)
         rng = noise_stream if noise_stream is not None else self._noise_rng
         config = self.config
-        voted = voted_round(self._lane_tables, config.sigma_noise, config.voter_t, rng)
-        return run_rounds(self._tables, seed, mode, config.rounds_per_response, voted)
+        return self.bank.respond(challenge, mode, config.sigma_noise, config.voter_t, rng)
 
     # -- protocol responder interface ----------------------------------------
 

@@ -14,24 +14,26 @@ swapped one).  A response is the XOR fold of rounds_per_response voted bits
 produced this way.
 
 Both registers run free: their states never depend on the votes, only the
-choice between them does.  run_rounds, the one selection engine that the
-device, server, attack harnesses and trace_records all run, therefore works
-in two table-driven phases, each over blocks of up to BLOCK = 5 rounds.  A
-Galois shift is linear, so r <= 5 shifts of a state s are (s >> r) xor the
-feedback its 5 low bits alone shift in.  shift_tables tabulates that
-feedback for both registers, all 32 low-bit patterns and every r, once per
-lane layout: 2,560 bytes per lane, 160 KiB at k=64.  From it run_rounds
-builds the (rounds, 2, *shape) candidate challenges (axis 1: first, second
-register) with one gather and one shift per block, and hands them to one
-evaluator call, which returns a uint8 bit for every candidate.  A static
-4,096-entry fold table then maps the mode, the selected bit entering a block
-and the block's 2 x 5 bits to the block's XOR fold and the selected bit
-leaving it.  postproc.voted_round, the evaluator of the tag, the model reader
-and the attacker, sums every candidate from the lanes' delay-sum tables
-(apuf.lane_sums), draws one block of noise per call and lets the two
-candidates of a round share it.  The scalar reference that restates the rule
-one register shift at a time, and that the tests compare the engine against,
-lives in tests/reference.py.
+choice between them does.  run_rounds, the one selection engine, therefore
+works in two table-driven phases, each over blocks of up to BLOCK = 5
+rounds.  A Galois shift is linear, so r <= 5 shifts of a state s are
+(s >> r) xor the feedback its 5 low bits alone shift in.  shift_tables
+tabulates that feedback for both registers, all 32 low-bit patterns and
+every r, once per lane layout: 2,560 bytes per lane, 160 KiB at k=64.  From
+it run_rounds builds the (rounds, 2, *shape) candidate challenges (axis 1:
+first, second register) with one gather and one shift per block, and hands
+them to one evaluator call, which returns a uint8 bit for every candidate.
+A static 4,096-entry fold table then maps the mode, the selected bit
+entering a block and the block's 2 x 5 bits to the block's XOR fold and the
+selected bit leaving it.
+
+A LaneBank holds a holder's shift and delay-sum tables, and the tag, both
+readers and the attacker (through lane(i), a view of one lane) answer with
+its respond: one table_positions, one lane_sums and one lane_bits call for
+every candidate, one block of noise that a round's two candidates share.  A
+table reader's naked-CRP bits are delay-sum tables of one chunk, each bit
+the sign that lane_bits reads at sigma 0.  The scalar reference that
+restates the rule one register shift at a time is tests/reference.py.
 """
 
 from __future__ import annotations
@@ -40,11 +42,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .apuf import LaneTables, lane_sums, table_positions
 from .errors import InvalidParameter, WidthMismatch, ZeroSeed
 from .lfsr import LfsrSpec, is_m_sequence, step_array
+from .postproc import lane_bits
 
 DEFAULT_ROUNDS = 5
 BLOCK = 5  # rounds one table lookup covers
+RESPOND_SLICE = 256  # challenges of one noiseless LaneBank.respond batch per run_rounds call
 
 
 @dataclass(frozen=True)
@@ -90,8 +95,8 @@ def check_lane_pairs(lane_pairs, k: int, order: int) -> None:
 
 def shift_tables(feeds) -> tuple[np.ndarray, np.ndarray]:
     """The (table, base) pair run_rounds takes, for feed patterns laid out
-    (*lanes, 2), first register's feed first.  Word low * base.size +
-    base[r - 1, reg, *lane] of the flat table is the feedback that r shifts
+    (*lanes, 2), first register's feed first.  Word low * (table.size >> BLOCK)
+    + base[r - 1, reg, *lane] of the flat table is the feedback that r shifts
     of a state with low bits low shift in; one pattern's words are adjacent."""
     feeds = np.asarray(feeds, dtype=np.int64)
     feed = np.moveaxis(feeds, -1, 0)
@@ -127,9 +132,9 @@ def check_external_challenge(challenge, order: int, mode=1):
     """Return an external challenge and a session mode, or arrays of them,
     as int64 (a pair of Python ints as ints), the mode reduced to its parity
     bit.  Either one not of an integer dtype, or an object array holding
-    anything but Python or NumPy integers, raises InvalidParameter (Python
-    ints beyond int64 come as objects), and a challenge outside the nonzero
-    order-bit range ZeroSeed: zero is the registers' stuck state."""
+    anything but Python or NumPy integers (ints beyond int64 come as
+    objects), raises InvalidParameter; a challenge that is zero, the stuck
+    state, or has a bit set at or above order (a negative one does) ZeroSeed."""
     if type(challenge) is int and type(mode) is int and 0 < challenge < 1 << order:
         return challenge, mode & 1  # one challenge as a frame carries it
     seeds, modes = np.asarray(challenge), np.asarray(mode)
@@ -141,7 +146,7 @@ def check_external_challenge(challenge, order: int, mode=1):
         seeds = seeds.astype(np.int64, copy=False)
     except OverflowError:  # a Python int beyond int64
         seeds = None
-    if seeds is None or not ((seeds > 0) & (seeds < 1 << order)).all():
+    if seeds is None or np.count_nonzero(seeds) < seeds.size or np.count_nonzero(seeds >> order):
         raise ZeroSeed(f"external challenge {challenge!r} outside the nonzero {order}-bit range")
     return seeds, np.asarray(modes & 1, dtype=np.int64)
 
@@ -202,7 +207,7 @@ def run_rounds(tables, seed, mode, rounds: int, evaluate) -> np.ndarray:
     state = seed
     for start in range(0, rounds, BLOCK):
         block = candidates[start:start + BLOCK]
-        words = base[:len(block)] + (state & ((1 << BLOCK) - 1)) * base.size
+        words = base[:len(block)] + (state & ((1 << BLOCK) - 1)) * (table.size >> BLOCK)
         np.bitwise_xor(table.take(words), state >> shifts[:len(block)], out=block)
         state = block[-1]
     bits = evaluate(candidates).reshape(2 * rounds, -1)
@@ -215,3 +220,53 @@ def run_rounds(tables, seed, mode, rounds: int, evaluate) -> np.ndarray:
         index = _BIT_WEIGHTS[:len(block)].dot(block).reshape(shape) + index
         folded = _FOLDED[index] ^ folded if start else _FOLDED[index]
     return folded
+
+
+@dataclass(frozen=True)
+class LaneBank:
+    """The lanes of one holder (a tag, a reader, one attacked lane): their
+    shift tables, laid out as their delay-sum tables are, and the rounds of
+    a response."""
+
+    shifts: tuple[np.ndarray, np.ndarray]
+    sums: LaneTables
+    rounds: int
+
+    @classmethod
+    def build(cls, lane_pairs, sums: LaneTables) -> LaneBank:
+        """The bank of lanes with these register pairs and delay-sum tables."""
+        shifts = shift_tables([pair.feeds for pair in lane_pairs])
+        return cls(shifts, sums, lane_pairs[0].rounds_per_response)
+
+    def lane(self, index: int) -> LaneBank:
+        """The bank of one lane, a view of this one's tables."""
+        table, base = self.shifts
+        return LaneBank((table, base[:, :, index]), self.sums.lane(index), self.rounds)
+
+    def respond(
+        self, challenge, mode, sigma: float = 0.0, voter_t: int = 1, noise_stream=None
+    ) -> np.ndarray:
+        """Voted responses, an S + lanes uint8 array, to external challenges
+        and modes that broadcast to a shape S.  A noisy batch is one run_rounds
+        call, so its draws run challenge by challenge, lane by lane; noiseless
+        bits do not depend on the cut, so each call takes RESPOND_SLICE."""
+        sums, shifts, rounds, step = self.sums, self.shifts, self.rounds, RESPOND_SLICE
+        seeds, modes = check_external_challenge(challenge, sum(sums.widths), mode)
+
+        def voted(candidates: np.ndarray) -> np.ndarray:
+            mu = lane_sums(sums, table_positions(sums, candidates))
+            return lane_bits(mu, sigma, voter_t, noise_stream)
+
+        if type(seeds) is int:  # one challenge, as a frame carries it
+            return run_rounds(shifts, seeds, modes, rounds, voted)
+        if seeds.shape != modes.shape:
+            seeds, modes = np.broadcast_arrays(seeds, modes)
+        lanes = sums.starts[0].shape
+        shape, rows = seeds.shape + lanes, (-1,) + (1,) * len(lanes)
+        seeds, modes = seeds.reshape(rows), modes.reshape(rows)
+        if sigma or len(seeds) <= step:
+            return run_rounds(shifts, seeds, modes, rounds, voted).reshape(shape)
+        return np.concatenate([
+            run_rounds(shifts, seeds[i:i + step], modes[i:i + step], rounds, voted)
+            for i in range(0, len(seeds), step)
+        ]).reshape(shape)

@@ -13,14 +13,12 @@ even at sigma 0, so later rounds' challenges depend on that stream position.
 lane_bits is the one voter.  vote_batch evaluates lanes at raw challenges
 (harvest, adjustment loop, CRP collector, metrics): table positions once,
 then lane after lane, so noise runs lane by lane, challenge by challenge,
-vote by vote.  voted_round is the run_rounds evaluator of the tag, the
-model reader and the attacker: it sums a response's (rounds, 2, *shape)
-candidate challenges with one table_positions and one lane_sums call and
-votes them with one lane_bits call, which draws one (rounds, *shape,
-voter_t) block of noise that a round's two candidates share.  Only the
-selected candidate's bit reaches the response, so the stream yields what
-one draw per round would.  The one-vote-at-a-time reference is in
-tests/reference.py.
+vote by vote.  obfuscator.LaneBank.respond votes a response's (rounds, 2,
+*shape) candidate challenges with one lane_bits call, which draws one
+(rounds, *shape, voter_t) block of noise that a round's two candidates
+share.  Only the selected candidate's bit reaches the response, so the
+stream yields what one draw per round would.  The one-vote-at-a-time
+reference is in tests/reference.py.
 """
 
 from __future__ import annotations
@@ -112,23 +110,6 @@ def lane_bits(
     votes = np.ascontiguousarray(draws.transpose(-1, *range(draws.ndim - 1)))[:, :, None]
     ones = ((mu + votes) > 0).sum(axis=0)
     return (2 * ones > voter_t).astype(np.uint8)
-
-
-def voted_round(
-    tables: LaneTables,
-    sigma: float = 0.0,
-    voter_t: int = 1,
-    noise_stream: np.random.Generator | None = None,
-):
-    """The run_rounds lane evaluator: voted bits, at every candidate
-    challenge, of the lanes whose tables are given; the candidates' layout
-    ends in the lanes'."""
-
-    def voted(candidates: np.ndarray) -> np.ndarray:
-        mu = lane_sums(tables, table_positions(tables, candidates))
-        return lane_bits(mu, sigma, voter_t, noise_stream)
-
-    return voted
 
 
 def vote_batch(

@@ -1,11 +1,11 @@
 """Reader-side registry: per-lane prediction material harvested at
 enrollment, session generation, and the thresholded response comparator.
 
-Prediction mirrors the tag exactly: the same register pairs, the same
-selection loop, the same serialization.  Lane material is either a full
-naked-CRP table or the exact lane parameters evaluated noiselessly.  The
-table is the (k, 2^n) uint8 array that PufDevice.raw_crp_table harvests,
-one column per raw challenge (column 0 unused), practical up to order ~20.
+Prediction mirrors the tag exactly: a LaneBank of the same register pairs
+answers as the tag's does, at sigma 0.  Lane material, the bank's delay-sum
+tables, is either the exact lane parameters' or a full naked-CRP table as
+tables of one chunk: the (k, 2^n) 0/1 bits that PufDevice.raw_crp_table
+harvests, one column per raw challenge (column 0 unused), up to order ~20.
 """
 
 from __future__ import annotations
@@ -16,20 +16,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .apuf import lane_tables, stack_lanes
+from .apuf import LaneTables, lane_tables, stack_lanes
 from .device import DEFAULT_VOTER_T, deserialize_response, serialize_response
 from .errors import InvalidParameter, WidthMismatch
-from .obfuscator import (
-    DualLfsrSpec, check_external_challenge, check_lane_pairs, run_rounds, shift_tables,
-)
+from .obfuscator import DualLfsrSpec, LaneBank, check_lane_pairs
 from .persist import atomic_write, pair_from_json, pair_to_json, reading
-from .postproc import voted_round
 
 TABLE_MODE = "table"
 MODEL_MODE = "model"
 MAX_TABLE_ORDER = 20
 DEFAULT_T_RANGE = (2, 17)
-PREDICT_SLICE = 256  # challenges of one predict_response batch per run_rounds call
 
 
 def default_tau(k: int, sigma_noise: float) -> int:
@@ -49,7 +45,7 @@ class ServerRegistry:
     t_range: tuple[int, int]
     rng_seed: int
     voter_t: int = DEFAULT_VOTER_T
-    table: np.ndarray | None = None      # (k, 2^N) uint8, column 0 unused
+    table: np.ndarray | None = None      # (k, 2^N) 0/1 bits, column 0 unused
     weights: np.ndarray | None = None    # (k, N+1)
     offsets: np.ndarray | None = None    # (k,)
 
@@ -64,32 +60,31 @@ class ServerRegistry:
         if not 2 <= t_min <= t_max <= np.iinfo(np.int64).max:
             raise InvalidParameter(f"bad t range [{t_min}, {t_max}]")
         check_lane_pairs(self.lane_pairs, self.k, self.n_stages)
-        if self.mode == TABLE_MODE and self.n_stages > MAX_TABLE_ORDER:
-            raise InvalidParameter(
-                f"table mode caps at order {MAX_TABLE_ORDER}, got {self.n_stages}"
-            )
-        if self.mode == TABLE_MODE and np.shape(self.table) != (self.k, 1 << self.n_stages):
-            raise WidthMismatch(
-                f"table shape {np.shape(self.table)} for k={self.k} at order {self.n_stages}"
-            )
-        if self.mode == MODEL_MODE and (
-            np.shape(self.weights) != (self.k, self.n_stages + 1)
-            or np.shape(self.offsets) != (self.k,)
-        ):
-            raise WidthMismatch(
-                f"weights shape {np.shape(self.weights)}, offsets shape "
-                f"{np.shape(self.offsets)} for k={self.k} at order {self.n_stages}"
-            )
-        self._rng = np.random.default_rng(self.rng_seed)
-        self._tables = shift_tables([pair.feeds for pair in self.lane_pairs])
-        # column c of lane i is word i * 2^n + c of the flattened table
-        self._lane_starts = np.arange(self.k) << self.n_stages
         if self.mode == MODEL_MODE:
-            self._lane_tables = lane_tables(self.weights, self.offsets)
-
-    @property
-    def rounds_per_response(self) -> int:
-        return self.lane_pairs[0].rounds_per_response
+            shapes = np.shape(self.weights), np.shape(self.offsets)
+            if shapes != ((self.k, self.n_stages + 1), (self.k,)):
+                raise WidthMismatch(
+                    f"weights and offsets shapes {shapes} for k={self.k} at order {self.n_stages}"
+                )
+            sums = lane_tables(self.weights, self.offsets)
+        else:
+            table = np.asarray(self.table)
+            if self.n_stages > MAX_TABLE_ORDER:
+                raise InvalidParameter(
+                    f"table mode caps at order {MAX_TABLE_ORDER}, got {self.n_stages}"
+                )
+            if table.shape != (self.k, 1 << self.n_stages):
+                raise WidthMismatch(
+                    f"table shape {table.shape} for k={self.k} at order {self.n_stages}"
+                )
+            # a bit outside 0 and 1 would read as the sign of a delay sum
+            if table.dtype.kind not in "biu" or table.min() < 0 or table.max() > 1:
+                raise InvalidParameter(f"table of {table.dtype} holds entries other than 0 and 1")
+            # column c of lane i is entry i * 2^n + c of the one chunk
+            starts = np.arange(self.k) << self.n_stages
+            sums = LaneTables((self.n_stages,), (table.reshape(-1),), (starts,), ())
+        self._bank = LaneBank.build(self.lane_pairs, sums)
+        self._rng = np.random.default_rng(self.rng_seed)
 
 
 def register_from_ttp(
@@ -125,38 +120,12 @@ def register_from_ttp(
 
 
 def predict_response(registry: ServerRegistry, challenge, mode) -> np.ndarray:
-    """R_m: the tag responses the server expects, lane axis last.
-
-    challenge and mode broadcast to a shape S, and the S + (k,) uint8
-    result is filled by one run_rounds call per PREDICT_SLICE elements of S:
-    a scalar pair gives one (k,) response, and run_authentication predicts
-    a session's (C1, mode 1) and (C2, t & 1) together, in one call, as soon
-    as it draws them.  Any challenge outside the nonzero n-bit range raises
-    ZeroSeed, and a challenge or mode that is not an integer InvalidParameter.
-    """
-    seeds, modes = check_external_challenge(challenge, registry.n_stages, mode)
-    if registry.mode == TABLE_MODE:
-        table, lane_starts = registry.table, registry._lane_starts
-
-        def naked(candidates: np.ndarray) -> np.ndarray:
-            return table.take(candidates + lane_starts)
-
-    else:
-        naked = voted_round(registry._lane_tables)
-
-    seeds, modes = np.asarray(seeds), np.asarray(modes)
-    if seeds.shape != modes.shape:
-        seeds, modes = np.broadcast_arrays(seeds, modes)
-    shape = seeds.shape + (registry.k,)
-    # noiseless, so slices of the rows give the same bits, whichever axis is
-    # long, and hold one slice's candidates, positions and sums at a time
-    seeds, modes = seeds.reshape(-1, 1), modes.reshape(-1, 1)
-    rounds, tables = registry.rounds_per_response, registry._tables
-    out = np.empty((len(seeds), registry.k), dtype=np.uint8)
-    for i in range(0, len(seeds), PREDICT_SLICE):
-        rows = slice(i, i + PREDICT_SLICE)
-        out[rows] = run_rounds(tables, seeds[rows], modes[rows], rounds, naked)
-    return out.reshape(shape)
+    """R_m: the tag responses the server expects, an S + (k,) uint8 array
+    for a challenge and a mode that broadcast to a shape S.  run_authentication
+    predicts a session's (C1, mode 1) and (C2, t & 1) in one call.  A
+    challenge outside the nonzero n-bit range raises ZeroSeed, and a
+    challenge or mode that is not an integer InvalidParameter."""
+    return registry._bank.respond(challenge, mode)
 
 
 def gen_session(registry: ServerRegistry) -> tuple[int, int, int]:

@@ -20,7 +20,9 @@ from dualpuf.adversary import (
     replay_attack,
     train_linear_attack,
 )
-from dualpuf.apuf import ApufInstance, features_from_ints, sample_instance
+from dualpuf.apuf import (
+    ApufInstance, features_from_ints, lane_sums, lane_tables, sample_instance, table_positions,
+)
 from dualpuf.cli import field_lines, report_lines
 from dualpuf.errors import (
     EmptyDataset,
@@ -30,6 +32,8 @@ from dualpuf.errors import (
     SimulationError,
     WidthMismatch,
 )
+from dualpuf.obfuscator import RESPOND_SLICE, run_rounds, shift_tables
+from dualpuf.postproc import lane_bits
 from dualpuf.protocol import SessionTranscript, run_authentication, run_registration
 
 
@@ -233,6 +237,28 @@ def test_collect_obfuscated_crps_match_the_external_interface():
     for bad_lane in (3, -1):  # -1 must not wrap around to lane 2
         with pytest.raises(InvalidParameter):
             collect_obfuscated_crps(device, 60, lane=bad_lane)
+
+
+def test_one_lane_of_the_tag_bank_is_the_lane_built_alone():
+    # lane 3's view of a k=8 tag's bank answers as tables built for that
+    # lane alone, on the same stream: a noisy batch in one call and a
+    # noiseless one longer than a slice.  The view keeps the whole bank's
+    # shift-table stride, which a k=1 tag could not tell from the lane's own
+    for sigma, count in ((0.3, 500), (0.0, 2 * RESPOND_SLICE + 37)):
+        device = make_device(k=8, sigma_noise=sigma, voter_t=5)
+        pair, lane = device.config.lane_pairs[3], device.lanes[3]
+        tables = lane_tables(lane.weights, lane.offset)
+        rng = np.random.default_rng(11)
+
+        def voted(candidates):
+            mu = lane_sums(tables, table_positions(tables, candidates))
+            return lane_bits(mu, sigma, 5, rng)
+
+        seeds = rng.integers(1, 1 << 8, size=count)
+        expected = run_rounds(shift_tables(pair.feeds), seeds, 1, pair.rounds_per_response, voted)
+        challenges, labels = collect_obfuscated_crps(device, count, mode=1, rng_seed=11, lane=3)
+        assert np.array_equal(challenges, seeds) and np.array_equal(labels, expected)
+        assert 0 < labels.mean() < 1
 
 
 def test_crp_collectors_refuse_a_negative_count():

@@ -262,8 +262,9 @@ def test_one_lane_call_per_response(monkeypatch):
 
         return count
 
-    monkeypatch.setattr("dualpuf.postproc.table_positions", counted("positions", table_positions))
-    monkeypatch.setattr("dualpuf.postproc.lane_sums", counted("sums", lane_sums))
+    for module in ("obfuscator", "postproc"):
+        monkeypatch.setattr(f"dualpuf.{module}.table_positions", counted("positions", table_positions))
+        monkeypatch.setattr(f"dualpuf.{module}.lane_sums", counted("sums", lane_sums))
     real_rng = np.random.default_rng
     monkeypatch.setattr(np.random, "default_rng", lambda *a: CountingStream(real_rng(*a), counts))
 

@@ -253,22 +253,23 @@ def test_out_of_range_challenge_raises_before_any_frame():
         assert channel.log == []
 
 
-def counted_rounds(monkeypatch):
-    """Count the run_rounds calls of the tag (device) and the reader (server)."""
+def counted_rounds(monkeypatch, registry):
+    """Count the run_rounds calls of the tags (device) and the reader
+    (server), told apart by the shift tables of the registry's lane bank."""
     counts = {"device": 0, "server": 0}
-    for module in counts:
-        def counted(*args, module=module):
-            counts[module] += 1
-            return run_rounds(*args)
 
-        monkeypatch.setattr(f"dualpuf.{module}.run_rounds", counted)
+    def counted(*args):
+        counts["server" if args[0] is registry._bank.shifts else "device"] += 1
+        return run_rounds(*args)
+
+    monkeypatch.setattr("dualpuf.obfuscator.run_rounds", counted)
     return counts
 
 
 def test_one_reader_evaluation_per_session(monkeypatch):
     device, registry = honest_setup(k=16)
     clone = make_device(k=16, device_seed=32)
-    counts = counted_rounds(monkeypatch)
+    counts = counted_rounds(monkeypatch, registry)
     assert run_authentication(registry, device).passed
     assert counts == {"device": 2, "server": 1}
 
@@ -291,8 +292,7 @@ def test_shift_tables_are_built_once_per_tag_and_registry(monkeypatch):
         builds.append(len(args[0]))
         return shift_tables(*args)
 
-    for module in ("device", "server"):
-        monkeypatch.setattr(f"dualpuf.{module}.shift_tables", counted)
+    monkeypatch.setattr("dualpuf.obfuscator.shift_tables", counted)
     device, registry = honest_setup(k=16)
     assert builds == [16, 16]  # the tag's and the registry's, at construction
     for _ in range(50):

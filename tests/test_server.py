@@ -21,12 +21,11 @@ from dualpuf.errors import (
     WidthMismatch,
     ZeroSeed,
 )
-from dualpuf.obfuscator import run_rounds
+from dualpuf.obfuscator import RESPOND_SLICE, run_rounds
 from dualpuf.protocol import run_registration
 from dualpuf.server import (
     DEFAULT_T_RANGE,
     MODEL_MODE,
-    PREDICT_SLICE,
     TABLE_MODE,
     ServerRegistry,
     compare,
@@ -95,6 +94,23 @@ def test_register_table_mode_requires_full_coverage():
     assert registry.mode == TABLE_MODE
     with pytest.raises(WidthMismatch):
         register_from_ttp(np.delete(table, 137, axis=1), dev.config.lane_pairs, tau=0)
+
+
+def test_register_table_mode_requires_bits():
+    # the reader reads each table entry as the sign of a delay sum, so an
+    # entry other than 0 or 1 is refused at registration, not misread
+    pairs = default_lane_pairs(8, 4)
+    bits = np.random.default_rng(3).integers(0, 2, size=(4, 256))
+    expected = predict_response(register_from_ttp(bits.astype(np.uint8), pairs, tau=0), 0x5A, 1)
+    for table in (bits.astype(bool), bits, bits.astype(np.uint16)):
+        registry = register_from_ttp(table, pairs, tau=0)
+        assert np.array_equal(predict_response(registry, 0x5A, 1), expected)
+    negative = bits.copy()
+    negative[2, 7] = -1
+    for table in (np.full((4, 256), 2, dtype=np.uint8), bits.astype(np.float64),
+                  bits.astype(object), negative):
+        with pytest.raises(InvalidParameter):
+            register_from_ttp(table, pairs, tau=0)
 
 
 def test_harvest_is_the_registry_table():
@@ -223,21 +239,21 @@ def test_prediction_in_slices_matches_scalar_calls(monkeypatch):
     # call per element
     dev = make_device(k=8)
     rng = np.random.default_rng(6)
-    count = 2 * PREDICT_SLICE + 37
+    count = 2 * RESPOND_SLICE + 37
     challenges = rng.integers(1, 256, size=count)
     modes = rng.integers(0, 2, size=count)
     calls = []
 
     def counted(*args):
-        calls.append(len(args[1]))
+        calls.append(np.size(args[1]))  # a scalar challenge goes as an int
         return run_rounds(*args)
 
-    monkeypatch.setattr("dualpuf.server.run_rounds", counted)
+    monkeypatch.setattr("dualpuf.obfuscator.run_rounds", counted)
     for registry in (model_registry(dev), table_registry(dev)):
         calls.clear()
         batch = predict_response(registry, challenges, modes)
         assert batch.shape == (count, 8) and batch.dtype == np.uint8
-        assert calls == [PREDICT_SLICE, PREDICT_SLICE, 37]
+        assert calls == [RESPOND_SLICE, RESPOND_SLICE, 37]
         for row, challenge, mode in zip(batch, challenges.tolist(), modes.tolist()):
             assert np.array_equal(row, predict_response(registry, challenge, mode))
         # a short leading mode axis against the long challenge axis

@@ -80,12 +80,12 @@ def test_only_the_delay_sum_reduction_multiplies_lane_weights():
 
 
 def test_one_raw_lane_evaluator():
-    # challenges become delay sums and lane bits in voted_round (candidate
-    # challenges of run_rounds) and vote_batch (raw challenges) and nowhere
-    # else; the attacker's linear unit and the bit-array entry point of the
-    # parity transform only build features
+    # challenges become delay sums and lane bits in LaneBank.respond
+    # (candidate challenges of run_rounds) and vote_batch (raw challenges)
+    # and nowhere else; the attacker's linear unit and the bit-array entry
+    # point of the parity transform only build features
     allowed = {
-        ("postproc.py", "voted_round"),
+        ("obfuscator.py", "LaneBank.respond"),
         ("postproc.py", "vote_batch"),
         ("apuf.py", "parity_features"),
         ("adversary.py", "train_linear_attack"),
@@ -95,6 +95,13 @@ def test_one_raw_lane_evaluator():
         return calls(node, ["features_from_ints", "table_positions", "lane_sums", "lane_bits"])
 
     assert offenders_outside(allowed, evaluates) == []
+
+
+def test_one_caller_of_the_selection_engine():
+    # the tag, both readers and the attacker answer through their lane bank;
+    # trace_records replays a vote history through the engine itself
+    allowed = {("obfuscator.py", "LaneBank.respond"), ("obfuscator.py", "trace_records")}
+    assert offenders_outside(allowed, lambda node: calls(node, ["run_rounds"])) == []
 
 
 def test_only_domain_errors_are_raised():
@@ -226,7 +233,6 @@ def test_every_defaulted_parameter_is_passed_somewhere():
     calling = SOURCES + sorted((Path(__file__).parents[1] / "perfbench").glob("*.py"))
     allowed = {
         # tests substitute a counting noise stream
-        "PufDevice.respond.noise_stream",
         "PufDevice.raw_crp_table.noise_stream",
         # interceptor experiments put a tap on the channel
         "run_authentication.channel",
