@@ -82,9 +82,8 @@ class AttackReport:
         mismatch = [won for _, matched, won in self.outcomes if not matched]
         trials, successes = len(self.outcomes), sum(match) + sum(mismatch)
         rate = successes / trials if trials else 0.0
-        # in field order, outcomes last
         tallies = (trials, successes, rate, len(match), sum(match), len(mismatch), sum(mismatch))
-        for name, value in zip((f.name for f in fields(self)), tallies):
+        for name, value in zip(_TALLIES, tallies):
             object.__setattr__(self, name, value)
 
     def table_rows(self) -> list[tuple[str, str]]:
@@ -95,6 +94,9 @@ class AttackReport:
             ("parity match", f"{self.parity_match_successes}/{self.parity_match_trials}"),
             ("parity mismatch", f"{self.parity_mismatch_successes}/{self.parity_mismatch_trials}"),
         ]
+
+
+_TALLIES = tuple(f.name for f in fields(AttackReport))[:-1]  # in field order, outcomes last
 
 
 def replay_attack(

@@ -19,8 +19,9 @@ two: phi_i is then its chunk's own suffix parity sign times the parity sign
 of every bit above the chunk, so w . phi + b is a sum of one table entry per
 chunk.  lane_tables builds the entries once per holder by elementwise adds
 in a fixed stage order, and every evaluator (tag, model reader, harvest,
-adjustment loop, CRP collector) finds and adds them with table_positions
-and lane_sums, so its sums agree with the others' bit for bit in any lane
+adjustment loop, CRP collector) adds them with lane_sums at the positions
+table_positions finds (linear over GF(2), so a LaneBank maps its candidate
+rows once), so its sums agree with the others' bit for bit in any lane
 layout.  At N <= 20 a sum is two gathers from (2^h + 2 * 2^m) * 8 bytes per
 lane for chunks of h and m bits.  features_from_ints, the attacker's int8
 phi, and tests/reference.py's einsum over it check the sums.
@@ -162,7 +163,9 @@ def lane_tables(weights, offsets) -> LaneTables:
 def table_positions(tables: LaneTables, challenges: np.ndarray) -> list[np.ndarray]:
     """Lane-independent positions of in-range int64 challenges in each
     chunk's table, top chunk first: a lower chunk's bits plus the lift of
-    the position above, whose parity is that of every bit above the chunk."""
+    the position above, whose parity is that of every bit above the chunk.
+    The two occupy disjoint bits, so the positions of a ^ b are those of a
+    xor those of b."""
     shift = sum(tables.widths) - tables.widths[0]
     positions = [challenges >> shift if shift else challenges]
     for width, lift in zip(tables.widths[1:], tables.lifts):
@@ -173,9 +176,9 @@ def table_positions(tables: LaneTables, challenges: np.ndarray) -> list[np.ndarr
 
 
 def lane_sums(tables: LaneTables, positions) -> np.ndarray:
-    """w . phi + b at positions laid out to broadcast against the lanes on
-    the trailing axes: the chunks' entries added top chunk first."""
-    sums = tables.entries[0].take(positions[0] + tables.starts[0])
-    for i in range(1, len(positions)):
-        sums += tables.entries[i].take(positions[i] + tables.starts[i])
+    """w . phi + b at absolute positions, one array per chunk (lane starts
+    added): the chunks' entries added top chunk first."""
+    sums = tables.entries[0].take(positions[0])
+    for i in range(1, len(tables.entries)):
+        sums += tables.entries[i].take(positions[i])
     return sums

@@ -14,26 +14,23 @@ swapped one).  A response is the XOR fold of rounds_per_response voted bits
 produced this way.
 
 Both registers run free: their states never depend on the votes, only the
-choice between them does.  run_rounds, the one selection engine, therefore
-works in two table-driven phases, each over blocks of up to BLOCK = 5
-rounds.  A Galois shift is linear, so r <= 5 shifts of a state s are
-(s >> r) xor the feedback its 5 low bits alone shift in.  shift_tables
-tabulates that feedback for both registers, all 32 low-bit patterns and
-every r, once per lane layout: 2,560 bytes per lane, 160 KiB at k=64.  From
-it run_rounds builds the (rounds, 2, *shape) candidate challenges (axis 1:
-first, second register) with one gather and one shift per block, and hands
-them to one evaluator call, which returns a uint8 bit for every candidate.
-A static 4,096-entry fold table then maps the mode, the selected bit
-entering a block and the block's 2 x 5 bits to the block's XOR fold and the
-selected bit leaving it.
+choice between them does.  A Galois shift is linear over GF(2), so a
+round's candidate is the XOR of those the seed's set bits give alone.
+candidate_rows tabulates them once per lane layout in one row table per
+SEED_CHUNK = 4 seed bits; run_rounds, the one selection engine, XORs a
+seed's rows into the words of all its rounds, hands them to one evaluator
+call, which returns a uint8 bit per candidate, and folds the bits with a
+static 4,096-entry table from the mode, the selected bit entering a block
+of up to BLOCK = 5 rounds and the block's 2 x 5 bits.
 
-A LaneBank holds a holder's shift and delay-sum tables, and the tag, both
-readers and the attacker (through lane(i), a view of one lane) answer with
-its respond: one table_positions, one lane_sums and one lane_bits call for
-every candidate, one block of noise that a round's two candidates share.  A
-table reader's naked-CRP bits are delay-sum tables of one chunk, each bit
-the sign that lane_bits reads at sigma 0.  The scalar reference that
-restates the rule one register shift at a time is tests/reference.py.
+apuf.table_positions is linear too and a lane's delay-sum tables start in
+bits no position uses, so a LaneBank holds a holder's delay-sum tables and
+the row tables of the absolute positions its candidates read.  The tag,
+both readers and the attacker (through lane(i), a view of one lane) answer
+with its respond: one lane_sums and one lane_bits call for all candidates,
+one block of noise that a round's two candidates share.  A table reader's
+naked-CRP bits are delay-sum tables of one chunk, each bit the sign that
+lane_bits reads at sigma 0; tests/reference.py steps the rule shift by shift.
 """
 
 from __future__ import annotations
@@ -48,8 +45,9 @@ from .lfsr import LfsrSpec, is_m_sequence, step_array
 from .postproc import lane_bits
 
 DEFAULT_ROUNDS = 5
-BLOCK = 5  # rounds one table lookup covers
-RESPOND_SLICE = 256  # challenges of one noiseless LaneBank.respond batch per run_rounds call
+BLOCK = 5  # rounds one fold-table lookup covers
+SEED_CHUNK = 4  # seed bits one row table covers
+RESPOND_SLICE = 1 << 14  # most words one run_rounds call of a noiseless batch gathers
 
 
 @dataclass(frozen=True)
@@ -93,20 +91,27 @@ def check_lane_pairs(lane_pairs, k: int, order: int) -> None:
         raise InvalidParameter(f"lanes run different round counts {rounds}")
 
 
-def shift_tables(feeds) -> tuple[np.ndarray, np.ndarray]:
-    """The (table, base) pair run_rounds takes, for feed patterns laid out
-    (*lanes, 2), first register's feed first.  Word low * (table.size >> BLOCK)
-    + base[r - 1, reg, *lane] of the flat table is the feedback that r shifts
-    of a state with low bits low shift in; one pattern's words are adjacent."""
+def candidate_rows(feeds, order: int, rounds: int) -> tuple[np.ndarray, ...]:
+    """The row tables run_rounds takes, one per SEED_CHUNK-bit chunk of the
+    seed, of the candidates of register pairs with feeds laid out (*lanes,
+    2), first register's feed first: table b, laid out (2^w, 1, rounds, 2,
+    *lanes), holds at row v the candidates of the seed v << SEED_CHUNK * b,
+    the XOR of those of its set bits, each walked by step_array."""
     feeds = np.asarray(feeds, dtype=np.int64)
-    feed = np.moveaxis(feeds, -1, 0)
-    low = np.arange(1 << BLOCK, dtype=np.int64).reshape((-1,) + (1,) * feeds.ndim)
-    state = np.broadcast_to(low, low.shape[:1] + feed.shape)
-    table = np.empty(state.shape[:1] + (BLOCK,) + state.shape[1:], dtype=np.int64)
-    for r in range(BLOCK):
-        state = step_array(feed, state)
-        table[:, r] = state ^ (low >> (r + 1))
-    return table.reshape(-1), np.arange(table[0].size).reshape(table.shape[1:])
+    lanes = feeds.shape[:-1]
+    feed = np.moveaxis(feeds, -1, 0)[:, None]
+    state = (1 << np.arange(order, dtype=np.int64)).reshape((-1,) + (1,) * len(lanes))
+    images = np.empty((rounds, 2, order) + lanes, dtype=np.int64)
+    for r in range(rounds):
+        state = images[r] = step_array(feed, state)
+    tables = []
+    for low in range(0, order, SEED_CHUNK):
+        width = min(SEED_CHUNK, order - low)
+        rows = np.zeros((1 << width, 1, rounds, 2) + lanes, dtype=np.int64)
+        for bit in range(width):  # the seeds with this bit set double the rows
+            rows[1 << bit:2 << bit] = rows[:1 << bit] ^ images[:, :, low + bit]
+        tables.append(rows)
+    return tuple(tables)
 
 
 def _fold_tables() -> tuple[np.ndarray, np.ndarray]:
@@ -125,18 +130,24 @@ def _fold_tables() -> tuple[np.ndarray, np.ndarray]:
 
 _FOLDED, _CARRY = _fold_tables()
 _BIT_WEIGHTS = 4 << np.arange(2 * BLOCK)
-_SHIFTS = np.arange(1, BLOCK + 1)
+_ROW = (1 << SEED_CHUNK) - 1
+_CHUNK_SHIFTS = np.arange(0, 64, SEED_CHUNK)[:, None]
 
 
 def check_external_challenge(challenge, order: int, mode=1):
     """Return an external challenge and a session mode, or arrays of them,
-    as int64 (a pair of Python ints as ints), the mode reduced to its parity
-    bit.  Either one not of an integer dtype, or an object array holding
-    anything but Python or NumPy integers (ints beyond int64 come as
-    objects), raises InvalidParameter; a challenge that is zero, the stuck
-    state, or has a bit set at or above order (a negative one does) ZeroSeed."""
-    if type(challenge) is int and type(mode) is int and 0 < challenge < 1 << order:
+    as int64 (a pair of Python ints as ints, tuples of them checked as ints),
+    the mode reduced to its parity bit.  Either one not of an integer dtype,
+    or an object array holding anything but Python or NumPy integers (ints
+    beyond int64 come as objects), raises InvalidParameter; a challenge that
+    is zero, the stuck state, or has a bit set at or above order ZeroSeed."""
+    fits = range(1, 1 << order)
+    if type(challenge) is int and type(mode) is int and challenge in fits:
         return challenge, mode & 1  # one challenge as a frame carries it
+    if type(challenge) is tuple and type(mode) is tuple and all(
+            type(v) is int for v in challenge + mode) and all(c in fits for c in challenge):
+        modes = [m & 1 for m in mode]  # a session's pair
+        return np.array(challenge, dtype=np.int64), np.array(modes, dtype=np.int64)
     seeds, modes = np.asarray(challenge), np.asarray(mode)
     for what, given in (("external challenge", seeds), ("mode", modes)):
         if given.dtype.kind not in "iuO" and given.size or given.dtype.kind == "O" and not all(
@@ -147,7 +158,8 @@ def check_external_challenge(challenge, order: int, mode=1):
     except OverflowError:  # a Python int beyond int64
         seeds = None
     if seeds is None or np.count_nonzero(seeds) < seeds.size or np.count_nonzero(seeds >> order):
-        raise ZeroSeed(f"external challenge {challenge!r} outside the nonzero {order}-bit range")
+        shown = np.asarray(challenge) if np.ndim(challenge) else challenge  # a tuple as its array
+        raise ZeroSeed(f"external challenge {shown!r} outside the nonzero {order}-bit range")
     return seeds, np.asarray(modes & 1, dtype=np.int64)
 
 
@@ -169,14 +181,14 @@ def trace_records(
         )
     if any(bit not in (0, 1) for bit in history):
         raise InvalidParameter(f"response bits {history} must each be 0 or 1")
-    mode = int(check_external_challenge(external_challenge, spec.order, mode)[1])
+    seed, mode = map(int, check_external_challenge(external_challenge, spec.order, mode))
     recorded: list[np.ndarray] = []
 
     def replay(candidates: np.ndarray) -> np.ndarray:
-        recorded.append(candidates)
+        recorded.append(candidates[0])
         return np.array([[bit, bit] for bit in history], dtype=np.uint8)
 
-    run_rounds(shift_tables(spec.feeds), external_challenge, mode, len(history), replay)
+    run_rounds(candidate_rows(spec.feeds, spec.order, len(history)), seed, mode, replay)
     prevs = [0] + history[:-1]
     lines = []
     for round_no, (prev, pair) in enumerate(zip(prevs, recorded[0].tolist()), start=1):
@@ -185,32 +197,33 @@ def trace_records(
     return lines
 
 
-def run_rounds(tables, seed, mode, rounds: int, evaluate) -> np.ndarray:
-    """Vectorised selection engine over any broadcastable lane/batch layout.
-
-    tables comes from shift_tables; its lane layout, seed and mode (a parity
-    bit, 0 or 1) broadcast together to the working shape.  evaluate(candidates)
-    is called once, with the int64 candidate challenges of every round laid
-    out (rounds, 2, *shape), and returns a uint8 bit array of the same shape.
+def run_rounds(tables, seed, mode, evaluate) -> np.ndarray:
+    """Vectorised selection engine over row tables, one per SEED_CHUNK-bit
+    chunk of the seed, low chunk first, laid out (2^w, words, rounds, 2,
+    *lanes): a candidate's words are its challenge (candidate_rows) or its
+    absolute delay-sum table positions (a LaneBank's rows).  An int seed or
+    a 1-D array S of them (S = () for an int) and mode, a parity bit or an
+    array of them, broadcast to shape = S + lanes.  evaluate(words) is called
+    once, with the XOR of the seed's rows laid out (words, rounds, 2, *shape),
+    and returns a uint8 bit for every candidate, laid out (rounds, 2, *shape).
     Round r takes the first register's bit when the previous selected bit
     xor mode is 1, else the second's.  Returns the uint8 XOR fold of the
-    selected bits.
-    """
-    table, base = tables
-    seed = np.asarray(seed, dtype=np.int64)
-    shape = np.broadcast(base[0, 0], seed, mode).shape
-    # the register axis of base and the round axis of the shifts lead
-    if base.ndim != len(shape) + 2:
-        base = base.reshape(base.shape[:2] + (1,) * (len(shape) + 2 - base.ndim) + base.shape[2:])
-    shifts = _SHIFTS.reshape((BLOCK, 1) + (1,) * len(shape))
-    candidates = np.empty((rounds, 2) + shape, dtype=np.int64)
-    state = seed
-    for start in range(0, rounds, BLOCK):
-        block = candidates[start:start + BLOCK]
-        words = base[:len(block)] + (state & ((1 << BLOCK) - 1)) * (table.size >> BLOCK)
-        np.bitwise_xor(table.take(words), state >> shifts[:len(block)], out=block)
-        state = block[-1]
-    bits = evaluate(candidates).reshape(2 * rounds, -1)
+    selected bits."""
+    if type(seed) is int:
+        rows = (table[seed >> SEED_CHUNK * b & _ROW] for b, table in enumerate(tables))
+    else:  # taken as they are XORed, so a long noisy batch holds few at once
+        chunks = seed >> _CHUNK_SHIFTS[:len(tables)] & _ROW
+        rows = (table.take(chunk, axis=0) for table, chunk in zip(tables, chunks))
+    words = next(rows) ^ next(rows, 0)  # a fresh array, even of one chunk's rows
+    for row in rows:
+        words ^= row
+    if type(seed) is not int:  # the seed axis goes behind the round's two candidates
+        words = words.transpose((1, 2, 3, 0) + tuple(range(4, words.ndim)))
+    rounds, shape = words.shape[1], words.shape[3:]
+    bits = evaluate(words).reshape(2 * rounds, -1)
+    if rounds <= BLOCK:  # one lookup; an int mode picks a view of the table
+        weighted = _BIT_WEIGHTS[:2 * rounds].dot(bits).reshape(shape)
+        return _FOLDED[mode:][weighted] if type(mode) is int else _FOLDED[weighted + mode]
     # the carry of a mode with no selected bit and zero round bits is itself
     index = mode
     for start in range(0, 2 * rounds, 2 * BLOCK):
@@ -225,23 +238,26 @@ def run_rounds(tables, seed, mode, rounds: int, evaluate) -> np.ndarray:
 @dataclass(frozen=True)
 class LaneBank:
     """The lanes of one holder (a tag, a reader, one attacked lane): their
-    shift tables, laid out as their delay-sum tables are, and the rounds of
-    a response."""
+    delay-sum tables and the row tables, laid out as run_rounds takes them,
+    of the absolute positions in those tables that their candidates read."""
 
-    shifts: tuple[np.ndarray, np.ndarray]
+    rows: tuple[np.ndarray, ...]
     sums: LaneTables
-    rounds: int
 
     @classmethod
     def build(cls, lane_pairs, sums: LaneTables) -> LaneBank:
-        """The bank of lanes with these register pairs and delay-sum tables."""
-        shifts = shift_tables([pair.feeds for pair in lane_pairs])
-        return cls(shifts, sums, lane_pairs[0].rounds_per_response)
+        """The bank of lanes with these register pairs and delay-sum tables.
+        Each candidate row is a challenge and table_positions is linear, so
+        the positions of the rows are the rows of the positions."""
+        feeds, first = [pair.feeds for pair in lane_pairs], lane_pairs[0]
+        candidates = candidate_rows(feeds, first.order, first.rounds_per_response)
+        rows = [np.stack(table_positions(sums, table[:, 0]), axis=1) for table in candidates]
+        rows[0] ^= np.stack(sums.starts)[:, None, None]  # once, with seed 0's rows
+        return cls(tuple(rows), sums)
 
     def lane(self, index: int) -> LaneBank:
         """The bank of one lane, a view of this one's tables."""
-        table, base = self.shifts
-        return LaneBank((table, base[:, :, index]), self.sums.lane(index), self.rounds)
+        return LaneBank(tuple(table[..., index] for table in self.rows), self.sums.lane(index))
 
     def respond(
         self, challenge, mode, sigma: float = 0.0, voter_t: int = 1, noise_stream=None
@@ -249,24 +265,22 @@ class LaneBank:
         """Voted responses, an S + lanes uint8 array, to external challenges
         and modes that broadcast to a shape S.  A noisy batch is one run_rounds
         call, so its draws run challenge by challenge, lane by lane; noiseless
-        bits do not depend on the cut, so each call takes RESPOND_SLICE."""
-        sums, shifts, rounds, step = self.sums, self.shifts, self.rounds, RESPOND_SLICE
+        bits do not depend on the cut, so a call gathers RESPOND_SLICE words."""
+        sums, rows = self.sums, self.rows
         seeds, modes = check_external_challenge(challenge, sum(sums.widths), mode)
 
-        def voted(candidates: np.ndarray) -> np.ndarray:
-            mu = lane_sums(sums, table_positions(sums, candidates))
-            return lane_bits(mu, sigma, voter_t, noise_stream)
+        def voted(positions: np.ndarray) -> np.ndarray:
+            return lane_bits(lane_sums(sums, positions), sigma, voter_t, noise_stream)
 
         if type(seeds) is int:  # one challenge, as a frame carries it
-            return run_rounds(shifts, seeds, modes, rounds, voted)
+            return run_rounds(rows, seeds, modes, voted)
         if seeds.shape != modes.shape:
             seeds, modes = np.broadcast_arrays(seeds, modes)
-        lanes = sums.starts[0].shape
-        shape, rows = seeds.shape + lanes, (-1,) + (1,) * len(lanes)
-        seeds, modes = seeds.reshape(rows), modes.reshape(rows)
+        shape, step = seeds.shape + rows[0].shape[4:], max(1, RESPOND_SLICE // rows[0][0].size)
+        seeds, modes = seeds.reshape(-1), modes.reshape((-1,) + (1,) * (rows[0].ndim - 4))
         if sigma or len(seeds) <= step:
-            return run_rounds(shifts, seeds, modes, rounds, voted).reshape(shape)
+            return run_rounds(rows, seeds, modes, voted).reshape(shape)
         return np.concatenate([
-            run_rounds(shifts, seeds[i:i + step], modes[i:i + step], rounds, voted)
+            run_rounds(rows, seeds[i:i + step], modes[i:i + step], voted)
             for i in range(0, len(seeds), step)
         ]).reshape(shape)

@@ -12,9 +12,9 @@ even at sigma 0, so later rounds' challenges depend on that stream position.
 
 lane_bits is the one voter.  vote_batch evaluates lanes at raw challenges
 (harvest, adjustment loop, CRP collector, metrics): table positions once,
-then lane after lane, so noise runs lane by lane, challenge by challenge,
-vote by vote.  obfuscator.LaneBank.respond votes a response's (rounds, 2,
-*shape) candidate challenges with one lane_bits call, which draws one
+then lane after lane at its own starts, so noise runs lane by lane,
+challenge by challenge, vote by vote.  obfuscator.LaneBank.respond votes a
+response's (rounds, 2, *shape) candidates with one lane_bits call, which draws one
 (rounds, *shape, voter_t) block of noise that a round's two candidates
 share.  Only the selected candidate's bit reaches the response, so the
 stream yields what one draw per round would.  The one-vote-at-a-time
@@ -128,7 +128,8 @@ def vote_batch(
     positions = table_positions(tables, challenges.reshape(-1) & mask)
     bits = np.empty(lanes + (challenges.size,), dtype=np.uint8)
     for lane in np.ndindex(lanes):
+        absolute = [position + start[lane] for position, start in zip(positions, tables.starts)]
         # each challenge is one evaluation with a single alternative
-        mu = lane_sums(tables.lane(lane), positions)[:, None]
+        mu = lane_sums(tables, absolute)[:, None]
         bits[lane] = lane_bits(mu, sigma, voter_t, noise_stream)[:, 0]
     return bits.reshape(lanes + challenges.shape)

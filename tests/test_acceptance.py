@@ -42,7 +42,7 @@ from dualpuf.lfsr import (
     find_primitive,
     is_m_sequence,
 )
-from dualpuf.obfuscator import run_rounds, shift_tables
+from dualpuf.obfuscator import candidate_rows, run_rounds
 from dualpuf.postproc import randomness_adjust, vote_batch
 from dualpuf.protocol import run_authentication, run_registration
 from dualpuf.server import MODEL_MODE, predict_response
@@ -95,11 +95,11 @@ def test_criterion_02_reference_cycle_replay():
     walked = []
 
     def record(candidates):
-        assert np.array_equal(candidates[:, 0], candidates[:, 1])
-        walked.extend(candidates[:, 0].tolist())
-        return np.zeros_like(candidates, dtype=np.uint8)
+        assert np.array_equal(candidates[0, :, 0], candidates[0, :, 1])
+        walked.extend(candidates[0, :, 0].tolist())
+        return np.zeros_like(candidates[0], dtype=np.uint8)
 
-    run_rounds(shift_tables((feed, feed)), 0b001, 1, 7, record)
+    run_rounds(candidate_rows((feed, feed), 3, 7), 0b001, 1, record)
     assert walked[0] == 0b101  # first shift
     assert walked == [0b101, 0b111, 0b110, 0b011, 0b100, 0b010, 0b001]
     _record("criterion 02 PASS: 7-state reference cycle reproduced exactly")
@@ -222,18 +222,16 @@ def test_criterion_07_mode_flip_avalanche():
         challenges = np.random.default_rng(10_000 + device_seed).integers(
             1, 256, size=50
         )
-        lanes_first = shift_tables([[p.feeds] for p in device.config.lane_pairs])
+        rows = candidate_rows([p.feeds for p in device.config.lane_pairs], 8, 5)
         weights = np.stack([lane.weights for lane in device.lanes])
         offsets = np.array([lane.offset for lane in device.lanes])
 
         def naked(candidates):
-            mu = np.einsum("...kbi,ki->...kb", features_from_ints(candidates, 8), weights)
-            return (mu + offsets[:, None] > 0).astype(np.uint8)
+            mu = np.einsum("...ki,ki->...k", features_from_ints(candidates[0], 8), weights)
+            return (mu + offsets > 0).astype(np.uint8)
 
-        responses = [
-            run_rounds(lanes_first, challenges[None, :], mode, 5, naked)
-            for mode in (0, 1)
-        ]
+        # S + lanes responses, transposed to lanes first
+        responses = [run_rounds(rows, challenges, mode, naked).T for mode in (0, 1)]
         distance += float((responses[0] ^ responses[1]).mean())
         if device_seed % 40 == 0:
             for j in (0, 25):

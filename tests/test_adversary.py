@@ -32,7 +32,7 @@ from dualpuf.errors import (
     SimulationError,
     WidthMismatch,
 )
-from dualpuf.obfuscator import RESPOND_SLICE, run_rounds, shift_tables
+from dualpuf.obfuscator import RESPOND_SLICE, candidate_rows, run_rounds
 from dualpuf.postproc import lane_bits
 from dualpuf.protocol import SessionTranscript, run_authentication, run_registration
 
@@ -242,8 +242,9 @@ def test_collect_obfuscated_crps_match_the_external_interface():
 def test_one_lane_of_the_tag_bank_is_the_lane_built_alone():
     # lane 3's view of a k=8 tag's bank answers as tables built for that
     # lane alone, on the same stream: a noisy batch in one call and a
-    # noiseless one longer than a slice.  The view keeps the whole bank's
-    # shift-table stride, which a k=1 tag could not tell from the lane's own
+    # noiseless one longer than a slice.  The view's rows hold lane 3's
+    # table starts in the whole bank, which a k=1 tag could not tell from
+    # the lane's own (zero, so the lane alone reads its positions as is)
     for sigma, count in ((0.3, 500), (0.0, 2 * RESPOND_SLICE + 37)):
         device = make_device(k=8, sigma_noise=sigma, voter_t=5)
         pair, lane = device.config.lane_pairs[3], device.lanes[3]
@@ -251,11 +252,12 @@ def test_one_lane_of_the_tag_bank_is_the_lane_built_alone():
         rng = np.random.default_rng(11)
 
         def voted(candidates):
-            mu = lane_sums(tables, table_positions(tables, candidates))
+            mu = lane_sums(tables, table_positions(tables, candidates[0]))
             return lane_bits(mu, sigma, 5, rng)
 
         seeds = rng.integers(1, 1 << 8, size=count)
-        expected = run_rounds(shift_tables(pair.feeds), seeds, 1, pair.rounds_per_response, voted)
+        rows = candidate_rows(pair.feeds, 8, pair.rounds_per_response)
+        expected = run_rounds(rows, seeds, 1, voted)
         challenges, labels = collect_obfuscated_crps(device, count, mode=1, rng_seed=11, lane=3)
         assert np.array_equal(challenges, seeds) and np.array_equal(labels, expected)
         assert 0 < labels.mean() < 1

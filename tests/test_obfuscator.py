@@ -2,6 +2,7 @@
 shared vectorised engine against the scalar reference."""
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,10 +12,12 @@ from hypothesis import strategies as st
 import reference
 from conftest import make_device
 from dualpuf.adversary import collect_naked_crps, collect_obfuscated_crps
-from dualpuf.apuf import features_from_ints, lane_sums, sample_instance, table_positions
-from dualpuf.errors import WidthMismatch, ZeroSeed
+from dualpuf.apuf import features_from_ints, lane_sums, lane_tables, sample_instance, table_positions
+from dualpuf.errors import SimulationError, WidthMismatch, ZeroSeed
 from dualpuf.lfsr import LfsrSpec, pick_lfsr_pair
-from dualpuf.obfuscator import DualLfsrSpec, run_rounds, shift_tables, trace_records
+from dualpuf.obfuscator import (
+    DualLfsrSpec, LaneBank, candidate_rows, check_external_challenge, run_rounds, trace_records,
+)
 from dualpuf.protocol import run_registration
 from dualpuf.server import predict_response
 
@@ -131,7 +134,7 @@ def test_run_rounds_folds_round_bits_by_parity(bits):
     def both_candidates(candidates):
         return np.repeat(np.array(bits, dtype=np.uint8), 2).reshape(candidates.shape)
 
-    folded = run_rounds(shift_tables(PAIR.feeds), 1, 1, len(bits), both_candidates)
+    folded = run_rounds(candidate_rows(PAIR.feeds, 3, len(bits)), 1, 1, both_candidates)
     assert int(folded) == sum(bits) % 2
 
 
@@ -157,8 +160,8 @@ def test_tables_match_the_one_shift_walk(order, first_pair, rounds, mode, draw_s
 
     def evaluate(candidates):
         calls.append(candidates.dtype)
-        round_no = np.arange(rounds).reshape((rounds,) + (1,) * (candidates.ndim - 1))
-        return votes[round_no, candidates]
+        round_no = np.arange(rounds).reshape((rounds,) + (1,) * (candidates.ndim - 2))
+        return votes[round_no, candidates[0]]
 
     def walk(spec, seed, m):
         _, bits = reference.rounds(spec, int(seed), m, lambda r, c: int(votes[r, c]))
@@ -166,15 +169,14 @@ def test_tables_match_the_one_shift_walk(order, first_pair, rounds, mode, draw_s
 
     expected = np.array([[[walk(spec, seed, m) for spec in specs] for seed in seeds]
                          for m in (0, 1)])  # (mode, S, k)
-    lanes = shift_tables([spec.feeds for spec in specs])
-    lanes_first = shift_tables([[spec.feeds] for spec in specs])
-    scalar = run_rounds(shift_tables(specs[0].feeds), seeds[0], mode, rounds, evaluate)
+    lanes = candidate_rows([spec.feeds for spec in specs], order, rounds)
+    scalar = run_rounds(candidate_rows(specs[0].feeds, order, rounds), int(seeds[0]), mode, evaluate)
     assert int(scalar) == expected[mode, 0, 0]
-    batch = run_rounds(lanes, seeds[:, None], mode, rounds, evaluate)
+    batch = run_rounds(lanes, seeds, mode, evaluate)
     assert np.array_equal(batch, expected[mode])
-    transposed = run_rounds(lanes_first, seeds[None, :], mode, rounds, evaluate)
-    assert np.array_equal(transposed, expected[mode].T)
-    both_modes = run_rounds(lanes, seeds[0], np.array([[0], [1]]), rounds, evaluate)
+    one_seed = run_rounds(lanes, int(seeds[1]), mode, evaluate)  # an int across the lanes
+    assert np.array_equal(one_seed, expected[mode, 1])
+    both_modes = run_rounds(lanes, seeds[[0, 0]], np.array([[0], [1]]), evaluate)
     assert np.array_equal(both_modes, expected[:, 0])
     assert calls == [np.int64] * 4  # one evaluator call per response batch
 
@@ -184,15 +186,15 @@ def test_engine_matches_scalar_loop_exhaustively():
     weights = inst.weights
 
     def noiseless(candidates):
-        calls.append(candidates)
-        phi = features_from_ints(candidates, 3)
+        calls.append(candidates[0])
+        phi = features_from_ints(candidates[0], 3)
         return (phi @ weights > 0).astype(np.uint8)
 
     for idx, mode in itertools.product((0, 1), (0, 1)):
         spec = DualLfsrSpec(pick_lfsr_pair(3, idx))
         seeds = np.arange(1, 8)
         calls = []
-        folded = run_rounds(shift_tables(spec.feeds), seeds, mode, 5, noiseless)
+        folded = run_rounds(candidate_rows(spec.feeds, 3, 5), seeds, mode, noiseless)
         assert len(calls) == 1  # one evaluator call for all rounds
         candidates = calls[0]
         assert candidates.shape == (5, 2, 7)
@@ -216,18 +218,18 @@ def test_engine_matches_scalar_loop_exhaustively():
 
 def test_engine_broadcasts_lane_and_batch_axes():
     specs = [DualLfsrSpec(pick_lfsr_pair(4, i)) for i in range(3)]
-    lanes_first = shift_tables([[s.feeds] for s in specs])
-    seeds = np.array([1, 9, 14, 7])[None, :]
+    rows = candidate_rows([s.feeds for s in specs], 4, 5)
+    seeds = np.array([1, 9, 14, 7])
     inst = sample_instance(4, 5)
     weights = inst.weights
 
     def noiseless(candidates):
-        return (features_from_ints(candidates, 4) @ weights > 0).astype(np.uint8)
+        return (features_from_ints(candidates[0], 4) @ weights > 0).astype(np.uint8)
 
-    folded = run_rounds(lanes_first, seeds, 1, 5, noiseless)
+    folded = run_rounds(rows, seeds, 1, noiseless).T  # S + lanes, lanes first
     assert folded.shape == (3, 4)
     for i, spec in enumerate(specs):
-        for j, seed in enumerate(seeds[0].tolist()):
+        for j, seed in enumerate(seeds.tolist()):
             assert int(folded[i, j]) == reference.response(spec, inst, seed, 1)
 
 
@@ -246,10 +248,11 @@ class CountingStream:
 
 
 def test_one_lane_call_per_response(monkeypatch):
-    # every response finds the table entries of its 2R candidate challenges
-    # in one table_positions call, sums them in one lane_sums call and draws
-    # its noise at most once, so a per-round evaluation cannot creep back
-    # into the tag, the model reader or the attacker
+    # every response reads the absolute table positions of its 2R candidate
+    # challenges from its bank's rows (table_positions ran once, when the
+    # bank was built), sums them in one lane_sums call and draws its noise
+    # at most once, so a per-round evaluation cannot creep back into the
+    # tag, the model reader or the attacker
     tag = make_device(k=8, n_stages=8, sigma_noise=0.3)
     registry = run_registration(make_device(k=8, n_stages=8), policy="params")
     lane = make_device(k=1, n_stages=8, sigma_noise=0.3)
@@ -273,10 +276,79 @@ def test_one_lane_call_per_response(monkeypatch):
         action()
         return counts["positions"], counts["sums"], counts["draws"]
 
-    assert calls(lambda: tag.respond(0x5A, 1, CountingStream(real_rng(1), counts))) == (1, 1, 1)
-    assert calls(lambda: predict_response(registry, 0x5A, 0)) == (1, 1, 0)
-    assert calls(lambda: collect_obfuscated_crps(lane, 500)) == (1, 1, 1)
+    assert calls(lambda: tag.respond(0x5A, 1, CountingStream(real_rng(1), counts))) == (0, 1, 1)
+    assert calls(lambda: predict_response(registry, 0x5A, 0)) == (0, 1, 0)
+    assert calls(lambda: collect_obfuscated_crps(lane, 500)) == (0, 1, 1)
     # the raw harvest places every challenge once, then sums and draws once
     # per lane
     assert calls(lambda: tag.raw_crp_table(CountingStream(real_rng(2), counts))) == (1, 8, 8)
     assert calls(lambda: collect_naked_crps(lane.lanes[0], 500)) == (1, 1, 0)
+
+
+@given(
+    order=st.integers(2, 62),
+    rounds=st.integers(1, 12),
+    k=st.sampled_from((1, 3)),
+    draw_seed=st.integers(0, 2**32 - 1),
+)
+@example(order=2, rounds=1, k=1, draw_seed=0)
+@example(order=62, rounds=12, k=3, draw_seed=1)
+def test_seed_rows_are_linear_images_of_the_one_shift_walk(order, rounds, k, draw_seed):
+    # a Galois shift and table_positions are linear over GF(2) and a lane's
+    # table start sits in bits no position uses, so the XOR of a seed's
+    # chunk rows is its candidates (and their absolute positions) at any
+    # order and round count; the registers need not be maximal for that
+    rng = np.random.default_rng(draw_seed)
+    top = 1 << order - 1
+    feeds = rng.integers(0, top, size=(k, 2)) | top
+    pairs = [SimpleNamespace(feeds=tuple(f), order=order, rounds_per_response=rounds)
+             for f in feeds.tolist()]
+    sums = lane_tables(rng.standard_normal((k, order + 1)), rng.standard_normal(k))
+    seeds = rng.integers(1, 1 << order, size=4)
+    walked = np.empty((rounds, 2, seeds.size, k), dtype=np.int64)
+    for (j, i, lane), seed in np.ndenumerate(np.broadcast_to(seeds[:, None], (2, 4, k))):
+        state = int(seed)
+        for r in range(rounds):
+            state = walked[r, j, i, lane] = reference.shift(int(feeds[lane, j]), state)
+    words = []
+
+    def record(candidates):
+        words.append(candidates)
+        return np.zeros(candidates.shape[1:], dtype=np.uint8)
+
+    rows = candidate_rows(feeds, order, rounds)
+    run_rounds(rows, seeds, 1, record)
+    run_rounds(rows, int(seeds[2]), 0, record)
+    assert np.array_equal(words[0][0], walked) and np.array_equal(words[1][0], walked[:, :, 2])
+    positions = table_positions(sums, walked)
+    absolute = np.stack([p + start for p, start in zip(positions, sums.starts)])
+    bank = LaneBank.build(pairs, sums)
+    run_rounds(bank.rows, seeds, 1, record)
+    assert np.array_equal(words[2], absolute)
+    for lane in range(k):
+        run_rounds(bank.lane(lane).rows, seeds, 1, record)
+        assert np.array_equal(words[-1], absolute[..., lane])
+    # table_positions itself: XOR in, XOR out, zero to zero
+    other = rng.integers(0, 1 << order, size=walked.shape)
+    mixed = table_positions(sums, walked ^ other)
+    for a, b, both in zip(positions, table_positions(sums, other), mixed):
+        assert np.array_equal(both, a ^ b)
+    assert all(not p.any() for p in table_positions(sums, np.zeros(3, dtype=np.int64)))
+
+
+@pytest.mark.parametrize("bad", [0, 1 << 8, -1, True, 2.5])
+def test_a_session_pair_is_checked_as_the_same_array(bad):
+    # the tuple fast path for a session's (C1, C2) and (1, t & 1) answers
+    # every pair as the generic path answers it as an array
+    def outcome(challenge, mode):
+        try:
+            seeds, modes = check_external_challenge(challenge, 8, mode)
+        except SimulationError as error:
+            return type(error), str(error)
+        return seeds.dtype, seeds.tolist(), modes.dtype, modes.tolist()
+
+    cases = (((bad, bad), (1, 0)), ((5, bad), (1, 1)), ((bad, 6), (1, 0)), ((5, 6), (1, bad)))
+    for challenge, mode in cases:
+        assert outcome(challenge, mode) == outcome(np.array(challenge), np.array(mode))
+    assert isinstance(outcome((bad, bad), (1, 0))[1], str)  # both raise
+    assert outcome((5, 6), (1, 9)) == (np.int64, [5, 6], np.int64, [1, 1])

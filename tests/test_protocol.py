@@ -14,7 +14,7 @@ from dualpuf.device import serialize_response
 from dualpuf.errors import (
     ChannelTimeout, InterfaceFused, NonMonotonicTicks, SimulationError, WidthMismatch, ZeroSeed,
 )
-from dualpuf.obfuscator import run_rounds, shift_tables
+from dualpuf.obfuscator import candidate_rows, run_rounds
 from dualpuf.protocol import (
     CHALLENGE,
     READER_TO_TAG,
@@ -255,11 +255,11 @@ def test_out_of_range_challenge_raises_before_any_frame():
 
 def counted_rounds(monkeypatch, registry):
     """Count the run_rounds calls of the tags (device) and the reader
-    (server), told apart by the shift tables of the registry's lane bank."""
+    (server), told apart by the row tables of the registry's lane bank."""
     counts = {"device": 0, "server": 0}
 
     def counted(*args):
-        counts["server" if args[0] is registry._bank.shifts else "device"] += 1
+        counts["server" if args[0] is registry._bank.rows else "device"] += 1
         return run_rounds(*args)
 
     monkeypatch.setattr("dualpuf.obfuscator.run_rounds", counted)
@@ -285,14 +285,14 @@ def test_one_reader_evaluation_per_session(monkeypatch):
     assert (result.d1, counts) == (0, {"device": 0, "server": 1})
 
 
-def test_shift_tables_are_built_once_per_tag_and_registry(monkeypatch):
+def test_seed_rows_are_built_once_per_tag_and_registry(monkeypatch):
     builds = []
 
     def counted(*args):
         builds.append(len(args[0]))
-        return shift_tables(*args)
+        return candidate_rows(*args)
 
-    monkeypatch.setattr("dualpuf.obfuscator.shift_tables", counted)
+    monkeypatch.setattr("dualpuf.obfuscator.candidate_rows", counted)
     device, registry = honest_setup(k=16)
     assert builds == [16, 16]  # the tag's and the registry's, at construction
     for _ in range(50):

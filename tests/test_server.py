@@ -235,13 +235,10 @@ def test_array_prediction_matches_scalar_calls():
 
 def test_prediction_in_slices_matches_scalar_calls(monkeypatch):
     # a batch of more than one slice goes through one run_rounds call per
-    # slice, whichever axis is long, and the bits are those of one scalar
-    # call per element
+    # slice, whichever axis is long, each gathering at most RESPOND_SLICE
+    # words, and the bits are those of one scalar call per element
     dev = make_device(k=8)
     rng = np.random.default_rng(6)
-    count = 2 * RESPOND_SLICE + 37
-    challenges = rng.integers(1, 256, size=count)
-    modes = rng.integers(0, 2, size=count)
     calls = []
 
     def counted(*args):
@@ -250,10 +247,16 @@ def test_prediction_in_slices_matches_scalar_calls(monkeypatch):
 
     monkeypatch.setattr("dualpuf.obfuscator.run_rounds", counted)
     for registry in (model_registry(dev), table_registry(dev)):
+        # the words of one challenge: table chunks x rounds x 2 x lanes
+        words = len(registry._bank.sums.entries) * 5 * 2 * 8
+        step = RESPOND_SLICE // words
+        count = 2 * step + 37
+        challenges = rng.integers(1, 256, size=count)
+        modes = rng.integers(0, 2, size=count)
         calls.clear()
         batch = predict_response(registry, challenges, modes)
         assert batch.shape == (count, 8) and batch.dtype == np.uint8
-        assert calls == [RESPOND_SLICE, RESPOND_SLICE, 37]
+        assert calls == [step, step, 37]
         for row, challenge, mode in zip(batch, challenges.tolist(), modes.tolist()):
             assert np.array_equal(row, predict_response(registry, challenge, mode))
         # a short leading mode axis against the long challenge axis
@@ -264,7 +267,7 @@ def test_prediction_in_slices_matches_scalar_calls(monkeypatch):
 
 
 def test_tag_and_registries_survive_pickling():
-    # the shift tables are arrays and the evaluators are built per call, so
+    # the row tables are arrays and the evaluators are built per call, so
     # a pickled tag or registry answers as the original does
     dev = make_device(k=8)
     for registry in (model_registry(dev), table_registry(dev)):

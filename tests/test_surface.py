@@ -83,7 +83,8 @@ def test_one_raw_lane_evaluator():
     # challenges become delay sums and lane bits in LaneBank.respond
     # (candidate challenges of run_rounds) and vote_batch (raw challenges)
     # and nowhere else; the attacker's linear unit and the bit-array entry
-    # point of the parity transform only build features
+    # point of the parity transform only build features.  LaneBank.build
+    # places the rows of its candidates once, with table_positions alone
     allowed = {
         ("obfuscator.py", "LaneBank.respond"),
         ("postproc.py", "vote_batch"),
@@ -92,9 +93,13 @@ def test_one_raw_lane_evaluator():
     }
 
     def evaluates(node) -> bool:
-        return calls(node, ["features_from_ints", "table_positions", "lane_sums", "lane_bits"])
+        return calls(node, ["features_from_ints", "lane_sums", "lane_bits"])
+
+    def places(node) -> bool:
+        return calls(node, ["table_positions"])
 
     assert offenders_outside(allowed, evaluates) == []
+    assert offenders_outside(allowed | {("obfuscator.py", "LaneBank.build")}, places) == []
 
 
 def test_one_caller_of_the_selection_engine():
