@@ -18,7 +18,7 @@ from .errors import InterfaceFused, InvalidParameter, NonMonotonicTicks, WidthMi
 from .lfsr import pick_lfsr_pair
 from .obfuscator import DEFAULT_ROUNDS, DualLfsrSpec, LaneBank, check_lane_pairs
 from .persist import atomic_write, pair_from_json, pair_to_json, reading
-from .postproc import randomness_adjust, vote_batch
+from .postproc import randomness_adjust, vote_batch, voter_noise
 
 DEFAULT_VOTER_T = 5
 
@@ -47,10 +47,10 @@ class DeviceConfig:
         if self.k < 1:
             raise InvalidParameter(f"k {self.k} < 1")
         check_lane_pairs(self.lane_pairs, self.k, self.n_stages)
-        if self.voter_t < 1 or self.voter_t % 2 == 0:
-            raise InvalidParameter(f"voter width {self.voter_t} must be odd")
-        if not 0 <= self.sigma_noise < float("inf"):  # nan fails too
-            raise InvalidParameter(f"sigma_noise {self.sigma_noise} is not a finite number >= 0")
+        voter_noise((), 0.0, self.voter_t, None)  # checks the width, draws nothing at sigma 0
+        sigma = self.sigma_noise  # to NumPy a bool is no number
+        if not np.issubdtype(type(sigma), np.number) or not 0 <= sigma < float("inf"):
+            raise InvalidParameter(f"sigma_noise {sigma!r} is not a finite number >= 0")
 
 
 @dataclass

@@ -34,7 +34,7 @@ class WidthMismatch(SimulationError):
     """Bit-width of an input does not match what the consumer expects."""
 
 
-class EvenVoterWidth(SimulationError):
+class EvenVoterWidth(InvalidParameter):
     """Majority voting needs an odd number of votes."""
 
 

@@ -27,10 +27,10 @@ apuf.table_positions is linear too and a lane's delay-sum tables start in
 bits no position uses, so a LaneBank holds a holder's delay-sum tables and
 the row tables of the absolute positions its candidates read.  The tag,
 both readers and the attacker (through lane(i), a view of one lane) answer
-with its respond: one lane_sums and one lane_bits call for all candidates,
-one block of noise that a round's two candidates share.  A table reader's
-naked-CRP bits are delay-sum tables of one chunk, each bit the sign that
-lane_bits reads at sigma 0; tests/reference.py steps the rule shift by shift.
+with its respond: one block of noise per call, and per slice one lane_sums
+and one lane_bits call for all candidates.  A table reader's naked-CRP bits
+are delay-sum tables of one chunk, each bit the sign that lane_bits reads
+at sigma 0; tests/reference.py steps the rule shift by shift.
 """
 
 from __future__ import annotations
@@ -42,12 +42,12 @@ import numpy as np
 from .apuf import LaneTables, lane_sums, table_positions
 from .errors import InvalidParameter, WidthMismatch, ZeroSeed
 from .lfsr import LfsrSpec, is_m_sequence, step_array
-from .postproc import lane_bits
+from .postproc import lane_bits, voter_noise
 
 DEFAULT_ROUNDS = 5
 BLOCK = 5  # rounds one fold-table lookup covers
 SEED_CHUNK = 4  # seed bits one row table covers
-RESPOND_SLICE = 1 << 14  # most words one run_rounds call of a noiseless batch gathers
+RESPOND_SLICE = 1 << 14  # most words one run_rounds call of a batch gathers
 
 
 @dataclass(frozen=True)
@@ -138,9 +138,9 @@ def check_external_challenge(challenge, order: int, mode=1):
     """Return an external challenge and a session mode, or arrays of them,
     as int64 (a pair of Python ints as ints, tuples of them checked as ints),
     the mode reduced to its parity bit.  Either one not of an integer dtype,
-    or an object array holding anything but Python or NumPy integers (ints
-    beyond int64 come as objects), raises InvalidParameter; a challenge that
-    is zero, the stuck state, or has a bit set at or above order ZeroSeed."""
+    or a sequence or object array holding anything but Python or NumPy ints
+    (a bool is none) raises InvalidParameter; a challenge that is zero, the
+    stuck state, or has a bit set at or above order ZeroSeed."""
     fits = range(1, 1 << order)
     if type(challenge) is int and type(mode) is int and challenge in fits:
         return challenge, mode & 1  # one challenge as a frame carries it
@@ -149,7 +149,9 @@ def check_external_challenge(challenge, order: int, mode=1):
         modes = [m & 1 for m in mode]  # a session's pair
         return np.array(challenge, dtype=np.int64), np.array(modes, dtype=np.int64)
     seeds, modes = np.asarray(challenge), np.asarray(mode)
-    for what, given in (("external challenge", seeds), ("mode", modes)):
+    for what, raw, given in (("external challenge", challenge, seeds), ("mode", mode, modes)):
+        if isinstance(raw, (list, tuple)) and given.dtype.kind in "iu":
+            given = np.array(raw, dtype=object)  # a bool among ints was cast to 1
         if given.dtype.kind not in "iuO" and given.size or given.dtype.kind == "O" and not all(
                 isinstance(v, (int, np.integer)) and type(v) is not bool for v in given.flat):
             raise InvalidParameter(f"{what} {given.tolist()!r} is not an integer")
@@ -211,7 +213,7 @@ def run_rounds(tables, seed, mode, evaluate) -> np.ndarray:
     selected bits."""
     if type(seed) is int:
         rows = (table[seed >> SEED_CHUNK * b & _ROW] for b, table in enumerate(tables))
-    else:  # taken as they are XORed, so a long noisy batch holds few at once
+    else:  # taken as they are XORed, so a slice holds few at once
         chunks = seed >> _CHUNK_SHIFTS[:len(tables)] & _ROW
         rows = (table.take(chunk, axis=0) for table, chunk in zip(tables, chunks))
     words = next(rows) ^ next(rows, 0)  # a fresh array, even of one chunk's rows
@@ -263,24 +265,27 @@ class LaneBank:
         self, challenge, mode, sigma: float = 0.0, voter_t: int = 1, noise_stream=None
     ) -> np.ndarray:
         """Voted responses, an S + lanes uint8 array, to external challenges
-        and modes that broadcast to a shape S.  A noisy batch is one run_rounds
-        call, so its draws run challenge by challenge, lane by lane; noiseless
-        bits do not depend on the cut, so a call gathers RESPOND_SLICE words."""
+        and modes that broadcast to a shape S.  The noise, one (rounds, *S,
+        *lanes) block drawn first, is cut as S is cut into run_rounds calls."""
         sums, rows = self.sums, self.rows
         seeds, modes = check_external_challenge(challenge, sum(sums.widths), mode)
+        rounds, lanes = rows[0].shape[2], rows[0].shape[4:]
 
-        def voted(positions: np.ndarray) -> np.ndarray:
-            return lane_bits(lane_sums(sums, positions), sigma, voter_t, noise_stream)
+        def voted(noise):
+            return lambda positions: lane_bits(lane_sums(sums, positions), noise)
 
         if type(seeds) is int:  # one challenge, as a frame carries it
-            return run_rounds(rows, seeds, modes, voted)
+            noise = voter_noise((rounds, *lanes), sigma, voter_t, noise_stream)
+            return run_rounds(rows, seeds, modes, voted(noise))
         if seeds.shape != modes.shape:
             seeds, modes = np.broadcast_arrays(seeds, modes)
-        shape, step = seeds.shape + rows[0].shape[4:], max(1, RESPOND_SLICE // rows[0][0].size)
-        seeds, modes = seeds.reshape(-1), modes.reshape((-1,) + (1,) * (rows[0].ndim - 4))
-        if sigma or len(seeds) <= step:
-            return run_rounds(rows, seeds, modes, voted).reshape(shape)
+        shape, step = seeds.shape + lanes, max(1, RESPOND_SLICE // rows[0][0].size)
+        seeds, modes = seeds.reshape(-1), modes.reshape((-1,) + (1,) * len(lanes))
+        noise = voter_noise((rounds, len(seeds), *lanes), sigma, voter_t, noise_stream)
+        if len(seeds) <= step:
+            return run_rounds(rows, seeds, modes, voted(noise)).reshape(shape)
         return np.concatenate([
-            run_rounds(rows, seeds[i:i + step], modes[i:i + step], voted)
+            run_rounds(rows, seeds[i:i + step], modes[i:i + step],
+                       voted(noise if noise is None else noise[:, i:i + step]))
             for i in range(0, len(seeds), step)
         ]).reshape(shape)

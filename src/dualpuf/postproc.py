@@ -10,15 +10,14 @@ after MAX_ROUNDS = 1000 rounds.  The lane's tables are built once; a
 counter moves only their offset.  A round takes its PULSE_COUNT noise draws
 even at sigma 0, so later rounds' challenges depend on that stream position.
 
-lane_bits is the one voter.  vote_batch evaluates lanes at raw challenges
-(harvest, adjustment loop, CRP collector, metrics): table positions once,
-then lane after lane at its own starts, so noise runs lane by lane,
-challenge by challenge, vote by vote.  obfuscator.LaneBank.respond votes a
-response's (rounds, 2, *shape) candidates with one lane_bits call, which draws one
-(rounds, *shape, voter_t) block of noise that a round's two candidates
-share.  Only the selected candidate's bit reaches the response, so the
-stream yields what one draw per round would.  The one-vote-at-a-time
-reference is in tests/reference.py.
+lane_bits is the one voter; it votes with the noise block that voter_noise,
+the one check of sigma and voter_t, draws.  vote_batch evaluates lanes at
+raw challenges (harvest, adjustment loop, CRP collector, metrics): table
+positions once, then lane after lane, each at its own starts and with its
+own block.  obfuscator.LaneBank.respond draws one block per call, which a
+round's two candidates share; only the selected candidate's bit reaches the
+response, so the stream yields what one draw per round would.  The
+one-vote-at-a-time reference is in tests/reference.py.
 """
 
 from __future__ import annotations
@@ -79,49 +78,45 @@ def randomness_adjust(instance: ApufInstance, sigma: float = 0.0, rng_seed: int 
     )
 
 
-def lane_bits(
-    mu: np.ndarray,
-    sigma: float = 0.0,
-    voter_t: int = 1,
-    noise_stream: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Voted lane bits for delay sums laid out (evaluations, alternatives,
-    *shape).
-
-    At sigma 0 the bit is the sign of mu and no noise is drawn.  Otherwise
-    one block of shape (evaluations, *shape, voter_t) is drawn in C order,
-    so the stream runs evaluation by evaluation, element by element and vote
-    by vote; the alternatives of an evaluation (a round's two candidate
-    challenges) share its draws.  Each bit is the majority of its voter_t
-    noisy evaluations.  A sigma that is not a finite number >= 0 raises
-    InvalidParameter.
-    """
-    if voter_t < 1 or voter_t % 2 == 0:
-        raise EvenVoterWidth(f"voter width {voter_t} must be odd and >= 1")
+def voter_noise(shape, sigma: float, voter_t: int, noise_stream) -> np.ndarray | None:
+    """The block lane_bits votes evaluations laid out shape with: None at
+    sigma 0, else (*shape, voter_t) draws of std sigma in C order, element
+    by element, vote by vote.  The voter's one check: a voter_t not an odd
+    int >= 1 raises EvenVoterWidth even at sigma 0, a sigma not finite >= 0 InvalidParameter."""
+    if type(voter_t) is not int and not isinstance(voter_t, np.integer) or (
+            voter_t < 1 or not voter_t % 2):
+        raise EvenVoterWidth(f"voter width {voter_t!r} must be an odd integer >= 1")
     if not 0 <= sigma < float("inf"):  # nan fails too
         raise InvalidParameter(f"sigma {sigma} is not a finite number >= 0")
-    if mu.ndim < 2:
-        raise WidthMismatch(f"delay sums of shape {mu.shape} lack an alternatives axis")
     if sigma == 0:
+        return None
+    noise = noise_stream.standard_normal((*shape, voter_t))
+    return np.multiply(noise, sigma, out=noise)  # in place: a batch holds one block
+
+
+def lane_bits(mu: np.ndarray, noise: np.ndarray | None = None) -> np.ndarray:
+    """Voted lane bits for delay sums laid out (evaluations, alternatives,
+    *shape) and the (evaluations, *shape, voter_t) block voter_noise drew in
+    C order: with none, the sign of mu, else the majority of mu plus each
+    draw on the last axis, which an evaluation's alternatives share.  A sum
+    of exactly 0 votes 0; other layouts raise WidthMismatch."""
+    if mu.ndim < 2 or noise is not None and noise.shape[:-1] != mu.shape[:1] + mu.shape[2:]:
+        raise WidthMismatch(f"noise of shape {np.shape(noise)} for delay sums of shape {mu.shape}")
+    if noise is None:
         return (mu > 0).view(np.uint8)
-    draws = noise_stream.standard_normal(mu.shape[:1] + mu.shape[2:] + (voter_t,)) * sigma
-    # votes first, so the majority adds whole arrays; the size-1 axis lets
-    # the alternatives of an evaluation share its draws
-    votes = np.ascontiguousarray(draws.transpose(-1, *range(draws.ndim - 1)))[:, :, None]
+    # votes first, so the majority adds whole arrays; alternatives share a size-1 axis
+    votes = np.ascontiguousarray(noise.transpose(-1, *range(noise.ndim - 1)))[:, :, None]
     ones = ((mu + votes) > 0).sum(axis=0)
-    return (2 * ones > voter_t).astype(np.uint8)
+    return (2 * ones > noise.shape[-1]).astype(np.uint8)
 
 
 def vote_batch(
-    tables: LaneTables,
-    challenges,
-    sigma: float = 0.0,
-    voter_t: int = 1,
-    noise_stream: np.random.Generator | None = None,
+    tables: LaneTables, challenges, sigma: float = 0.0, voter_t: int = 1, noise_stream=None
 ) -> np.ndarray:
     """Voted bits, shaped *lanes + challenges.shape, of the lanes whose
     tables are given at every raw challenge, each challenge its own
-    evaluation.  Only the low n_stages bits of a challenge count."""
+    evaluation, each lane its own voter_noise block.  Only the low n_stages
+    bits of a challenge count."""
     challenges = np.asarray(challenges, dtype=np.int64)
     lanes = tables.starts[0].shape
     mask = (1 << sum(tables.widths)) - 1
@@ -131,5 +126,5 @@ def vote_batch(
         absolute = [position + start[lane] for position, start in zip(positions, tables.starts)]
         # each challenge is one evaluation with a single alternative
         mu = lane_sums(tables, absolute)[:, None]
-        bits[lane] = lane_bits(mu, sigma, voter_t, noise_stream)[:, 0]
+        bits[lane] = lane_bits(mu, voter_noise(mu.shape[:1], sigma, voter_t, noise_stream))[:, 0]
     return bits.reshape(lanes + challenges.shape)

@@ -33,7 +33,7 @@ from dualpuf.errors import (
     WidthMismatch,
 )
 from dualpuf.obfuscator import RESPOND_SLICE, candidate_rows, run_rounds
-from dualpuf.postproc import lane_bits
+from dualpuf.postproc import lane_bits, voter_noise
 from dualpuf.protocol import SessionTranscript, run_authentication, run_registration
 
 
@@ -241,11 +241,13 @@ def test_collect_obfuscated_crps_match_the_external_interface():
 
 def test_one_lane_of_the_tag_bank_is_the_lane_built_alone():
     # lane 3's view of a k=8 tag's bank answers as tables built for that
-    # lane alone, on the same stream: a noisy batch in one call and a
-    # noiseless one longer than a slice.  The view's rows hold lane 3's
-    # table starts in the whole bank, which a k=1 tag could not tell from
-    # the lane's own (zero, so the lane alone reads its positions as is)
-    for sigma, count in ((0.3, 500), (0.0, 2 * RESPOND_SLICE + 37)):
+    # lane alone, on the same stream: a noisy and a noiseless batch longer
+    # than a slice against one unsliced run_rounds call whose evaluator
+    # draws its own noise block.  The view's rows hold lane 3's table starts
+    # in the whole bank, which a k=1 tag could not tell from the lane's own
+    # (zero, so the lane alone reads its positions as is)
+    count = 2 * RESPOND_SLICE + 37
+    for sigma in (0.3, 0.0):
         device = make_device(k=8, sigma_noise=sigma, voter_t=5)
         pair, lane = device.config.lane_pairs[3], device.lanes[3]
         tables = lane_tables(lane.weights, lane.offset)
@@ -253,7 +255,7 @@ def test_one_lane_of_the_tag_bank_is_the_lane_built_alone():
 
         def voted(candidates):
             mu = lane_sums(tables, table_positions(tables, candidates[0]))
-            return lane_bits(mu, sigma, 5, rng)
+            return lane_bits(mu, voter_noise(mu.shape[:1] + mu.shape[2:], sigma, 5, rng))
 
         seeds = rng.integers(1, 1 << 8, size=count)
         rows = candidate_rows(pair.feeds, 8, pair.rounds_per_response)

@@ -389,6 +389,25 @@ def test_device_file_with_a_counter_that_is_not_an_integer(capsys, tmp_path, cou
                      "--out", str(tmp_path / "reg.json"))
 
 
+@pytest.mark.parametrize("key, value", [("voter_t", 5.0), ("voter_t", True), ("sigma_noise", True)])
+def test_device_file_with_a_voter_setting_that_is_not_a_number_of_its_kind(
+    capsys, tmp_path, key, value
+):
+    # a width of 5.0 loaded and then failed inside NumPy at the first noisy
+    # vote, so auth run ended in a traceback
+    dev, reg = str(tmp_path / "dev.json"), str(tmp_path / "reg.json")
+    assert run_cli(capsys, "device", "build", "--stages", "8", "--lanes", "8", "--seed", "2",
+                   "--sigma", "0.05", "--out", dev)[0] == 0
+    assert run_cli(capsys, "auth", "register", "--device", dev, "--out", reg)[0] == 0
+    doc = json.loads(Path(dev).read_text())
+    doc[key] = value
+    Path(dev).write_text(json.dumps(doc))
+    with pytest.raises(SimulationError):
+        load_device(dev)
+    assert_cli_error(capsys, "auth", "run", "--device", dev, "--registry", reg,
+                     "--sessions", "3")
+
+
 def test_replay_rejects_a_parity_policy_with_no_tick_gap(capsys, tmp_path):
     dev, reg = built_tag(capsys, tmp_path)
     assert run_cli(capsys, "auth", "register", "--device", dev, "--out", reg,

@@ -4,6 +4,7 @@ obfuscated response path, session bookkeeping, and persistence."""
 import copy
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from dualpuf.device import (
 )
 from dualpuf.errors import (
     InterfaceFused,
+    InvalidParameter,
     NonMonotonicTicks,
     SimulationError,
     WidthMismatch,
@@ -55,6 +57,9 @@ def test_config_validation():
         DeviceConfig(k=2, n_stages=9, lane_pairs=pairs)
     with pytest.raises(ValueError):
         DeviceConfig(k=2, n_stages=8, lane_pairs=pairs, voter_t=4)
+    for bad in ({"voter_t": True}, {"voter_t": 3.0}, {"sigma_noise": True}):
+        with pytest.raises(InvalidParameter):  # a bool once voted as 1
+            DeviceConfig(k=2, n_stages=8, lane_pairs=pairs, **bad)
     with pytest.raises(WidthMismatch):
         # 9-stage lanes would answer from 9-bit features of 8-bit challenges
         PufDevice(DeviceConfig(k=2, n_stages=8, lane_pairs=pairs),
@@ -171,6 +176,23 @@ def test_lanes_are_independent():
     diff = before ^ after
     assert diff[:, [0, 1, 3]].sum() == 0
     assert diff[:, 2].sum() > 0
+
+
+def test_a_noisy_batch_holds_one_noise_block_and_a_slice():
+    # the noise of a batch is drawn up front, one (rounds, S, k, voter_t)
+    # float64 block, and its words, sums and votes run a slice at a time,
+    # so the batch's peak grows with the block alone
+    dev = make_device(k=64, n_stages=16, device_seed=5, sigma_noise=0.03, voter_t=5)
+    seeds = np.random.default_rng(4).integers(1, 1 << 16, size=2000)
+    peaks = {}
+    for count in (500, 2000):
+        tracemalloc.start()
+        dev.respond(seeds[:count], 1, np.random.default_rng(1))
+        peaks[count] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    block_per_challenge = 8 * 5 * 64 * 5  # float64, rounds, lanes, votes
+    assert peaks[2000] <= 48 << 20
+    assert peaks[2000] - peaks[500] <= 1.1 * block_per_challenge * 1500
 
 
 # -- serialization ------------------------------------------------------------

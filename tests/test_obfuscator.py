@@ -13,7 +13,7 @@ import reference
 from conftest import make_device
 from dualpuf.adversary import collect_naked_crps, collect_obfuscated_crps
 from dualpuf.apuf import features_from_ints, lane_sums, lane_tables, sample_instance, table_positions
-from dualpuf.errors import SimulationError, WidthMismatch, ZeroSeed
+from dualpuf.errors import InvalidParameter, SimulationError, WidthMismatch, ZeroSeed
 from dualpuf.lfsr import LfsrSpec, pick_lfsr_pair
 from dualpuf.obfuscator import (
     DualLfsrSpec, LaneBank, candidate_rows, check_external_challenge, run_rounds, trace_records,
@@ -339,7 +339,9 @@ def test_seed_rows_are_linear_images_of_the_one_shift_walk(order, rounds, k, dra
 @pytest.mark.parametrize("bad", [0, 1 << 8, -1, True, 2.5])
 def test_a_session_pair_is_checked_as_the_same_array(bad):
     # the tuple fast path for a session's (C1, C2) and (1, t & 1) answers
-    # every pair as the generic path answers it as an array
+    # every pair as the generic path answers it as a list and as an array;
+    # NumPy casts a bool among ints to 1, so the array that keeps a bool is
+    # an object array, and a bool anywhere is refused
     def outcome(challenge, mode):
         try:
             seeds, modes = check_external_challenge(challenge, 8, mode)
@@ -347,8 +349,14 @@ def test_a_session_pair_is_checked_as_the_same_array(bad):
             return type(error), str(error)
         return seeds.dtype, seeds.tolist(), modes.dtype, modes.tolist()
 
+    def as_array(values):
+        return np.array(values, dtype=object if bool in map(type, values) else None)
+
     cases = (((bad, bad), (1, 0)), ((5, bad), (1, 1)), ((bad, 6), (1, 0)), ((5, 6), (1, bad)))
     for challenge, mode in cases:
-        assert outcome(challenge, mode) == outcome(np.array(challenge), np.array(mode))
+        got = outcome(challenge, mode)
+        assert got == outcome(list(challenge), list(mode))
+        assert got == outcome(as_array(challenge), as_array(mode))
+        assert bad is not True or got[0] is InvalidParameter
     assert isinstance(outcome((bad, bad), (1, 0))[1], str)  # both raise
     assert outcome((5, 6), (1, 9)) == (np.int64, [5, 6], np.int64, [1, 1])

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import reference
 from dualpuf.apuf import ApufInstance, lane_tables, sample_instance
@@ -15,6 +17,7 @@ from dualpuf.postproc import (
     lane_bits,
     randomness_adjust,
     vote_batch,
+    voter_noise,
 )
 
 
@@ -92,11 +95,13 @@ def test_adjust_balances_a_biased_lane():
 def test_vote_rejects_even_or_empty_width():
     inst = sample_instance(4, 0)
     rng = np.random.default_rng(0)
-    for bad in (0, 2, 4):
-        with pytest.raises(EvenVoterWidth):
-            lane_bits(np.array([0.5]), 0.0, bad, rng)
+    for bad in (0, 2, 4, -1, True, 3.0):
+        for sigma in (0.0, 0.5):  # checked at sigma 0 too, before any draw
+            with pytest.raises(EvenVoterWidth):
+                voter_noise((1,), sigma, bad, rng)
         with pytest.raises(EvenVoterWidth):
             vote_batch(lane_tables(inst.weights, inst.offset), np.array([1]), 0.0, bad, rng)
+    assert rng.standard_normal() == np.random.default_rng(0).standard_normal()
 
 
 def test_vote_rejects_a_sigma_that_is_not_finite():
@@ -104,21 +109,69 @@ def test_vote_rejects_a_sigma_that_is_not_finite():
     rng = np.random.default_rng(0)
     for bad in (-0.1, math.nan, math.inf):
         with pytest.raises(InvalidParameter):
-            lane_bits(np.array([[0.5]]), bad, 1, rng)
+            voter_noise((1,), bad, 1, rng)
         with pytest.raises(InvalidParameter):
             randomness_adjust(inst, bad, rng_seed=0)
     assert (inst.adjust_up, inst.adjust_low) == (0, 0)
 
 
 def test_vote_majority_with_scripted_noise():
+    def noise(*rows):  # the block voter_noise draws for one evaluation
+        return voter_noise((1,), 1.0, 5, ScriptedRng(rows))
+
     mu = np.array([[1.0]])  # one evaluation, one alternative: margin +1, sigma 1
-    assert lane_bits(mu, 1.0, 5, ScriptedRng([[-2, -2, 0.5, 0.5, 0.5]])).tolist() == [[1]]
-    assert lane_bits(mu, 1.0, 5, ScriptedRng([[-2, -2, -2, 0.5, 0.5]])).tolist() == [[0]]
+    assert lane_bits(mu, noise([-2, -2, 0.5, 0.5, 0.5])).tolist() == [[1]]
+    assert lane_bits(mu, noise([-2, -2, -2, 0.5, 0.5])).tolist() == [[0]]
     # the two alternatives of one evaluation share its five draws
     pair = np.array([[1.0, -0.6]])
-    assert lane_bits(pair, 1.0, 5, ScriptedRng([[-2, -2, 0.5, 0.5, 0.5]])).tolist() == [[1, 0]]
+    assert lane_bits(pair, noise([-2, -2, 0.5, 0.5, 0.5])).tolist() == [[1, 0]]
     with pytest.raises(WidthMismatch):
-        lane_bits(np.array([1.0]), 1.0, 5, ScriptedRng([[0.0] * 5]))
+        lane_bits(np.array([1.0]), noise([0.0] * 5))
+    with pytest.raises(WidthMismatch):  # a block drawn for two evaluations
+        lane_bits(mu, voter_noise((2,), 1.0, 5, ScriptedRng([[0.0] * 10])))
+    assert voter_noise((1,), 0.0, 5, ScriptedRng([])) is None  # no draw at sigma 0
+
+
+@given(
+    sigma=st.one_of(st.just(0.0), st.floats(0.01, 2.0)),
+    voter_t=st.sampled_from([1, 3, 5, 7]),
+    shape=st.lists(st.integers(1, 3), max_size=2).map(tuple),
+    evaluations=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_one_vote_over_a_batch_is_the_votes_of_its_evaluations(
+    sigma, voter_t, shape, evaluations, seed
+):
+    # the voter's contract: voter_noise draws the (evaluations, *shape,
+    # voter_t) block in C order, and one lane_bits call over a batch votes
+    # each evaluation, and each cut of the batch, as a call on its own part
+    # of the block would; a sum of exactly 0 votes 0
+    rng = np.random.default_rng(seed)
+    mu = rng.integers(-2, 3, size=(evaluations, 2) + shape) * 0.25  # ties at 0 come up
+    block = voter_noise((evaluations,) + shape, sigma, voter_t, np.random.default_rng(seed))
+    if sigma == 0:
+        assert block is None
+    else:
+        drawn = np.random.default_rng(seed).standard_normal((evaluations,) + shape + (voter_t,))
+        assert np.array_equal(block, drawn * sigma)
+    bits = lane_bits(mu, block)
+    assert bits.shape == mu.shape and bits.dtype == np.uint8
+    for e in range(evaluations):
+        own = None if block is None else block[e:e + 1]
+        assert np.array_equal(bits[e:e + 1], lane_bits(mu[e:e + 1], own))
+        for alternative, index in itertools.product(range(2), np.ndindex(shape)):
+            m = float(mu[(e, alternative) + index])
+            draws = [0.0] if block is None else block[(e,) + index].tolist()
+            ones = sum(m + d > 0 for d in draws)
+            assert bits[(e, alternative) + index] == (2 * ones > len(draws))
+    if shape:  # a cut of the first element axis, as LaneBank.respond slices
+        cut = shape[0] // 2
+        part = None if block is None else block[:, cut:]
+        assert np.array_equal(bits[:, :, cut:], lane_bits(mu[:, :, cut:], part))
+    # every vote of the first alternative ties at 0, so it votes 0
+    tied = np.repeat(-mu[:, 0, ..., None], voter_t, axis=-1)
+    assert not lane_bits(mu, tied)[:, 0].any()
+    assert not lane_bits(np.zeros_like(mu)).any()
 
 
 def test_vote_batch_matches_scalar_stream():

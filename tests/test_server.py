@@ -177,11 +177,14 @@ def test_prediction_rejects_out_of_range():
 
 
 def test_challenges_and_modes_must_be_integers():
-    # a cast to int64 used to truncate 3.7 to 3 and "5" to 5, and a float
-    # mode ended in a bare TypeError
+    # a cast to int64 used to truncate 3.7 to 3 and "5" to 5, a float mode
+    # ended in a bare TypeError, and a bool among ints was cast to 1
     dev = make_device()
     registry = model_registry(dev)
-    bads = (3.7, 5.0, "5", np.float64(5.5), True, [5, 1.5], np.array([3.0]))
+    bads = (3.7, 5.0, "5", np.float64(5.5), True, [5, 1.5], np.array([3.0]),
+            (5, True), [5, True], [[5], [np.True_]])
+    with pytest.raises(InvalidParameter):
+        predict_response(registry, (5, True), (1, 0))
     for bad in bads:
         with pytest.raises(InvalidParameter):
             predict_response(registry, bad, 1)

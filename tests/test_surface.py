@@ -102,6 +102,19 @@ def test_one_raw_lane_evaluator():
     assert offenders_outside(allowed | {("obfuscator.py", "LaneBank.build")}, places) == []
 
 
+def test_voter_noise_is_drawn_in_one_place():
+    # voter_noise checks sigma and voter_t and draws every vote's noise, so
+    # lane_bits only votes the block it is given; the adjustment loop keeps
+    # its stream at sigma 0 with a draw of its own, and sample_instance
+    # draws lane weights
+    allowed = {
+        ("postproc.py", "voter_noise"),
+        ("postproc.py", "randomness_adjust"),
+        ("apuf.py", "sample_instance"),
+    }
+    assert offenders_outside(allowed, lambda node: calls(node, ["standard_normal", "normal"])) == []
+
+
 def test_one_caller_of_the_selection_engine():
     # the tag, both readers and the attacker answer through their lane bank;
     # trace_records replays a vote history through the engine itself
