@@ -145,6 +145,17 @@ class PufDevice:
         return serialize_response(self.respond(frame.payload, mode))
 
 
+def pack_bits(bits) -> np.ndarray:
+    """The lane-bit codec: 0/1 bits packed eight to a byte along the last
+    axis, the first bit in bit 0 of its byte, zeros padding the last byte."""
+    return np.packbits(bits, axis=-1, bitorder="little")
+
+
+def unpack_bits(packed, count: int) -> np.ndarray:
+    """Inverse of pack_bits: the first count bits along the last axis."""
+    return np.unpackbits(packed, axis=-1, count=count, bitorder="little")
+
+
 def serialize_response(bits: np.ndarray):
     """Parallel-to-serial: lane i's bit becomes bit i of the integer.
 
@@ -153,8 +164,8 @@ def serialize_response(bits: np.ndarray):
     """
     bits = np.asarray(bits, dtype=np.uint8)
     if bits.ndim == 1:
-        return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
-    packed = np.packbits(bits.reshape(bits.shape[0], -1).T, axis=-1, bitorder="little")
+        return int.from_bytes(pack_bits(bits).tobytes(), "little")
+    packed = pack_bits(bits.reshape(bits.shape[0], -1).T)
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
@@ -168,7 +179,7 @@ def deserialize_response(value, k: int) -> np.ndarray:
             raise WidthMismatch(f"response {word:#x} does not fit {k} lanes")
     width = (k + 7) // 8
     raw = np.frombuffer(b"".join(w.to_bytes(width, "little") for w in words), dtype=np.uint8)
-    bits = np.unpackbits(raw.reshape(len(words), width), axis=-1, count=k, bitorder="little")
+    bits = unpack_bits(raw.reshape(len(words), width), k)
     return bits[0] if single else np.ascontiguousarray(bits.T)
 
 

@@ -211,7 +211,6 @@ def run_registration(
         tau=tau,
         t_range=t_range,
         rng_seed=rng_seed,
-        voter_t=device.config.voter_t,
     )
     if registry_path is not None:
         save_registry(registry, registry_path)

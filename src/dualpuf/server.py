@@ -6,10 +6,16 @@ answers as the tag's does, at sigma 0.  Lane material, the bank's delay-sum
 tables, is either the exact lane parameters' or a full naked-CRP table as
 tables of one chunk: the (k, 2^n) 0/1 bits that PufDevice.raw_crp_table
 harvests, one column per raw challenge (column 0 unused), up to order ~20.
+
+A registry file is a JSON document.  save_registry writes version 1, where
+a table is its bits packed lane after lane, eight to a byte, in one base64
+string; load_registry also reads version 0, which has no version key, holds
+the tag's voter width and stores a table as one hex word per challenge.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 from dataclasses import dataclass
@@ -17,15 +23,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .apuf import LaneTables, lane_tables, stack_lanes
-from .device import DEFAULT_VOTER_T, deserialize_response, serialize_response
+from .device import deserialize_response, pack_bits, unpack_bits
 from .errors import InvalidParameter, WidthMismatch
 from .obfuscator import DualLfsrSpec, LaneBank, check_lane_pairs
 from .persist import atomic_write, pair_from_json, pair_to_json, reading
+from .postproc import voter_noise
 
 TABLE_MODE = "table"
 MODEL_MODE = "model"
 MAX_TABLE_ORDER = 20
 DEFAULT_T_RANGE = (2, 17)
+FILE_VERSION = 1
 
 
 def default_tau(k: int, sigma_noise: float) -> int:
@@ -44,7 +52,6 @@ class ServerRegistry:
     tau: int
     t_range: tuple[int, int]
     rng_seed: int
-    voter_t: int = DEFAULT_VOTER_T
     table: np.ndarray | None = None      # (k, 2^N) 0/1 bits, column 0 unused
     weights: np.ndarray | None = None    # (k, N+1)
     offsets: np.ndarray | None = None    # (k,)
@@ -93,7 +100,6 @@ def register_from_ttp(
     tau: int,
     t_range: tuple[int, int] = DEFAULT_T_RANGE,
     rng_seed: int = 0,
-    voter_t: int = DEFAULT_VOTER_T,
 ) -> ServerRegistry:
     """Build a registry from enrollment material.
 
@@ -108,7 +114,7 @@ def register_from_ttp(
     k, n_stages = len(lane_pairs), lane_pairs[0].order
     common = dict(
         k=k, n_stages=n_stages, lane_pairs=lane_pairs,
-        tau=tau, t_range=t_range, rng_seed=rng_seed, voter_t=voter_t,
+        tau=tau, t_range=t_range, rng_seed=rng_seed,
     )
     if isinstance(lane_data, np.ndarray):
         return ServerRegistry(mode=TABLE_MODE, table=lane_data, **common)
@@ -157,32 +163,50 @@ def compare(expected: int, payload, k: int, tau: int) -> tuple[int, int]:
 
 
 def save_registry(registry: ServerRegistry, path: str) -> None:
-    """Persist a registry as a JSON document; a table is one hex word per
-    challenge, lane 0 in bit 0."""
+    """Persist a registry as a version-1 JSON document.  A table is
+    pack_bits over its bits, lane after lane, as one base64 string, so its
+    k * 2^n bits take about k * 2^n / 6 bytes of file."""
     doc = {
+        "version": FILE_VERSION,
         "mode": registry.mode,
         "k": registry.k,
         "n_stages": registry.n_stages,
-        "voter_t": registry.voter_t,
         "tau": registry.tau,
         "t_range": list(registry.t_range),
         "rng_seed": registry.rng_seed,
         "lane_pairs": [pair_to_json(p) for p in registry.lane_pairs],
     }
     if registry.mode == TABLE_MODE:
-        doc["table"] = [f"{word:x}" for word in serialize_response(registry.table)]
+        packed = pack_bits(np.ravel(registry.table))
+        doc["table"] = base64.b64encode(packed).decode("ascii")
     else:
         doc["weights"] = [[float(w) for w in row] for row in registry.weights]
         doc["offsets"] = [float(o) for o in registry.offsets]
     atomic_write(path, json.dumps(doc))
 
 
+def _unpacked_table(text: str, k: int, n_stages: int) -> np.ndarray:
+    """The (k, 2^n) bits of a version-1 table string."""
+    if not 0 <= n_stages <= MAX_TABLE_ORDER:
+        raise InvalidParameter(f"table mode caps at order {MAX_TABLE_ORDER}, got {n_stages}")
+    packed = base64.b64decode(text, validate=True)
+    count = k << n_stages
+    if len(packed) != (count + 7) // 8:
+        raise WidthMismatch(f"table of {len(packed)} bytes for k={k} at order {n_stages}")
+    return unpack_bits(np.frombuffer(packed, dtype=np.uint8), count).reshape(k, -1)
+
+
 def load_registry(path: str) -> ServerRegistry:
-    """Read back a registry written by save_registry.  A file that cannot
-    be read, is not JSON, lacks a key or holds a value of the wrong type,
-    range or shape raises SimulationError."""
+    """Read back a registry file of version 0 or 1.  A file that cannot be
+    read, is not JSON, names another version, lacks a key or holds a value
+    of the wrong type, range or shape raises SimulationError."""
     with reading(path, "registry file") as fh:
         doc = json.load(fh)
+        version = doc["version"] if "version" in doc else 0
+        if type(version) is not int or version not in (0, FILE_VERSION):
+            raise InvalidParameter(f"registry file version {version!r} is not 0 or 1")
+        if version == 0:  # the width of a voter the reader never ran
+            voter_noise((), 0.0, doc["voter_t"], None)
         kwargs = dict(
             mode=doc["mode"],
             k=doc["k"],
@@ -191,10 +215,12 @@ def load_registry(path: str) -> ServerRegistry:
             tau=doc["tau"],
             t_range=tuple(doc["t_range"]),
             rng_seed=doc["rng_seed"],
-            voter_t=doc["voter_t"],
         )
-        if doc["mode"] == TABLE_MODE:
+        if doc["mode"] == TABLE_MODE and version == 0:
             kwargs["table"] = deserialize_response([int(w, 16) for w in doc["table"]], doc["k"])
+        elif doc["mode"] == TABLE_MODE:
+            # the string goes as soon as it is decoded
+            kwargs["table"] = _unpacked_table(doc.pop("table"), doc["k"], doc["n_stages"])
         else:
             kwargs["weights"] = np.array(doc["weights"])
             kwargs["offsets"] = np.array(doc["offsets"])

@@ -1,9 +1,12 @@
 """Reader-side registry: enrollment material, prediction, session draws,
 comparison, and persistence."""
 
+import base64
 import hashlib
 import json
 import pickle
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +17,7 @@ import reference
 from conftest import make_device
 from dualpuf.adversary import collect_obfuscated_crps
 from dualpuf.apuf import sample_instance
-from dualpuf.device import default_lane_pairs, deserialize_response, save_device
+from dualpuf.device import default_lane_pairs, deserialize_response, pack_bits, save_device
 from dualpuf.errors import (
     InvalidParameter,
     SimulationError,
@@ -36,6 +39,10 @@ from dualpuf.server import (
     register_from_ttp,
     save_registry,
 )
+
+# the files the release that introduced the file formats wrote: two tags and
+# two registries of version 0, before registry files had a version
+DATA = Path(__file__).parent / "data"
 
 
 def table_registry(dev, **kwargs):
@@ -357,9 +364,7 @@ def test_registry_persistence_round_trip(tmp_path):
             registry.mode, registry.k, registry.n_stages,
         )
         assert back.lane_pairs == registry.lane_pairs
-        assert (back.tau, back.t_range, back.voter_t) == (
-            registry.tau, registry.t_range, registry.voter_t,
-        )
+        assert (back.tau, back.t_range) == (registry.tau, registry.t_range)
         if registry.mode == TABLE_MODE:
             assert np.array_equal(back.table, registry.table)
         else:
@@ -381,42 +386,68 @@ def test_registry_persistence_round_trip(tmp_path):
 
 def test_malformed_registry_files_raise_simulation_errors(tmp_path):
     path = tmp_path / "r.json"
-    save_registry(table_registry(make_device()), str(path))
-    doc = json.loads(path.read_text())
+    doc = json.loads((DATA / "table.json").read_text())  # version 0, k=8
     broken = [
         {key: value for key, value in doc.items() if key != "tau"},
         {**doc, "table": doc["table"][:-1]},
         {**doc, "table": doc["table"][:-1] + ["zz"]},
-        {**doc, "table": doc["table"][:-1] + ["1" + "0" * 4]},  # wider than k=4
+        {**doc, "table": doc["table"][:-1] + ["1" + "0" * 4]},  # wider than k=8
         {**doc, "k": "4"},
+        {**doc, "voter_t": 4.5},  # a width no tag votes with
+        {key: value for key, value in doc.items() if key != "voter_t"},
         [doc],
     ]
     # a parameter registry with the last weight dropped from every row
-    save_registry(model_registry(make_device()), str(path))
-    doc = json.loads(path.read_text())
+    doc = json.loads((DATA / "model.json").read_text())
     broken.append({**doc, "weights": [row[:-1] for row in doc["weights"]]})
     broken.append({**doc, "offsets": doc["offsets"][:-1]})
+    # version 1: k=4 at order 8, so the table is 128 bytes
+    registry = table_registry(make_device())
+    save_registry(registry, str(path))
+    doc = json.loads(path.read_text())
+    packed = pack_bits(registry.table.reshape(-1)).tobytes()
+    broken += [
+        {**doc, "table": list(packed)},
+        {**doc, "table": 7},
+        {**doc, "table": "not base64!"},
+        {**doc, "table": doc["table"][:-1]},
+        {**doc, "table": base64.b64encode(packed[:-1]).decode()},
+        {**doc, "table": base64.b64encode(packed + b"\0").decode()},
+        {**doc, "n_stages": 40},
+        {key: value for key, value in doc.items() if key != "table"},
+    ]
+    broken += [{**doc, "version": version} for version in (2, -1, "1", 1.0, True, None)]
     for bad in broken:
         path.write_text(json.dumps(bad))
         with pytest.raises(SimulationError):
             load_registry(str(path))
-    path.write_text("{")
-    with pytest.raises(SimulationError):
-        load_registry(str(path))
+    for text in ("{", "7", '"version"'):
+        path.write_text(text)
+        with pytest.raises(SimulationError):
+            load_registry(str(path))
     with pytest.raises(SimulationError):
         load_registry(str(tmp_path / "missing.json"))
 
 
 def test_file_formats_are_pinned(tmp_path):
-    # sha256 of files written for fixed seeds by the release that introduced
-    # these formats; a codec change that moves one byte fails here
-    pins = {
+    # sha256 of files written for fixed seeds; a codec change that moves one
+    # byte fails here.  tests/data keeps the files of the release that
+    # introduced these formats, before registry files had a version
+    version_0 = {
         "tag.json": "be1058abc66a6d06faffc76735f816acc765ccc8783ba60e396204013245d34a",
         "table.json": "c25ee2332d46206db146b6a3ee735a2bfe2a13e682c1542d2f29c421e0a79054",
         "model.json": "6a39939cb556fb23960fd09d6352ddb8b9f5eb0f61eebc569b92f533d411bd34",
         # at sigma 0 the adjustment still draws one noise block per round
         "tag0.json": "3ffb919c9a05c25bb107de2fd80edac88f0e21dfbd98bf7208f7bf79982bf9ef",
     }
+    pins = {
+        "tag.json": version_0["tag.json"],
+        "tag0.json": version_0["tag0.json"],
+        "table.json": "5ced740927867c985481e99bc367a605dc6573470c742fade9a7b3cace49ce72",
+        "model.json": "5c9ba616a037c2df2d38a13dff60290850b511cafb12e1a430bf04ae4acf4382",
+    }
+    for name, digest in version_0.items():
+        assert hashlib.sha256((DATA / name).read_bytes()).hexdigest() == digest, name
     save_device(make_device(k=8, n_stages=8, device_seed=7), str(tmp_path / "tag0.json"))
     dev = make_device(k=8, n_stages=8, device_seed=7, sigma_noise=0.3)
     save_device(dev, str(tmp_path / "tag.json"))
@@ -425,6 +456,42 @@ def test_file_formats_are_pinned(tmp_path):
     run_registration(dev, str(tmp_path / "model.json"), policy="params", rng_seed=1)
     for name, digest in pins.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+def test_version_0_registries_load_as_registered(tmp_path):
+    # each committed registry loads to what a fresh registration builds, and
+    # is written back as the version-1 file of that registration
+    for name, policy in (("table.json", "full"), ("model.json", "params")):
+        dev = make_device(k=8, n_stages=8, device_seed=7, sigma_noise=0.3)
+        fresh = run_registration(dev, str(tmp_path / "fresh.json"), policy=policy, rng_seed=1)
+        back = load_registry(str(DATA / name))
+        for field in ("mode", "k", "n_stages", "lane_pairs", "tau", "t_range", "rng_seed"):
+            assert getattr(back, field) == getattr(fresh, field), (name, field)
+        for field in ("table", "weights", "offsets"):
+            assert np.array_equal(getattr(back, field), getattr(fresh, field)), (name, field)
+        assert [gen_session(back) for _ in range(20)] == [gen_session(fresh) for _ in range(20)]
+        save_registry(back, str(tmp_path / "back.json"))
+        assert (tmp_path / "back.json").read_bytes() == (tmp_path / "fresh.json").read_bytes()
+
+
+def test_table_persistence_stays_within_the_table(tmp_path):
+    # n=16, k=64: the table is 4 MiB of uint8 bits; saving may allocate at
+    # most that much, and loading twice that, the loaded table included
+    table = np.random.default_rng(5).integers(0, 2, (64, 1 << 16), dtype=np.uint8)
+    registry = register_from_ttp(table, default_lane_pairs(16, 64), tau=0)
+    path = str(tmp_path / "r.json")
+    tracemalloc.start()
+    try:
+        save_registry(registry, path)
+        saved = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        back = load_registry(path)
+        loaded = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert saved <= table.nbytes, saved
+    assert loaded <= 2 * table.nbytes, loaded
+    assert np.array_equal(back.table, table)
 
 
 def test_noise_order_is_pinned():
