@@ -15,7 +15,7 @@ import numpy as np
 
 from .apuf import DELTA_UNIT, ApufInstance, lane_tables, sample_instance, stack_lanes
 from .errors import InterfaceFused, InvalidParameter, NonMonotonicTicks, WidthMismatch
-from .lfsr import pick_lfsr_pair
+from .lfsr import find_primitive, pair_indices
 from .obfuscator import DEFAULT_ROUNDS, DualLfsrSpec, LaneBank, check_lane_pairs
 from .persist import atomic_write, pair_from_json, pair_to_json, reading
 from .postproc import randomness_adjust, vote_batch, voter_noise
@@ -26,10 +26,12 @@ DEFAULT_VOTER_T = 5
 def default_lane_pairs(
     order: int, k: int, rounds_per_response: int = DEFAULT_ROUNDS
 ) -> tuple[DualLfsrSpec, ...]:
-    """One register pair per lane, cycling through all ordered primitive pairs."""
-    return tuple(
-        DualLfsrSpec(pick_lfsr_pair(order, i), rounds_per_response) for i in range(k)
-    )
+    """One register pair per lane, cycling through all ordered primitive
+    pairs: lane i gets pick_lfsr_pair(order, i), from one search of the
+    primitive prefix the k lanes read."""
+    indices = [pair_indices(order, i) for i in range(k)]
+    prims = find_primitive(order, max(map(max, indices), default=-1) + 1)
+    return tuple(DualLfsrSpec((prims[i], prims[j]), rounds_per_response) for i, j in indices)
 
 
 @dataclass(frozen=True)

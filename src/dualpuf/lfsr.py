@@ -13,6 +13,12 @@ which in mask form is ``state' = (state >> 1) ^ (feed if state & 1 else 0)``
 with ``feed = mask >> 1``.  The update is linear and invertible, so the
 state graph of a well-formed polynomial is a pure union of cycles with the
 all-zero state fixed.
+
+Primitivity is tested algebraically in GF(2)[x]/g: x must have order
+2^n - 1.  Powers of x come from one kernel that squares by a linear map
+(a^2 mod g is the XOR of the rows x^(2i) mod g at the set bits i of a) and
+touches its operands only through ``^ * >> &``, so a Python int proves one
+polynomial and an int64 array of masks tests a block of candidates.
 """
 
 from __future__ import annotations
@@ -25,16 +31,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientPrimitives, MalformedPolynomial, OrderTooLarge
+from .errors import (
+    InsufficientPrimitives,
+    InvalidParameter,
+    MalformedPolynomial,
+    OrderTooLarge,
+)
 
-#: classify enumerates all 2^n states and find_primitive all 2^(n-1)
-#: candidate masks, so both stop at desk-scale memory and time
+#: classify enumerates all 2^n states, and a full find_primitive list tests
+#: all 2^(n-1) candidate masks (a prefix stops early), so both stop at
+#: desk-scale time
 MAX_CLASSIFY_ORDER = 24
 MAX_PRIMITIVE_ORDER = 20
+#: most candidate masks one block of the primitive search tests at once
+SEARCH_BLOCK = 1 << 15
 #: the widest register that run_rounds' int64 arithmetic holds
 MAX_PERIOD_CHECK_ORDER = 62
 
-_POLY_TERM = re.compile(r"^(?:x(?:\^(\d+))?|1)$")
+_POLY_TERM = re.compile(r"^(?:x(?:\^0*(\d+))?|1)$")
 
 
 @dataclass(frozen=True)
@@ -69,25 +83,33 @@ class LfsrSpec:
 
     @classmethod
     def parse(cls, text: str) -> "LfsrSpec":
-        """Parse ``0b1011``, ``0xb``, a decimal mask, or the human form ``x^3+x+1``."""
+        """Parse ``0b1011``, ``0xb``, a decimal mask, or the human form ``x^3+x+1``.
+
+        A register wider than MAX_PERIOD_CHECK_ORDER is refused before its
+        mask is formed: no command accepts one.
+        """
         text = text.strip().replace(" ", "")
         if "x" in text and not text.lower().startswith("0x"):
             mask = 0
             for term in text.split("+"):
                 m = _POLY_TERM.match(term)
                 if not m:
-                    raise MalformedPolynomial(f"cannot parse polynomial term {term!r}")
-                if term == "1":
-                    exp = 0
-                elif m.group(1) is None:
-                    exp = 1
-                else:
-                    exp = int(m.group(1))
+                    raise MalformedPolynomial(f"cannot parse polynomial term {term[:40]!r}")
+                digits = "0" if term == "1" else m.group(1) or "1"
+                if len(digits) > 2 or int(digits) > MAX_PERIOD_CHECK_ORDER:
+                    raise OrderTooLarge(f"polynomial above order {MAX_PERIOD_CHECK_ORDER}")
+                exp = int(digits)
                 if mask >> exp & 1:
                     raise MalformedPolynomial(f"duplicate term x^{exp}")
                 mask |= 1 << exp
-            return cls.from_mask(mask)
-        return cls.from_mask(int(text, 0))
+        else:
+            try:
+                mask = int(text, 0)
+            except ValueError:
+                raise MalformedPolynomial(f"cannot parse polynomial {text[:40]!r}") from None
+            if mask.bit_length() > MAX_PERIOD_CHECK_ORDER + 1:
+                raise OrderTooLarge(f"polynomial above order {MAX_PERIOD_CHECK_ORDER}")
+        return cls.from_mask(mask)
 
     @property
     def feed(self) -> int:
@@ -176,25 +198,24 @@ def _times_x(a, mask, order):
     return a ^ mask * (a >> order & 1)
 
 
-def _mulmod(a, b, mask, order):
-    """a·b mod g by shift-and-add over the bits of b, top bit first.
-
-    Only ``^ * >> &`` touch the operands, so a Python int or an int64 array
-    of masks (one product per candidate) goes through the same code.
-    """
-    product = a & 0
-    for i in range(order - 1, -1, -1):
-        product = _times_x(product, mask, order) ^ a * (b >> i & 1)
-    return product
-
-
 def _x_power(exponent: int, mask, order: int):
-    """x^exponent mod g by square-and-multiply."""
+    """x^exponent mod g by square-and-multiply, squaring by a linear map.
+
+    Over GF(2) the square of a = sum a_i x^i is sum a_i x^(2i), so a^2 mod g
+    is the XOR of the rows x^(2i) mod g at the set bits i of a; the n rows
+    are built once per call.  Only ``^ * >> &`` touch the operands, so a
+    Python int or an int64 array of masks (one power per candidate) goes
+    through the same code.
+    """
+    rows = [1]
+    for _ in range(order - 1):
+        rows.append(_times_x(_times_x(rows[-1], mask, order), mask, order))
     result = 1
     for bit in f"{exponent:b}":
-        result = _mulmod(result, result, mask, order)
-        if bit == "1":
-            result = _times_x(result, mask, order)
+        square = result & 0
+        for i, row in enumerate(rows):
+            square = square ^ row * (result >> i & 1)
+        result = _times_x(square, mask, order) if bit == "1" else square
     return result
 
 
@@ -272,41 +293,79 @@ def is_m_sequence(spec: LfsrSpec) -> bool:
     )
 
 
-@functools.lru_cache(maxsize=64)
-def find_primitive(order: int) -> tuple[LfsrSpec, ...]:
-    """All primitive polynomials of the given order, ascending by mask.
-
-    The order test of is_m_sequence, run over every candidate mask with
-    g_0 = g_n = 1 at once as int64 arrays: keep the candidates with
-    x^(2^n) = x, then for each prime p of 2^n - 1 drop those with
-    x^((2^n - 1)/p) = 1.
-    """
+def _primitive_count(order: int) -> int:
+    """m = phi(2^n - 1) / n, the number of primitive polynomials of order n,
+    for an order the primitive search takes."""
     if not 2 <= order <= MAX_PRIMITIVE_ORDER:
         raise OrderTooLarge(
             f"primitive search caps at order {MAX_PRIMITIVE_ORDER}, got {order}"
         )
-    masks = (1 | 1 << order) + (np.arange(1 << order - 1, dtype=np.int64) << 1)
-    masks = masks[_x_power(1 << order, masks, order) == 2]
+    phi = (1 << order) - 1
     for p in set(_mersenne_factors(order)):
-        masks = masks[_x_power(((1 << order) - 1) // p, masks, order) != 1]
-    return tuple(LfsrSpec(order, int(m)) for m in masks)
+        phi = phi // p * (p - 1)
+    return phi // order
 
 
-def pick_lfsr_pair(order: int, instance_index: int) -> tuple[LfsrSpec, LfsrSpec]:
-    """Deterministic distinct ordered pair of primitive polynomials.
+def _odd_weight(masks, order: int):
+    """True where a mask has an odd number of set bits, by a shift-and-XOR fold."""
+    fold, shift = masks, 1
+    while shift <= order:
+        fold, shift = fold ^ fold >> shift, shift * 2
+    return fold & 1 == 1
 
-    Ordered pairs are enumerated lexicographically over the ascending
-    primitive list and indexed modulo their count, so consecutive indices
-    cycle through different pairs.
+
+@functools.lru_cache(maxsize=64)
+def find_primitive(order: int, count: int | None = None) -> tuple[LfsrSpec, ...]:
+    """The first count primitive polynomials of the given order, ascending by
+    mask; all of them when count is None.
+
+    The order test of is_m_sequence, run on the candidate masks with
+    g_0 = g_n = 1 as int64 arrays, in ascending blocks of at most
+    SEARCH_BLOCK until count are found: drop the even-weight masks (x + 1
+    divides them), keep those with x^(2^n) = x, then for each prime p of
+    2^n - 1 drop those with x^((2^n - 1)/p) = 1.
     """
-    prims = find_primitive(order)
-    m = len(prims)
+    total = _primitive_count(order)
+    if count is not None and count < 0:
+        raise InvalidParameter(f"count {count} < 0")
+    want = total if count is None else min(count, total)
+    full, candidates = (1 << order) - 1, 1 << order - 1
+    primes = set(_mersenne_factors(order))
+    found: list[int] = []
+    # the first block holds about twice the expected need of a prefix
+    start, size = 0, min(max(2 * want * candidates // total, 256), SEARCH_BLOCK)
+    while len(found) < want and start < candidates:
+        stop = min(start + size, candidates)
+        masks = (1 | 1 << order) + (np.arange(start, stop, dtype=np.int64) << 1)
+        masks = masks[_odd_weight(masks, order)]
+        masks = masks[_x_power(full + 1, masks, order) == 2]
+        for p in primes:
+            masks = masks[_x_power(full // p, masks, order) != 1]
+        found += masks.tolist()
+        start, size = stop, SEARCH_BLOCK
+    return tuple(LfsrSpec(order, m) for m in found[:want])
+
+
+def pair_indices(order: int, instance_index: int) -> tuple[int, int]:
+    """Positions in the ascending primitive list of pick_lfsr_pair's pair.
+
+    Ordered pairs are enumerated lexicographically and indexed modulo their
+    count m (m - 1), so consecutive indices cycle through different pairs.
+    """
+    m = _primitive_count(order)
     if m < 2:
         raise InsufficientPrimitives(
             f"order {order} has {m} primitive polynomial(s); need at least 2"
         )
-    idx = instance_index % (m * (m - 1))
-    i, j = divmod(idx, m - 1)
-    if j >= i:
-        j += 1
+    i, j = divmod(instance_index % (m * (m - 1)), m - 1)
+    return i, j + (j >= i)
+
+
+def pick_lfsr_pair(order: int, instance_index: int) -> tuple[LfsrSpec, LfsrSpec]:
+    """Deterministic distinct ordered pair of primitive polynomials, at the
+    positions pair_indices gives.  Only a prefix of the list is searched,
+    its length rounded up to a power of two so that a loop over indices
+    repeats a few cached searches rather than one per index."""
+    i, j = pair_indices(order, instance_index)
+    prims = find_primitive(order, 1 << max(i, j).bit_length())
     return prims[i], prims[j]

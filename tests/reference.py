@@ -2,7 +2,8 @@
 
 Plain Python, one register shift, one arbiter evaluation and one noise draw
 at a time: the period walk that lfsr.is_m_sequence replaces with algebra, the
-parity transform and delay of dualpuf.apuf, the temporal majority voter of
+bit-serial GF(2)[x] product that lfsr._x_power replaces with linear squaring,
+the parity transform and delay of dualpuf.apuf, the temporal majority voter of
 postproc.lane_bits and the dual-register selection rule of
 obfuscator.run_rounds.  The package computes all of these on arrays; the
 tests compare it against the functions here.  delay_sums is the one array
@@ -36,6 +37,29 @@ def period(spec, seed: int) -> int:
     while state != seed:
         state, length = shift(feed, state), length + 1
     return length
+
+
+def mulmod(a, b, mask, order):
+    """a·b mod g by shift-and-add over the bits of b, top bit first.
+
+    Only ``^ * >> &`` touch the operands, so a Python int or an int64 array
+    of masks (one product per candidate) goes through the same code.
+    """
+    product = a & 0
+    for i in range(order - 1, -1, -1):
+        product = product * 2
+        product = product ^ mask * (product >> order & 1) ^ a * (b >> i & 1)
+    return product
+
+
+def x_power(exponent: int, mask, order: int):
+    """x^exponent mod g by square-and-multiply on mulmod; x is the mask 2."""
+    result = 1
+    for bit in f"{exponent:b}":
+        result = mulmod(result, result, mask, order)
+        if bit == "1":
+            result = mulmod(result, 2, mask, order)
+    return result
 
 
 def challenge_bits(challenge: int, n_stages: int) -> list[int]:

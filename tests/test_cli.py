@@ -489,6 +489,13 @@ def test_trace_rejects_a_malformed_challenge(capsys):
                      "--challenge", "zz", "--bits", "00000")
 
 
+def test_classify_rejects_a_malformed_polynomial(capsys):
+    # a bad literal ended in int()'s ValueError, and a huge term in a
+    # MemoryError from forming 1 << exp
+    for poly in ("zz", "0x", "x^99999999999999+1"):
+        assert_cli_error(capsys, "lfsr", "classify", "--poly", poly)
+
+
 def test_crp_rejects_a_malformed_challenge(capsys, tmp_path):
     dev, _ = built_tag(capsys, tmp_path)
     assert_cli_error(capsys, "device", "crp", "--device", dev, "--challenge", "zz")

@@ -12,9 +12,11 @@ from hypothesis import strategies as st
 
 import reference
 from reference import period
+from dualpuf import lfsr
 from dualpuf.device import default_lane_pairs
 from dualpuf.errors import (
     InsufficientPrimitives,
+    InvalidParameter,
     MalformedPolynomial,
     OrderTooLarge,
     ZeroSeed,
@@ -50,20 +52,36 @@ def test_parse_equivalent_forms():
         assert LfsrSpec.parse(text) == expected
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "x^3+x",      # no constant term
-        "x^3+x^3+1",  # duplicate term
-        "x^3+y+1",    # unknown symbol
-        "0b1010",     # no constant term
-        "4",          # 0b100, shift-only
-        "0",          # empty mask
-    ],
-)
+MALFORMED = {
+    "x^3+x": MalformedPolynomial,      # no constant term
+    "x^3+x^3+1": MalformedPolynomial,  # duplicate term
+    "x^3+y+1": MalformedPolynomial,    # unknown symbol
+    "0b1010": MalformedPolynomial,     # no constant term
+    "4": MalformedPolynomial,          # 0b100, shift-only
+    "0": MalformedPolynomial,          # empty mask
+    "zz": MalformedPolynomial,         # no integer literal
+    "0x": MalformedPolynomial,         # prefix without digits
+    "0b102": MalformedPolynomial,      # digit outside the base
+    # wider than any register a command accepts, refused before the mask
+    # is formed: 1 << 99999999999999 would exhaust memory
+    "x^99999999999999+1": OrderTooLarge,
+    "x^63+x+1": OrderTooLarge,
+    "0x8000000000000003": OrderTooLarge,
+}
+
+
+@pytest.mark.parametrize("text", list(MALFORMED))
 def test_parse_rejects_malformed(text):
-    with pytest.raises(MalformedPolynomial):
+    with pytest.raises(MALFORMED[text]):
         LfsrSpec.parse(text)
+
+
+def test_parse_bounds_the_widest_register():
+    assert LfsrSpec.parse("x^62+x^6+x^5+x^3+1").order == 62
+    assert LfsrSpec.parse("x^062+1") == LfsrSpec(62, 1 | 1 << 62)
+    for text in ("x^" + "9" * 5000 + "+1", "0x" + "f" * 5000):
+        with pytest.raises(OrderTooLarge):
+            LfsrSpec.parse(text)
 
 
 def test_spec_validation():
@@ -170,6 +188,18 @@ def test_find_primitive_order_bounds():
     for bad in (1, 21):
         with pytest.raises(OrderTooLarge):
             find_primitive(bad)
+    with pytest.raises(InvalidParameter):
+        find_primitive(5, -1)
+
+
+def test_find_primitive_prefix():
+    # a prefix is the full list cut short, whatever block it ends in
+    for order in range(2, 17):
+        prims = find_primitive(order)
+        for count in {0, 1, 2, 65, len(prims) - 1, len(prims), len(prims) + 1}:
+            assert find_primitive(order, count) == prims[:count]
+    for count in (2, 65, 5000):  # 5000 spans several blocks
+        assert find_primitive(20, count) == find_primitive(20)[:count]
 
 
 def test_is_m_sequence():
@@ -213,10 +243,100 @@ WALK_DIGESTS = {
 }
 
 
+#: the same digest of the masks find_primitive listed at orders beyond the
+#: walk's reach, taken before the search moved to linear squaring in blocks
+SEARCH_DIGESTS = {
+    17: "bcbf4916de61b6f336c62132d19a609fe7836c8592e859110c6e22dc718e9c13",
+    18: "3f4c441924abbc7aa9719b30322e9404a9027eef7e972a24b70b6ec57fd7fd8e",
+    19: "e82f69030ca7d88c9a4c29bc90ec7d9b28ea22b8fc20f191bab7e441b6e145bc",
+    20: "739cadfb998ab58747398de69d80b7fd115ee4a10486eea74e5ef15131fe7f30",
+}
+
+#: sha256 of the space-separated ``first:second`` masks of
+#: default_lane_pairs(order, k), taken when every pair was picked from the
+#: full primitive list: k = 256 (indices 0..255) up to order 16, k = 64 at 20
+PAIR_DIGESTS = {
+    (3, 256): "ef7978e12076390cee122d2644b4c5e521742b392a6f37983c5cec9047a6baad",
+    (4, 256): "d144689bdab43caaf587bf86e948adc506bcff54c306283fd179b0ea46ac3a28",
+    (5, 256): "2f908e26b13314591e9feee1dd9f92d05551131aed7e366834f2037ef9cf5b6b",
+    (6, 256): "47273dcb844ab1d4d967c23305e563a92b91bb09648a8f9e90ec442889250e6e",
+    (7, 256): "a811f06a100193801bbb1e7bbee26389f0342bf54934956892b9ec7b51bdf57b",
+    (8, 256): "a0eb685047ca777d17da05f5418886c7f2acaf5a62d8f26f91b958ac2333570b",
+    (9, 256): "b4f0f032f12d94c6d48a584650eb88be51ce8c1b18ff0ea829e02ed565e2bcb2",
+    (10, 256): "7eebe2bf71d8b64deed5f4d8f2ac81ca00d03a0aae2727ef4a8ed0c586109be9",
+    (11, 256): "416286650ce3e9fea6b454bacdd09162013a57d5b7bb9fed7c099dc23adb8bba",
+    (12, 256): "af9e923396dc808094d719975c2591fe00d8bffe03277e514fbbb7f07c30dc3c",
+    (13, 256): "9fe3ef19cfc0c2c296bac81e416d0d83c61c25a9550fe70affbcb6e8f7130efb",
+    (14, 256): "f3b995ee04f214a89f17f62a410b69217dbb90a3de4de9b81823b338cc7c3f04",
+    (15, 256): "8eb4c64bb99d53cb913047a26add81608a37e0355cfcd554b3825ac1c2f23c3d",
+    (16, 256): "730e873770cf57c71d9545c78367e9117a7ab761ed98fe3482b2701a3a04b978",
+    (20, 64): "1459059db9e1c96a3abf83922eb2e5713f0b4bc806c24b8605ad33c9ebef737d",
+}
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def test_find_primitive_matches_the_walk():
     for order, digest in WALK_DIGESTS.items():
-        text = " ".join(str(spec.mask) for spec in find_primitive(order))
-        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        assert sha256(" ".join(str(spec.mask) for spec in find_primitive(order))) == digest
+
+
+def test_find_primitive_beyond_the_walk():
+    for order, digest in SEARCH_DIGESTS.items():
+        assert sha256(" ".join(str(spec.mask) for spec in find_primitive(order))) == digest
+
+
+def test_default_lane_pairs_are_pinned():
+    for (order, k), digest in PAIR_DIGESTS.items():
+        pairs = default_lane_pairs(order, k)
+        assert sha256(" ".join(f"{a.mask}:{b.mask}" for a, b in (p.pair for p in pairs))) == digest
+        if order <= 16:
+            assert [p.pair for p in pairs] == [pick_lfsr_pair(order, i) for i in range(k)]
+
+
+def test_provisioning_searches_no_cached_work(monkeypatch):
+    # perfbench clears only these two caches before each set-up, so a cold
+    # provisioning must redo all of its powers of x after that clear; a
+    # memo elsewhere would make a second set-up look cheaper than the first
+    x_power, calls = lfsr._x_power, []
+
+    def counted(exponent, mask, order):
+        calls.append(exponent)
+        return x_power(exponent, mask, order)
+
+    monkeypatch.setattr(lfsr, "_x_power", counted)
+    counts = []
+    for _ in range(2):
+        find_primitive.cache_clear()
+        is_m_sequence.cache_clear()
+        default_lane_pairs(16, 64)
+        counts.append(len(calls))
+        calls.clear()
+    assert counts[0] == counts[1] > 0
+
+
+@given(st.integers(2, 62).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(0, (1 << n - 1) - 1), st.integers(0, 1 << n)
+)))
+def test_x_power_matches_the_bit_serial_product(case):
+    order, mid, exponent = case
+    mask = 1 | mid << 1 | 1 << order
+    assert lfsr._x_power(exponent, mask, order) == reference.x_power(exponent, mask, order)
+
+
+@given(st.integers(2, 20).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.integers(0, (1 << n - 1) - 1), min_size=1, max_size=16),
+    st.integers(0, 1 << n),
+)))
+def test_x_power_matches_the_bit_serial_product_on_arrays(case):
+    order, mids, exponent = case
+    masks = 1 | np.array(mids, dtype=np.int64) << 1 | 1 << order
+    got = lfsr._x_power(exponent, masks, order)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, reference.x_power(exponent, masks, order))
 
 
 def test_is_m_sequence_matches_the_walk_exhaustively():
