@@ -22,7 +22,6 @@ from .device import (
     PufDevice,
     build_device,
     default_lane_pairs,
-    deserialize_response,
     load_device,
     save_device,
     serialize_response,
@@ -33,7 +32,6 @@ from .lfsr import (
     classify,
     find_primitive,
     is_m_sequence,
-    pick_lfsr_pair,
 )
 from .obfuscator import (
     DualLfsrSpec,
@@ -88,14 +86,12 @@ __all__ = [
     "compare",
     "default_lane_pairs",
     "default_tau",
-    "deserialize_response",
     "eavesdrop",
     "find_primitive",
     "gen_session",
     "is_m_sequence",
     "load_device",
     "load_registry",
-    "pick_lfsr_pair",
     "predict_response",
     "puf_metrics",
     "randomness_adjust",

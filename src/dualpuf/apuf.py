@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameter, WidthMismatch
+from .errors import InvalidParameter, WidthMismatch, is_integer
 from .lfsr import MAX_PERIOD_CHECK_ORDER
 
 DELTA_UNIT = 0.05  # delay of one compensation unit
@@ -60,7 +60,7 @@ class ApufInstance:
                 f"[1, {MAX_PERIOD_CHECK_ORDER}]"
             )
         for counter in (self.adjust_up, self.adjust_low):
-            if not (type(counter) is int or isinstance(counter, np.integer)) or counter < 0:
+            if not is_integer(counter) or counter < 0:
                 raise InvalidParameter(f"adjust counter {counter!r} is not an integer >= 0")
 
     @property
@@ -144,6 +144,8 @@ def lane_tables(weights, offsets) -> LaneTables:
     weights = np.asarray(weights, dtype=np.float64)
     offsets = np.asarray(offsets, dtype=np.float64)[..., None]
     lanes, n_stages = weights.shape[:-1], weights.shape[-1] - 1
+    if not np.abs(np.append(weights, offsets)).max() < np.finfo(np.float64).max / (n_stages + 2):
+        raise InvalidParameter("weights or offsets not finite, or so large a lane's sum overflows")
     count = max(2, -(-n_stages // CHUNK))
     widths = tuple(n_stages // count + (i < n_stages % count) for i in range(count))
     tables, stop = [], n_stages

@@ -34,7 +34,7 @@ from .lfsr import LfsrSpec, classify, find_primitive
 from .obfuscator import DEFAULT_ROUNDS, DualLfsrSpec, trace_records
 from .persist import atomic_write
 from .protocol import run_authentication, run_registration
-from .server import DEFAULT_T_RANGE, load_registry
+from .server import DEFAULT_T_RANGE, load_registry, save_registry
 
 
 def _flag(*names, **options) -> argparse.ArgumentParser:
@@ -108,8 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sessions", type=int, default=2000)
     p.add_argument("--parity", choices=("random", "flip", "match"), default="random")
     p.add_argument("--no-reuse", action="store_true", help="server draws fresh challenges")
-    p = attack_sub.add_parser("model", parents=[seed, style, copy], help="linear modeling attack",
-                              description="The report is key = value lines in either --format.")
+    p = attack_sub.add_parser("model", parents=[seed, copy], help="linear modeling attack")
     p.add_argument("--stages", type=int, required=True)
     p.add_argument("--train", type=int, default=20000)
     p.add_argument("--test", type=int, default=5000)
@@ -224,12 +223,12 @@ def _cmd_auth(args) -> list[str]:
         device = load_device(args.device)
         registry = run_registration(
             device,
-            registry_path=args.target,
             policy=args.policy,
             tau=args.tau,
             t_range=(args.t_min, args.t_max),
             rng_seed=args.seed,
         )
+        save_registry(registry, args.target)
         save_device(device, args.device)  # persist the fused flag
         return [f"registered mode={registry.mode} tau={registry.tau} -> {args.target}"]
     if args.sessions < 0:
@@ -307,6 +306,8 @@ def dispatch(argv) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if getattr(args, "seed", 0) < 0:  # NumPy seeds from integers >= 0
+            raise InvalidParameter(f"--seed {args.seed} < 0")
         if args.group == "lfsr":
             lines = _cmd_lfsr(args)
         elif args.group == "device":

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .apuf import DELTA_UNIT, ApufInstance, lane_tables, sample_instance, stack_lanes
-from .errors import InterfaceFused, InvalidParameter, NonMonotonicTicks, WidthMismatch
+from .errors import InterfaceFused, InvalidParameter, NonMonotonicTicks, WidthMismatch, is_integer
 from .lfsr import find_primitive, pair_indices
 from .obfuscator import DEFAULT_ROUNDS, DualLfsrSpec, LaneBank, check_lane_pairs
 from .persist import atomic_write, pair_from_json, pair_to_json, reading
@@ -27,8 +27,8 @@ def default_lane_pairs(
     order: int, k: int, rounds_per_response: int = DEFAULT_ROUNDS
 ) -> tuple[DualLfsrSpec, ...]:
     """One register pair per lane, cycling through all ordered primitive
-    pairs: lane i gets pick_lfsr_pair(order, i), from one search of the
-    primitive prefix the k lanes read."""
+    pairs: lane i gets the primitives at pair_indices(order, i), from one
+    search of the primitive prefix the k lanes read."""
     indices = [pair_indices(order, i) for i in range(k)]
     prims = find_primitive(order, max(map(max, indices), default=-1) + 1)
     return tuple(DualLfsrSpec((prims[i], prims[j]), rounds_per_response) for i, j in indices)
@@ -46,8 +46,10 @@ class DeviceConfig:
     device_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise InvalidParameter(f"k {self.k} < 1")
+        for name, low in (("k", 1), ("n_stages", 1), ("device_seed", 0)):
+            value = getattr(self, name)
+            if not is_integer(value) or value < low:
+                raise InvalidParameter(f"{name} {value!r} is not an integer >= {low}")
         check_lane_pairs(self.lane_pairs, self.k, self.n_stages)
         voter_noise((), 0.0, self.voter_t, None)  # checks the width, draws nothing at sigma 0
         sigma = self.sigma_noise  # to NumPy a bool is no number
@@ -67,6 +69,8 @@ class PufDevice:
     bank: LaneBank = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if type(self.fused) is not bool:
+            raise InvalidParameter(f"fused {self.fused!r} is not a bool")
         if len(self.lanes) != self.config.k:
             raise WidthMismatch(f"{len(self.lanes)} lanes for k={self.config.k}")
         self._noise_rng = np.random.default_rng(
@@ -114,15 +118,9 @@ class PufDevice:
 
     # -- authenticated path --------------------------------------------------
 
-    def respond(
-        self,
-        challenge: int,
-        mode: int,
-        noise_stream: np.random.Generator | None = None,
-    ) -> np.ndarray:
+    def respond(self, challenge: int, mode: int) -> np.ndarray:
         """k-bit obfuscated response, lane 0 first, as a uint8 array."""
-        rng = noise_stream if noise_stream is not None else self._noise_rng
-        config = self.config
+        config, rng = self.config, self._noise_rng
         return self.bank.respond(challenge, mode, config.sigma_noise, config.voter_t, rng)
 
     # -- protocol responder interface ----------------------------------------
@@ -169,20 +167,6 @@ def serialize_response(bits: np.ndarray):
         return int.from_bytes(pack_bits(bits).tobytes(), "little")
     packed = pack_bits(bits.reshape(bits.shape[0], -1).T)
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
-
-
-def deserialize_response(value, k: int) -> np.ndarray:
-    """Inverse of serialize_response: one int gives a (k,) array, a
-    sequence of S ints gives a (k, S) array."""
-    single = isinstance(value, (int, np.integer))
-    words = [int(value)] if single else [int(v) for v in value]
-    for word in words:
-        if not 0 <= word < 1 << k:
-            raise WidthMismatch(f"response {word:#x} does not fit {k} lanes")
-    width = (k + 7) // 8
-    raw = np.frombuffer(b"".join(w.to_bytes(width, "little") for w in words), dtype=np.uint8)
-    bits = unpack_bits(raw.reshape(len(words), width), k)
-    return bits[0] if single else np.ascontiguousarray(bits.T)
 
 
 def build_device(config: DeviceConfig) -> "PufDevice":

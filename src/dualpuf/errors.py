@@ -5,6 +5,13 @@ map domain failures to exit code 1 while genuine bugs still surface as
 ordinary tracebacks.
 """
 
+from numbers import Integral
+
+
+def is_integer(value) -> bool:
+    """Whether value is a Python or NumPy integer; a bool is none."""
+    return type(value) is int or isinstance(value, Integral) and not isinstance(value, bool)
+
 
 class SimulationError(Exception):
     """Base class for all expected domain errors."""

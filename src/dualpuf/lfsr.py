@@ -347,7 +347,7 @@ def find_primitive(order: int, count: int | None = None) -> tuple[LfsrSpec, ...]
 
 
 def pair_indices(order: int, instance_index: int) -> tuple[int, int]:
-    """Positions in the ascending primitive list of pick_lfsr_pair's pair.
+    """Positions in the ascending primitive list of an instance's ordered pair.
 
     Ordered pairs are enumerated lexicographically and indexed modulo their
     count m (m - 1), so consecutive indices cycle through different pairs.
@@ -360,12 +360,3 @@ def pair_indices(order: int, instance_index: int) -> tuple[int, int]:
     i, j = divmod(instance_index % (m * (m - 1)), m - 1)
     return i, j + (j >= i)
 
-
-def pick_lfsr_pair(order: int, instance_index: int) -> tuple[LfsrSpec, LfsrSpec]:
-    """Deterministic distinct ordered pair of primitive polynomials, at the
-    positions pair_indices gives.  Only a prefix of the list is searched,
-    its length rounded up to a power of two so that a loop over indices
-    repeats a few cached searches rather than one per index."""
-    i, j = pair_indices(order, instance_index)
-    prims = find_primitive(order, 1 << max(i, j).bit_length())
-    return prims[i], prims[j]

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .apuf import LaneTables, lane_sums, table_positions
-from .errors import InvalidParameter, WidthMismatch, ZeroSeed
+from .errors import InvalidParameter, WidthMismatch, ZeroSeed, is_integer
 from .lfsr import LfsrSpec, is_m_sequence, step_array
 from .postproc import lane_bits, voter_noise
 
@@ -66,8 +66,9 @@ class DualLfsrSpec:
         for spec in (a, b):
             if not is_m_sequence(spec):
                 raise InvalidParameter(f"{spec} does not generate a maximal-period sequence")
-        if self.rounds_per_response < 1:
-            raise InvalidParameter("rounds_per_response must be >= 1")
+        rounds = self.rounds_per_response
+        if not is_integer(rounds) or rounds < 1:
+            raise InvalidParameter(f"rounds_per_response {rounds!r} is not an integer >= 1")
 
     @property
     def order(self) -> int:
@@ -153,7 +154,7 @@ def check_external_challenge(challenge, order: int, mode=1):
         if isinstance(raw, (list, tuple)) and given.dtype.kind in "iu":
             given = np.array(raw, dtype=object)  # a bool among ints was cast to 1
         if given.dtype.kind not in "iuO" and given.size or given.dtype.kind == "O" and not all(
-                isinstance(v, (int, np.integer)) and type(v) is not bool for v in given.flat):
+                map(is_integer, given.flat)):
             raise InvalidParameter(f"{what} {given.tolist()!r} is not an integer")
     try:
         seeds = seeds.astype(np.int64, copy=False)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .apuf import ApufInstance, LaneTables, lane_sums, lane_tables, table_positions
-from .errors import EvenVoterWidth, InvalidParameter, NoConvergence, WidthMismatch
+from .errors import EvenVoterWidth, InvalidParameter, NoConvergence, WidthMismatch, is_integer
 
 PULSE_COUNT = 96  # fresh random challenges per adjustment round
 BAND = (42, 54)  # exclusive bounds on a round's accepted zero count
@@ -83,15 +83,15 @@ def voter_noise(shape, sigma: float, voter_t: int, noise_stream) -> np.ndarray |
     sigma 0, else (*shape, voter_t) draws of std sigma in C order, element
     by element, vote by vote.  The voter's one check: a voter_t not an odd
     int >= 1 raises EvenVoterWidth even at sigma 0, a sigma not finite >= 0 InvalidParameter."""
-    if type(voter_t) is not int and not isinstance(voter_t, np.integer) or (
-            voter_t < 1 or not voter_t % 2):
+    if not is_integer(voter_t) or voter_t < 1 or not voter_t % 2:
         raise EvenVoterWidth(f"voter width {voter_t!r} must be an odd integer >= 1")
     if not 0 <= sigma < float("inf"):  # nan fails too
         raise InvalidParameter(f"sigma {sigma} is not a finite number >= 0")
     if sigma == 0:
         return None
     noise = noise_stream.standard_normal((*shape, voter_t))
-    return np.multiply(noise, sigma, out=noise)  # in place: a batch holds one block
+    with np.errstate(over="ignore"):  # a draw past the largest float votes as an infinity
+        return np.multiply(noise, sigma, out=noise)  # in place: a batch holds one block
 
 
 def lane_bits(mu: np.ndarray, noise: np.ndarray | None = None) -> np.ndarray:

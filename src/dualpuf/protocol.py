@@ -31,7 +31,6 @@ from .server import (
     gen_session,
     predict_response,
     register_from_ttp,
-    save_registry,
 )
 
 READER_TO_TAG = "reader->tag"
@@ -178,7 +177,6 @@ class SimChannel:
 
 def run_registration(
     device: PufDevice,
-    registry_path: str | None = None,
     policy: str = "auto",
     tau: int | None = None,
     t_range: tuple[int, int] = DEFAULT_T_RANGE,
@@ -189,8 +187,7 @@ def run_registration(
     policy "full" harvests the complete naked-CRP table through the raw
     interface; "params" transfers the exact lane parameters (the
     manufacturer-data route for widths where enumeration is impractical);
-    "auto" picks by order.  The registry is optionally written to
-    registry_path.
+    "auto" picks by order.  save_registry writes the registry to a file.
     """
     if device.fused:
         raise InterfaceFused("device was already registered")
@@ -205,16 +202,9 @@ def run_registration(
     device.fuse()
     if tau is None:
         tau = default_tau(device.config.k, device.config.sigma_noise)
-    registry = register_from_ttp(
-        lane_data,
-        device.config.lane_pairs,
-        tau=tau,
-        t_range=t_range,
-        rng_seed=rng_seed,
+    return register_from_ttp(
+        lane_data, device.config.lane_pairs, tau=tau, t_range=t_range, rng_seed=rng_seed
     )
-    if registry_path is not None:
-        save_registry(registry, registry_path)
-    return registry
 
 
 def run_authentication(

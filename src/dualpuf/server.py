@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .apuf import LaneTables, lane_tables, stack_lanes
-from .device import deserialize_response, pack_bits, unpack_bits
-from .errors import InvalidParameter, WidthMismatch
+from .device import pack_bits, unpack_bits
+from .errors import InvalidParameter, WidthMismatch, is_integer
 from .obfuscator import DualLfsrSpec, LaneBank, check_lane_pairs
 from .persist import atomic_write, pair_from_json, pair_to_json, reading
 from .postproc import voter_noise
@@ -59,9 +59,12 @@ class ServerRegistry:
     def __post_init__(self) -> None:
         if self.mode not in (TABLE_MODE, MODEL_MODE):
             raise InvalidParameter(f"unknown registry mode {self.mode!r}")
+        t_min, t_max = self.t_range
+        numbers = self.k, self.n_stages, self.tau, t_min, t_max, self.rng_seed
+        if not all(map(is_integer, numbers)) or self.rng_seed < 0:
+            raise InvalidParameter(f"k, n_stages, tau, t range, seed {numbers}: not integers >= 0")
         if not 0 <= self.tau < self.k:
             raise InvalidParameter(f"tau {self.tau} outside [0, k={self.k})")
-        t_min, t_max = self.t_range
         # a gap of 1 would put C2 on the tick of the first response, and
         # gen_session draws t as one int64
         if not 2 <= t_min <= t_max <= np.iinfo(np.int64).max:
@@ -149,7 +152,7 @@ def gen_session(registry: ServerRegistry) -> tuple[int, int, int]:
 def compare(expected: int, payload, k: int, tau: int) -> tuple[int, int]:
     """(1 iff a k-bit response word is within tau flipped lanes of the
     expected word, that lane distance).  A payload that is not an integer or
-    does not fit k lanes raises WidthMismatch, as deserialize_response does."""
+    does not fit k lanes raises WidthMismatch."""
     if not isinstance(payload, (int, np.integer)):
         raise WidthMismatch(f"response {payload!r} is not an integer word")
     word = int(payload)
@@ -216,8 +219,13 @@ def load_registry(path: str) -> ServerRegistry:
             t_range=tuple(doc["t_range"]),
             rng_seed=doc["rng_seed"],
         )
-        if doc["mode"] == TABLE_MODE and version == 0:
-            kwargs["table"] = deserialize_response([int(w, 16) for w in doc["table"]], doc["k"])
+        if doc["mode"] == TABLE_MODE and version == 0:  # hex words, lane i in bit i
+            k = len(kwargs["lane_pairs"])  # the registry checks the file's k against it
+            words = [int(w, 16) for w in doc["table"]]
+            if any(w >> k for w in words):  # a negative word shifts to -1
+                raise WidthMismatch(f"table words do not all fit {k} lanes")
+            raw = b"".join(w.to_bytes((k + 7) // 8, "little") for w in words)
+            kwargs["table"] = unpack_bits(np.frombuffer(raw, np.uint8).reshape(len(words), -1), k).T
         elif doc["mode"] == TABLE_MODE:
             # the string goes as soon as it is decoded
             kwargs["table"] = _unpacked_table(doc.pop("table"), doc["k"], doc["n_stages"])

@@ -8,16 +8,18 @@ postproc.lane_bits and the dual-register selection rule of
 obfuscator.run_rounds.  The package computes all of these on arrays; the
 tests compare it against the functions here.  delay_sums is the one array
 oracle: the parity-feature reduction that the package's delay-sum tables
-replace.  compare and session are the reader on lane-bit arrays, which the
-package's comparison of response words replaces.
+replace.  unpack, compare and session are the reader on lane-bit arrays,
+which the package's comparison of response words replaces.
+
+From dualpuf it imports only the errors and the protocol glue that session
+drives (frames, the channel, the session draw and the prediction); every
+computation it checks is its own.
 """
 
 import math
 
 import numpy as np
 
-from dualpuf.apuf import features_from_ints
-from dualpuf.device import deserialize_response
 from dualpuf.errors import ChannelTimeout, WidthMismatch, ZeroSeed
 from dualpuf.protocol import CHALLENGE, READER_TO_TAG, Frame, SimChannel
 from dualpuf.server import gen_session, predict_response
@@ -77,8 +79,10 @@ def parity_features(challenge: int, n_stages: int) -> list[float]:
 
 def delay_sums(challenges, weights, offsets) -> np.ndarray:
     """w . phi + b of lanes (*lanes, N+1) at challenges whose layout ends
-    in the lanes', reduced over int8 parity features by einsum."""
-    phi = features_from_ints(challenges, np.shape(weights)[-1] - 1)
+    in the lanes', reduced over parity_features above by einsum."""
+    challenges, n_stages = np.asarray(challenges), np.shape(weights)[-1] - 1
+    phi = [parity_features(int(c), n_stages) for c in challenges.flat]
+    phi = np.reshape(phi, challenges.shape + (n_stages + 1,))
     return np.einsum("...i,...i->...", phi, weights) + offsets
 
 
@@ -144,6 +148,17 @@ def response(
     return sum(bits) % 2
 
 
+def unpack(word, k: int) -> np.ndarray:
+    """The (k,) lane bits of a response word, lane i from bit i.  A word
+    that is not an integer (a bool is none, np.bool_ included) or does not
+    fit k lanes raises WidthMismatch."""
+    if not isinstance(word, (int, np.integer)) or isinstance(word, bool):
+        raise WidthMismatch(f"response {word!r} is not an integer word")
+    if not 0 <= int(word) < 1 << k:
+        raise WidthMismatch(f"response {int(word):#x} does not fit {k} lanes")
+    return np.array([int(word) >> i & 1 for i in range(k)], dtype=np.uint8)
+
+
 def compare(r_m, r_p, tau: int) -> int:
     """1 iff two lane-bit arrays differ in at most tau lanes."""
     r_m = np.asarray(r_m, dtype=np.uint8)
@@ -155,7 +170,7 @@ def compare(r_m, r_p, tau: int) -> int:
 
 def session(registry, responder) -> tuple:
     """One two-time session as protocol.run_authentication runs it, but
-    with each response payload unpacked by deserialize_response and
+    with each response payload unpacked by unpack above and
     compared with its predicted lane bits by compare above.  Returns the
     session, d1, d2, passed, the two distances (None where no response was
     compared) and the lines of the frames on the wire."""
@@ -171,7 +186,7 @@ def session(registry, responder) -> tuple:
             reply = channel.exchange(frame, responder, response_width=k)
         except ChannelTimeout:
             break
-        bits = deserialize_response(reply.payload, k)
+        bits = unpack(reply.payload, k)
         decisions[i] = compare(expected[i], bits, registry.tau)
         distances[i] = int((expected[i] ^ bits).sum())
         if not decisions[i]:

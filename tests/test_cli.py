@@ -170,13 +170,13 @@ PINNED_REPORTS = [
         ["attack", "model", "--stages", "10", "--train", "2000", "--test", "500",
          "--epochs", "120", "--seed", "1"],
         NAKED_MODEL,
-        NAKED_MODEL,
+        None,  # key = value lines in any style, so no --format
     ),
     (
         ["attack", "model", "--stages", "8", "--train", "1000", "--test", "300",
          "--epochs", "100", "--seed", "2", "--obfuscated"],
         OBFUSCATED_MODEL,
-        OBFUSCATED_MODEL,
+        None,
     ),
     (
         ["metrics", "--stages", "8", "--lanes", "6", "--challenges", "1000",
@@ -213,8 +213,9 @@ def test_report_output_is_pinned(capsys, tmp_path):
     for argv, table, recs in PINNED_REPORTS:
         if argv[:2] == ["attack", "replay"]:
             argv = argv + ["--device", dev, "--registry", reg]
-        for style, want in (("table", table), ("records", recs)):
-            code, out, _ = run_cli(capsys, *argv, "--format", style)
+        styles = [("--format", "table"), ("--format", "records")] if recs else [()]
+        for style, want in zip(styles, (table, recs)):
+            code, out, _ = run_cli(capsys, *argv, *style)
             assert (code, out) == (0, want), (argv, style)
 
 
@@ -249,7 +250,8 @@ def command_options(parser, words=()):
 
 
 def test_command_options_are_pinned():
-    # each command takes only the shared --seed, --format and --out it reads;
+    # each command takes only the shared --seed, --format and --out it reads
+    # (attack model prints key = value lines and takes no --format);
     # adding or dropping a flag means editing this map on purpose
     assert command_options(build_parser()) == {
         "lfsr primitive": ["--order", "--out"],
@@ -264,8 +266,8 @@ def test_command_options_are_pinned():
         "auth run": ["--device", "--out", "--registry", "--sessions", "--tau"],
         "attack replay": ["--device", "--format", "--no-reuse", "--out", "--parity",
                           "--registry", "--seed", "--sessions"],
-        "attack model": ["--epochs", "--format", "--lr", "--obfuscated", "--out", "--seed",
-                         "--stages", "--test", "--train"],
+        "attack model": ["--epochs", "--lr", "--obfuscated", "--out", "--seed", "--stages",
+                         "--test", "--train"],
         "metrics": ["--challenges", "--format", "--lanes", "--out", "--repeats", "--seed",
                     "--sigma", "--stages"],
     }
@@ -276,6 +278,7 @@ def test_a_flag_the_command_does_not_read_is_a_usage_error(capsys):
     assert dispatch(["auth", "run", "--device", "t.json", "--registry", "r.json",
                      "--seed", "1"]) == 2
     assert dispatch(["lfsr", "primitive", "--order", "3", "--format", "records"]) == 2
+    assert dispatch(["attack", "model", "--stages", "8", "--format", "records"]) == 2
     capsys.readouterr()
 
 
@@ -406,6 +409,46 @@ def test_device_file_with_a_voter_setting_that_is_not_a_number_of_its_kind(
         load_device(dev)
     assert_cli_error(capsys, "auth", "run", "--device", dev, "--registry", reg,
                      "--sessions", "3")
+
+
+def test_numbers_of_the_wrong_kind_in_files_are_errors(capsys, tmp_path):
+    # each of these files used to load and end the command in a TypeError or
+    # an OverflowError traceback
+    dev, reg = str(tmp_path / "dev.json"), str(tmp_path / "reg.json")
+    assert run_cli(capsys, "device", "build", "--stages", "8", "--lanes", "8", "--seed", "3",
+                   "--out", dev)[0] == 0
+    assert run_cli(capsys, "auth", "register", "--device", dev, "--out", reg, "--seed", "4",
+                   "--policy", "params")[0] == 0
+
+    def changed(source, key, value):
+        doc = json.loads(Path(source).read_text())
+        target = tmp_path / f"{key}-{Path(source).name}"
+        target.write_text(json.dumps({**doc, key: value}))
+        return str(target)
+
+    for key in ("k", "n_stages"):
+        assert_cli_error(capsys, "auth", "run", "--device", dev, "--registry",
+                         changed(reg, key, 8.0), "--sessions", "3")
+    assert_cli_error(capsys, "device", "crp", "--device", changed(dev, "n_stages", 8.0),
+                     "--challenge", "5")
+    data = Path(__file__).parent / "data"
+    assert_cli_error(capsys, "auth", "run", "--device", str(data / "tag.json"), "--registry",
+                     changed(data / "table.json", "k", 1 << 70), "--sessions", "3")
+
+
+def test_a_negative_seed_is_an_error(capsys, tmp_path):
+    # NumPy refuses a negative seed with a ValueError, which every command
+    # that takes --seed used to end in as a traceback
+    dev, reg = built_tag(capsys, tmp_path, register=True)
+    fresh = tmp_path / "fresh"
+    fresh.mkdir()
+    for argv in (["device", "build", "--stages", "8", "--out", str(tmp_path / "d.json")],
+                 ["auth", "register", "--device", built_tag(capsys, fresh)[0],
+                  "--out", str(fresh / "reg.json")],
+                 ["attack", "replay", "--device", dev, "--registry", reg],
+                 ["attack", "model", "--stages", "8"],
+                 ["metrics", "--stages", "8"]):
+        assert_cli_error(capsys, *argv, "--seed", "-1")
 
 
 def test_replay_rejects_a_parity_policy_with_no_tick_gap(capsys, tmp_path):

@@ -20,7 +20,6 @@ from dualpuf.device import (
     PufDevice,
     build_device,
     default_lane_pairs,
-    deserialize_response,
     load_device,
     save_device,
     serialize_response,
@@ -159,7 +158,9 @@ def test_respond_composes_register_selection_and_voting():
     noisy = make_device(k=1, sigma_noise=0.4)
     pair, lane, config = noisy.config.lane_pairs[0], noisy.lanes[0], noisy.config
     for challenge, mode in itertools.product(range(1, 256), (0, 1)):
-        bit = noisy.respond(challenge, mode, np.random.default_rng(challenge))
+        bit = noisy.bank.respond(
+            challenge, mode, config.sigma_noise, config.voter_t, np.random.default_rng(challenge)
+        )
         assert bit[0] == reference.response(
             pair, lane, challenge, mode, config.sigma_noise, config.voter_t,
             np.random.default_rng(challenge),
@@ -183,11 +184,12 @@ def test_a_noisy_batch_holds_one_noise_block_and_a_slice():
     # float64 block, and its words, sums and votes run a slice at a time,
     # so the batch's peak grows with the block alone
     dev = make_device(k=64, n_stages=16, device_seed=5, sigma_noise=0.03, voter_t=5)
+    config = dev.config
     seeds = np.random.default_rng(4).integers(1, 1 << 16, size=2000)
     peaks = {}
     for count in (500, 2000):
         tracemalloc.start()
-        dev.respond(seeds[:count], 1, np.random.default_rng(1))
+        dev.bank.respond(seeds[:count], 1, config.sigma_noise, config.voter_t, np.random.default_rng(1))
         peaks[count] = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
     block_per_challenge = 8 * 5 * 64 * 5  # float64, rounds, lanes, votes
@@ -201,7 +203,7 @@ def test_a_noisy_batch_holds_one_noise_block_and_a_slice():
 @given(st.lists(st.integers(0, 1), min_size=1, max_size=80))
 def test_serialize_round_trip(bits):
     value = serialize_response(np.array(bits, dtype=np.uint8))
-    assert deserialize_response(value, len(bits)).tolist() == bits
+    assert reference.unpack(value, len(bits)).tolist() == bits
 
 
 @pytest.mark.parametrize("k", [1, 8, 64, 65])
@@ -211,20 +213,11 @@ def test_serialize_round_trip_2d(k):
     words = serialize_response(bits)
     assert words == [serialize_response(bits[:, j]) for j in range(300)]
     assert words[0] == (1 << k) - 1
-    assert np.array_equal(deserialize_response(words, k), bits)
-    with pytest.raises(WidthMismatch):
-        deserialize_response(words + [1 << k], k)
+    assert np.array_equal(np.stack([reference.unpack(word, k) for word in words], axis=1), bits)
 
 
 def test_serialize_lane_zero_is_lsb():
     assert serialize_response(np.array([1, 0, 0, 1], dtype=np.uint8)) == 0b1001
-
-
-def test_deserialize_wide_and_bounds():
-    full = deserialize_response((1 << 64) - 1, 64)  # beyond int64 range
-    assert full.tolist() == [1] * 64
-    with pytest.raises(WidthMismatch):
-        deserialize_response(1 << 4, 4)
 
 
 # -- session bookkeeping -------------------------------------------------------
@@ -295,6 +288,28 @@ def test_load_refuses_another_compensation_unit(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(SimulationError):
         load_device(str(path))
+
+
+def test_malformed_device_files_raise_simulation_errors(tmp_path):
+    # a float or a bool where an integer belongs, a fused flag that is not a
+    # bool, a lane weight that is not finite and lane weights whose sums
+    # overflow used to load; a float round count on a lane other than the
+    # first was also saved back as a float
+    path = tmp_path / "tag.json"
+    save_device(make_device(k=2), str(path))
+    doc = json.loads(path.read_text())
+    first, second = doc["lanes"]
+    broken = [{**doc, key: value} for key, value in (
+        ("k", 2.0), ("n_stages", 8.0), ("device_seed", True), ("fused", "yes"), ("fused", 0),
+    )]
+    broken.append({**doc, "lane_pairs": [doc["lane_pairs"][0], {**doc["lane_pairs"][1], "rounds": 5.0}]})
+    for weights in ([float("nan")] + second["weights"][1:], [float("inf")] + second["weights"][1:],
+                    [1e308] * len(second["weights"])):
+        broken.append({**doc, "lanes": [first, {**second, "weights": weights}]})
+    for bad in broken:
+        path.write_text(json.dumps(bad))
+        with pytest.raises(SimulationError):
+            load_device(str(path))
 
 
 def test_fused_flag_survives_reload(tmp_path):

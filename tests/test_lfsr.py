@@ -28,7 +28,6 @@ from dualpuf.lfsr import (
     classify,
     find_primitive,
     is_m_sequence,
-    pick_lfsr_pair,
     step_array,
 )
 from dualpuf.obfuscator import DualLfsrSpec, check_external_challenge
@@ -223,7 +222,7 @@ def test_period_check_order_cap():
 # -- the algebraic test against the period walk ------------------------------
 
 #: sha256 of the space-separated decimal masks the period walk found for
-#: each order; pins find_primitive, and with it every pick_lfsr_pair result
+#: each order; pins find_primitive, and with it every default_lane_pairs result
 WALK_DIGESTS = {
     2: "7902699be42c8a8e46fbbb4501726517e86b22c56a189f7625a6da49081b2451",
     3: "7607bf4a316a91426c8fa4ae5fd2e050ac54c19ae5d001f3a625dee04647a6f8",
@@ -292,8 +291,6 @@ def test_default_lane_pairs_are_pinned():
     for (order, k), digest in PAIR_DIGESTS.items():
         pairs = default_lane_pairs(order, k)
         assert sha256(" ".join(f"{a.mask}:{b.mask}" for a, b in (p.pair for p in pairs))) == digest
-        if order <= 16:
-            assert [p.pair for p in pairs] == [pick_lfsr_pair(order, i) for i in range(k)]
 
 
 def test_provisioning_searches_no_cached_work(monkeypatch):
@@ -431,23 +428,23 @@ def test_classify_order_cap():
 # -- pair selection ----------------------------------------------------------
 
 
-def test_pick_lfsr_pair_enumeration():
-    assert pick_lfsr_pair(3, 0) == (LfsrSpec(3, 0b1011), LfsrSpec(3, 0b1101))
-    assert pick_lfsr_pair(3, 1) == (LfsrSpec(3, 0b1101), LfsrSpec(3, 0b1011))
-    assert pick_lfsr_pair(3, 2) == pick_lfsr_pair(3, 0)  # wraps
+def test_default_lane_pairs_enumeration():
+    first, second, third = (p.pair for p in default_lane_pairs(3, 3))
+    assert first == (LfsrSpec(3, 0b1011), LfsrSpec(3, 0b1101))
+    assert second == (LfsrSpec(3, 0b1101), LfsrSpec(3, 0b1011))
+    assert third == first  # wraps
 
 
-def test_pick_lfsr_pair_properties():
+def test_default_lane_pairs_properties():
     prims = set(find_primitive(5))
     seen = set()
-    for idx in range(30):
-        a, b = pick_lfsr_pair(5, idx)
+    for a, b in (p.pair for p in default_lane_pairs(5, 30)):
         assert a != b and a in prims and b in prims
         seen.add((a, b))
     assert len(seen) == 30  # all ordered pairs of 6 primitives
 
 
-def test_pick_lfsr_pair_needs_two_primitives():
+def test_default_lane_pairs_needs_two_primitives():
     assert len(find_primitive(2)) == 1
     with pytest.raises(InsufficientPrimitives):
-        pick_lfsr_pair(2, 0)
+        default_lane_pairs(2, 1)

@@ -13,8 +13,9 @@ import reference
 from conftest import make_device
 from dualpuf.adversary import collect_naked_crps, collect_obfuscated_crps
 from dualpuf.apuf import features_from_ints, lane_sums, lane_tables, sample_instance, table_positions
+from dualpuf.device import default_lane_pairs
 from dualpuf.errors import InvalidParameter, SimulationError, WidthMismatch, ZeroSeed
-from dualpuf.lfsr import LfsrSpec, pick_lfsr_pair
+from dualpuf.lfsr import LfsrSpec
 from dualpuf.obfuscator import (
     DualLfsrSpec, LaneBank, candidate_rows, check_external_challenge, run_rounds, trace_records,
 )
@@ -108,7 +109,7 @@ def test_histories_alter_the_following_selection():
     # registers hold different states there
     histories = list(itertools.product((0, 1), repeat=5))
     for idx, seed, mode in itertools.product((0, 1), range(1, 8), (0, 1)):
-        spec = DualLfsrSpec(pick_lfsr_pair(3, idx))
+        spec = default_lane_pairs(3, 2)[idx]
         # all-zero votes read the first register in mode 1, the second in mode 0
         regs = list(zip(traced(spec, seed, 1, (0,) * 5), traced(spec, seed, 0, (0,) * 5)))
         traces = {h: traced(spec, seed, mode, h) for h in histories}
@@ -152,7 +153,7 @@ def test_run_rounds_folds_round_bits_by_parity(bits):
 def test_tables_match_the_one_shift_walk(order, first_pair, rounds, mode, draw_seed):
     # the bit of a round is an arbitrary function of the round and the
     # candidate, so any slip of a register state or of the selection shows
-    specs = [DualLfsrSpec(pick_lfsr_pair(order, first_pair + i), rounds) for i in range(3)]
+    specs = default_lane_pairs(order, first_pair + 3, rounds)[first_pair:]
     rng = np.random.default_rng(draw_seed)
     votes = rng.integers(0, 2, (rounds, 1 << order), dtype=np.uint8)
     seeds = rng.integers(1, 1 << order, 4)
@@ -191,7 +192,7 @@ def test_engine_matches_scalar_loop_exhaustively():
         return (phi @ weights > 0).astype(np.uint8)
 
     for idx, mode in itertools.product((0, 1), (0, 1)):
-        spec = DualLfsrSpec(pick_lfsr_pair(3, idx))
+        spec = default_lane_pairs(3, 2)[idx]
         seeds = np.arange(1, 8)
         calls = []
         folded = run_rounds(candidate_rows(spec.feeds, 3, 5), seeds, mode, noiseless)
@@ -217,7 +218,7 @@ def test_engine_matches_scalar_loop_exhaustively():
 
 
 def test_engine_broadcasts_lane_and_batch_axes():
-    specs = [DualLfsrSpec(pick_lfsr_pair(4, i)) for i in range(3)]
+    specs = default_lane_pairs(4, 3)
     rows = candidate_rows([s.feeds for s in specs], 4, 5)
     seeds = np.array([1, 9, 14, 7])
     inst = sample_instance(4, 5)
@@ -276,7 +277,10 @@ def test_one_lane_call_per_response(monkeypatch):
         action()
         return counts["positions"], counts["sums"], counts["draws"]
 
-    assert calls(lambda: tag.respond(0x5A, 1, CountingStream(real_rng(1), counts))) == (0, 1, 1)
+    config = tag.config
+    stream = CountingStream(real_rng(1), counts)
+    assert calls(lambda: tag.bank.respond(
+        0x5A, 1, config.sigma_noise, config.voter_t, stream)) == (0, 1, 1)
     assert calls(lambda: predict_response(registry, 0x5A, 0)) == (0, 1, 0)
     assert calls(lambda: collect_obfuscated_crps(lane, 500)) == (0, 1, 1)
     # the raw harvest places every challenge once, then sums and draws once

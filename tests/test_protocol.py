@@ -31,6 +31,7 @@ from dualpuf.server import (
     TABLE_MODE,
     load_registry,
     predict_response,
+    save_registry,
 )
 
 
@@ -177,7 +178,8 @@ def test_man_in_the_middle_replacement_is_what_gets_logged():
 def test_registration_full_table_and_fuse(tmp_path):
     device = make_device()
     path = tmp_path / "registry.json"
-    registry = run_registration(device, registry_path=str(path), rng_seed=6)
+    registry = run_registration(device, rng_seed=6)
+    save_registry(registry, str(path))
     assert registry.mode == TABLE_MODE          # order 8 enumerates fully
     assert registry.tau == 0                    # noiseless default
     assert device.fused

@@ -17,7 +17,7 @@ import reference
 from conftest import make_device
 from dualpuf.adversary import collect_obfuscated_crps
 from dualpuf.apuf import sample_instance
-from dualpuf.device import default_lane_pairs, deserialize_response, pack_bits, save_device
+from dualpuf.device import default_lane_pairs, pack_bits, save_device
 from dualpuf.errors import (
     InvalidParameter,
     SimulationError,
@@ -331,16 +331,16 @@ def test_word_compare_matches_the_bit_array_oracle(k, data):
     payload = expected ^ sum(1 << lane for lane in flips)
     if payload < 1 << 63 and data.draw(st.booleans()):
         payload = np.int64(payload)
-    bits = deserialize_response(expected, k)
+    bits = reference.unpack(expected, k)
     decision, distance = compare(expected, payload, k, tau)
-    assert decision == reference.compare(bits, deserialize_response(payload, k), tau)
+    assert decision == reference.compare(bits, reference.unpack(payload, k), tau)
     assert distance == len(flips)
     # out of range or not an integer: the bit-array path raised as well
     bad = data.draw(st.one_of(
         st.integers(1 << k, 1 << k + 70), st.integers(-(1 << k + 70), -1), NOT_INTEGERS,
     ))
-    with pytest.raises((TypeError, ValueError, WidthMismatch)):
-        reference.compare(bits, deserialize_response(bad, k), tau)
+    with pytest.raises(WidthMismatch):
+        reference.compare(bits, reference.unpack(bad, k), tau)
     with pytest.raises(WidthMismatch):
         compare(expected, bad, k, tau)
 
@@ -397,14 +397,28 @@ def test_malformed_registry_files_raise_simulation_errors(tmp_path):
         {key: value for key, value in doc.items() if key != "voter_t"},
         [doc],
     ]
-    # a parameter registry with the last weight dropped from every row
-    doc = json.loads((DATA / "model.json").read_text())
+    # a parameter registry with the last weight dropped from every row, an
+    # infinite weight, which used to pass 8 sessions in 20, an offset that is
+    # NaN, or weights whose delay sums overflow to infinities and NaNs
+    model = doc = json.loads((DATA / "model.json").read_text())
     broken.append({**doc, "weights": [row[:-1] for row in doc["weights"]]})
     broken.append({**doc, "offsets": doc["offsets"][:-1]})
+    third = doc["weights"][2]
+    broken.append({**doc, "weights": doc["weights"][:2] + [[float("inf")] + third[1:]] + doc["weights"][3:]})
+    broken.append({**doc, "offsets": doc["offsets"][:-1] + [float("nan")]})
+    broken.append({**doc, "weights": [[1e308] * len(row) for row in doc["weights"]]})
     # version 1: k=4 at order 8, so the table is 128 bytes
     registry = table_registry(make_device())
     save_registry(registry, str(path))
     doc = json.loads(path.read_text())
+    # a float or a bool where an integer belongs, in the version-0 table and
+    # model and the version-1 table; a float k or n_stages used to load and
+    # end the first session in a TypeError, a k of 2^70 a version-0 table in
+    # an OverflowError
+    for base in (json.loads((DATA / "table.json").read_text()), model, doc):
+        for key, value in (("k", 8.0), ("n_stages", 8.0), ("k", 1 << 70), ("tau", 0.5),
+                           ("tau", True), ("t_range", [2.5, 17]), ("rng_seed", True)):
+            broken.append({**base, key: value})
     packed = pack_bits(registry.table.reshape(-1)).tobytes()
     broken += [
         {**doc, "table": list(packed)},
@@ -451,9 +465,9 @@ def test_file_formats_are_pinned(tmp_path):
     save_device(make_device(k=8, n_stages=8, device_seed=7), str(tmp_path / "tag0.json"))
     dev = make_device(k=8, n_stages=8, device_seed=7, sigma_noise=0.3)
     save_device(dev, str(tmp_path / "tag.json"))
-    run_registration(dev, str(tmp_path / "table.json"), policy="full", rng_seed=1)
+    save_registry(run_registration(dev, policy="full", rng_seed=1), str(tmp_path / "table.json"))
     dev = make_device(k=8, n_stages=8, device_seed=7, sigma_noise=0.3)
-    run_registration(dev, str(tmp_path / "model.json"), policy="params", rng_seed=1)
+    save_registry(run_registration(dev, policy="params", rng_seed=1), str(tmp_path / "model.json"))
     for name, digest in pins.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
@@ -463,7 +477,8 @@ def test_version_0_registries_load_as_registered(tmp_path):
     # is written back as the version-1 file of that registration
     for name, policy in (("table.json", "full"), ("model.json", "params")):
         dev = make_device(k=8, n_stages=8, device_seed=7, sigma_noise=0.3)
-        fresh = run_registration(dev, str(tmp_path / "fresh.json"), policy=policy, rng_seed=1)
+        fresh = run_registration(dev, policy=policy, rng_seed=1)
+        save_registry(fresh, str(tmp_path / "fresh.json"))
         back = load_registry(str(DATA / name))
         for field in ("mode", "k", "n_stages", "lane_pairs", "tau", "t_range", "rng_seed"):
             assert getattr(back, field) == getattr(fresh, field), (name, field)

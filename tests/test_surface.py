@@ -300,14 +300,12 @@ def test_public_names_are_pinned():
         "compare",
         "default_lane_pairs",
         "default_tau",
-        "deserialize_response",
         "eavesdrop",
         "find_primitive",
         "gen_session",
         "is_m_sequence",
         "load_device",
         "load_registry",
-        "pick_lfsr_pair",
         "predict_response",
         "puf_metrics",
         "randomness_adjust",
