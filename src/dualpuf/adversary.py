@@ -2,7 +2,10 @@
 
 The replay attacker is content-only: it stores challenge payload ->
 response payload from observed traffic and answers verbatim, never reading
-tick gaps.  The modeling attacker is a single linear unit over parity
+tick gaps.  The two-time scheme bounds the replay of one session to the
+gap parity it was recorded at, not the replay of all traffic: a store that
+also keys by parity passes half of fresh sessions after ~2^n recorded ones.
+The modeling attacker is a single linear unit over parity
 features, the known-strong attack against a bare arbiter lane; its input is
 restricted by construction to CRPs: a challenge array and a label array.
 """

@@ -296,7 +296,9 @@ def is_m_sequence(spec: LfsrSpec) -> bool:
 def _primitive_count(order: int) -> int:
     """m = phi(2^n - 1) / n, the number of primitive polynomials of order n,
     for an order the primitive search takes."""
-    if not 2 <= order <= MAX_PRIMITIVE_ORDER:
+    if order < 2:
+        raise InvalidParameter(f"order {order} < 2")
+    if order > MAX_PRIMITIVE_ORDER:
         raise OrderTooLarge(
             f"primitive search caps at order {MAX_PRIMITIVE_ORDER}, got {order}"
         )

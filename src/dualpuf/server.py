@@ -18,7 +18,7 @@ from __future__ import annotations
 import base64
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,17 +37,20 @@ FILE_VERSION = 1
 
 
 def default_tau(k: int, sigma_noise: float) -> int:
-    """0 for noiseless experiments, else a tight 10% of the lane count."""
-    return 0 if sigma_noise == 0 else math.ceil(0.1 * k)
+    """0 for noiseless experiments, else a tight 10% of the lane count, below k."""
+    return 0 if sigma_noise == 0 else min(math.ceil(0.1 * k), k - 1)
 
 
 @dataclass
 class ServerRegistry:
-    """Everything the reader holds about one enrolled tag."""
+    """Everything the reader holds about one enrolled tag: its register
+    pairs, one kind of lane material (a table, or weights and offsets), tau,
+    the tick-gap range and the session seed.  mode, k and n_stages are read
+    off the pairs and the material, so no copy of them can disagree."""
 
-    mode: str
-    k: int
-    n_stages: int
+    mode: str = field(init=False)
+    k: int = field(init=False)
+    n_stages: int = field(init=False)
     lane_pairs: tuple[DualLfsrSpec, ...]
     tau: int
     t_range: tuple[int, int]
@@ -57,12 +60,16 @@ class ServerRegistry:
     offsets: np.ndarray | None = None    # (k,)
 
     def __post_init__(self) -> None:
-        if self.mode not in (TABLE_MODE, MODEL_MODE):
-            raise InvalidParameter(f"unknown registry mode {self.mode!r}")
+        if not self.lane_pairs:
+            raise WidthMismatch("no register pairs, so no lanes to register")
+        if (self.table is None) == (self.weights is None and self.offsets is None):
+            raise InvalidParameter("a registry holds a table, or weights and offsets")
+        self.mode = MODEL_MODE if self.table is None else TABLE_MODE
+        self.k, self.n_stages = len(self.lane_pairs), self.lane_pairs[0].order
         t_min, t_max = self.t_range
-        numbers = self.k, self.n_stages, self.tau, t_min, t_max, self.rng_seed
+        numbers = self.tau, t_min, t_max, self.rng_seed
         if not all(map(is_integer, numbers)) or self.rng_seed < 0:
-            raise InvalidParameter(f"k, n_stages, tau, t range, seed {numbers}: not integers >= 0")
+            raise InvalidParameter(f"tau, t range, seed {numbers}: not integers >= 0")
         if not 0 <= self.tau < self.k:
             raise InvalidParameter(f"tau {self.tau} outside [0, k={self.k})")
         # a gap of 1 would put C2 on the tick of the first response, and
@@ -107,25 +114,16 @@ def register_from_ttp(
     """Build a registry from enrollment material.
 
     lane_data is either the (k, 2^n) uint8 naked-CRP table that
-    PufDevice.raw_crp_table harvests, stored as is (table mode; the
-    registry's shape check rejects a table missing a column), or a sequence
-    of lane parameter instances (model mode; noise is irrelevant because the
-    server predicts noiselessly).
+    PufDevice.raw_crp_table harvests, stored as is (table mode), or a
+    sequence of lane parameter instances, stacked into weights and offsets
+    (model mode; noise is irrelevant because the server predicts
+    noiselessly).  The registry checks the material against the pairs.
     """
-    if not lane_pairs:
-        raise WidthMismatch("no register pairs, so no lanes to register")
-    k, n_stages = len(lane_pairs), lane_pairs[0].order
-    common = dict(
-        k=k, n_stages=n_stages, lane_pairs=lane_pairs,
-        tau=tau, t_range=t_range, rng_seed=rng_seed,
-    )
     if isinstance(lane_data, np.ndarray):
-        return ServerRegistry(mode=TABLE_MODE, table=lane_data, **common)
-    lanes = list(lane_data)
-    if len(lanes) != k:
-        raise WidthMismatch(f"{len(lanes)} lane models for k={k}")
-    weights, offsets = stack_lanes(lanes, n_stages)
-    return ServerRegistry(mode=MODEL_MODE, weights=weights, offsets=offsets, **common)
+        return ServerRegistry(lane_pairs, tau, t_range, rng_seed, table=lane_data)
+    # with no pairs there is no order, and stack_lanes refuses any lanes
+    weights, offsets = stack_lanes(list(lane_data), lane_pairs[0].order if lane_pairs else 0)
+    return ServerRegistry(lane_pairs, tau, t_range, rng_seed, weights=weights, offsets=offsets)
 
 
 def predict_response(registry: ServerRegistry, challenge, mode) -> np.ndarray:
@@ -190,7 +188,7 @@ def save_registry(registry: ServerRegistry, path: str) -> None:
 
 def _unpacked_table(text: str, k: int, n_stages: int) -> np.ndarray:
     """The (k, 2^n) bits of a version-1 table string."""
-    if not 0 <= n_stages <= MAX_TABLE_ORDER:
+    if n_stages > MAX_TABLE_ORDER:
         raise InvalidParameter(f"table mode caps at order {MAX_TABLE_ORDER}, got {n_stages}")
     packed = base64.b64decode(text, validate=True)
     count = k << n_stages
@@ -202,7 +200,8 @@ def _unpacked_table(text: str, k: int, n_stages: int) -> np.ndarray:
 def load_registry(path: str) -> ServerRegistry:
     """Read back a registry file of version 0 or 1.  A file that cannot be
     read, is not JSON, names another version, lacks a key or holds a value
-    of the wrong type, range or shape raises SimulationError."""
+    of the wrong type, range or shape raises SimulationError, and so does a
+    mode, k or n_stages that disagrees with the file's register pairs."""
     with reading(path, "registry file") as fh:
         doc = json.load(fh)
         version = doc["version"] if "version" in doc else 0
@@ -210,26 +209,20 @@ def load_registry(path: str) -> ServerRegistry:
             raise InvalidParameter(f"registry file version {version!r} is not 0 or 1")
         if version == 0:  # the width of a voter the reader never ran
             voter_noise((), 0.0, doc["voter_t"], None)
-        kwargs = dict(
-            mode=doc["mode"],
-            k=doc["k"],
-            n_stages=doc["n_stages"],
-            lane_pairs=tuple(pair_from_json(p) for p in doc["lane_pairs"]),
-            tau=doc["tau"],
-            t_range=tuple(doc["t_range"]),
-            rng_seed=doc["rng_seed"],
-        )
-        if doc["mode"] == TABLE_MODE and version == 0:  # hex words, lane i in bit i
-            k = len(kwargs["lane_pairs"])  # the registry checks the file's k against it
+        pairs = tuple(pair_from_json(p) for p in doc["lane_pairs"])
+        mode, k, n_stages = doc["mode"], doc["k"], doc["n_stages"]
+        if mode not in (TABLE_MODE, MODEL_MODE) or not (is_integer(k) and is_integer(n_stages)):
+            raise InvalidParameter(f"registry mode {mode!r}, k {k!r} or n_stages {n_stages!r}")
+        if not pairs or (k, n_stages) != (len(pairs), pairs[0].order):
+            raise WidthMismatch(f"k={k} at order {n_stages} for {len(pairs)} register pairs")
+        if mode == MODEL_MODE:
+            material = {"weights": np.array(doc["weights"]), "offsets": np.array(doc["offsets"])}
+        elif version == 0:  # hex words, lane i in bit i
             words = [int(w, 16) for w in doc["table"]]
             if any(w >> k for w in words):  # a negative word shifts to -1
                 raise WidthMismatch(f"table words do not all fit {k} lanes")
             raw = b"".join(w.to_bytes((k + 7) // 8, "little") for w in words)
-            kwargs["table"] = unpack_bits(np.frombuffer(raw, np.uint8).reshape(len(words), -1), k).T
-        elif doc["mode"] == TABLE_MODE:
-            # the string goes as soon as it is decoded
-            kwargs["table"] = _unpacked_table(doc.pop("table"), doc["k"], doc["n_stages"])
-        else:
-            kwargs["weights"] = np.array(doc["weights"])
-            kwargs["offsets"] = np.array(doc["offsets"])
-        return ServerRegistry(**kwargs)
+            material = {"table": unpack_bits(np.frombuffer(raw, np.uint8).reshape(len(words), -1), k).T}
+        else:  # the string goes as soon as it is decoded
+            material = {"table": _unpacked_table(doc.pop("table"), k, n_stages)}
+        return ServerRegistry(pairs, doc["tau"], tuple(doc["t_range"]), doc["rng_seed"], **material)

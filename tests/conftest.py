@@ -26,12 +26,13 @@ def make_device(k=4, n_stages=8, device_seed=3, sigma_noise=0.0, voter_t=5, roun
 FIGURE_LOGS = (
     ("test_acceptance", "ACCEPTANCE_LOG", "acceptance criteria"),
     ("test_exhaustive", "FIGURE_LOG", "exhaustive sigma-0 identity"),
+    ("test_replay_coverage", "FIGURE_LOG", "replay from a store of all traffic"),
 )
 
 
 def pytest_terminal_summary(terminalreporter):
-    # one visible pass line per acceptance criterion and per exhaustive
-    # order, collected by those modules as their tests run
+    # one visible pass line per acceptance criterion, per exhaustive order
+    # and per replay-coverage order, collected by those modules as they run
     for module, attribute, title in FIGURE_LOGS:
         lines = getattr(sys.modules.get(module), attribute, None)
         if lines:

@@ -314,6 +314,22 @@ def test_register_rejects_tau_of_k_or_more(capsys, tmp_path):
     assert not json.loads(Path(dev).read_text())["fused"]
 
 
+def test_a_noisy_single_lane_tag_registers_with_the_default_tau(capsys, tmp_path):
+    # ceil(10% of one lane) is the one lane, which no tau may be
+    dev, reg = str(tmp_path / "dev.json"), str(tmp_path / "reg.json")
+    assert run_cli(capsys, "device", "build", "--stages", "8", "--sigma", "0.1",
+                   "--out", dev)[0] == 0
+    code, out, _ = run_cli(capsys, "auth", "register", "--device", dev, "--out", reg)
+    assert code == 0 and out == [f"registered mode=table tau=0 -> {reg}"]
+
+
+def test_an_order_below_2_is_no_register(capsys, tmp_path):
+    for argv in (("lfsr", "primitive", "--order", "1"), ("lfsr", "primitive", "--order", "0"),
+                 ("device", "build", "--stages", "1", "--out", str(tmp_path / "dev.json"))):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == [] and err.startswith("error: order") and "< 2" in err
+
+
 def test_build_rejects_an_even_voter(capsys, tmp_path):
     assert_cli_error(capsys, "device", "build", "--stages", "8", "--voter-t", "4",
                      "--out", str(tmp_path / "dev.json"))

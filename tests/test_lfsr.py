@@ -184,9 +184,12 @@ def test_primitive_walk_visits_all_nonzero_states():
 
 
 def test_find_primitive_order_bounds():
-    for bad in (1, 21):
-        with pytest.raises(OrderTooLarge):
+    # an order below 2 is no register, not one past the search's cap
+    for bad in (0, 1):
+        with pytest.raises(InvalidParameter, match="< 2"):
             find_primitive(bad)
+    with pytest.raises(OrderTooLarge):
+        find_primitive(21)
     with pytest.raises(InvalidParameter):
         find_primitive(5, -1)
 

@@ -59,6 +59,7 @@ def test_default_tau():
     assert default_tau(64, 0.0) == 0
     assert default_tau(64, 0.5) == 7
     assert default_tau(10, 0.1) == 1
+    assert default_tau(1, 0.1) == 0  # never all k lanes
 
 
 def test_default_t_range_is_parity_balanced_and_wire_safe():
@@ -71,12 +72,13 @@ def test_default_t_range_is_parity_balanced_and_wire_safe():
 def test_registry_validation():
     dev = make_device(k=2)
     table = dev.raw_crp_table()
-    good = dict(
-        k=2, n_stages=8, lane_pairs=dev.config.lane_pairs, rng_seed=0,
-        t_range=(2, 17),
-    )
-    with pytest.raises(ValueError):
-        ServerRegistry(mode="nonsense", tau=0, **good)
+    good = dict(lane_pairs=dev.config.lane_pairs, tau=0, t_range=(2, 17), rng_seed=0)
+    model = model_registry(dev)
+    # one kind of lane material: a table, or weights and offsets
+    with pytest.raises(InvalidParameter):
+        ServerRegistry(table=table, weights=model.weights, offsets=model.offsets, **good)
+    with pytest.raises(InvalidParameter):
+        ServerRegistry(**good)
     with pytest.raises(ValueError):
         register_from_ttp(table, dev.config.lane_pairs, tau=2)  # tau >= k
     with pytest.raises(ValueError):
@@ -414,10 +416,12 @@ def test_malformed_registry_files_raise_simulation_errors(tmp_path):
     # a float or a bool where an integer belongs, in the version-0 table and
     # model and the version-1 table; a float k or n_stages used to load and
     # end the first session in a TypeError, a k of 2^70 a version-0 table in
-    # an OverflowError
+    # an OverflowError; and a mode that names no registry kind, or a k or
+    # n_stages that disagrees with the register pairs (8, 8 and 4 of order 8)
     for base in (json.loads((DATA / "table.json").read_text()), model, doc):
         for key, value in (("k", 8.0), ("n_stages", 8.0), ("k", 1 << 70), ("tau", 0.5),
-                           ("tau", True), ("t_range", [2.5, 17]), ("rng_seed", True)):
+                           ("tau", True), ("t_range", [2.5, 17]), ("rng_seed", True),
+                           ("mode", "nonsense"), ("k", 7), ("n_stages", 9)):
             broken.append({**base, key: value})
     packed = pack_bits(registry.table.reshape(-1)).tobytes()
     broken += [
