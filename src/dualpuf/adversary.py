@@ -8,6 +8,8 @@ also keys by parity passes half of fresh sessions after ~2^n recorded ones.
 The modeling attacker is a single linear unit over parity
 features, the known-strong attack against a bare arbiter lane; its input is
 restricted by construction to CRPs: a challenge array and a label array.
+It ignores the public register pairs; an attacker who steps a lane's pair
+(tests/structure_attack.py) models the obfuscated interface too.
 """
 
 from __future__ import annotations
@@ -139,13 +141,11 @@ def replay_attack(
         t_rec = recorded.tick_gap()
         c1_rec, c2_rec = (f.payload for f in recorded.challenge_frames()[:2])
     if reuse_challenges:
-        # the policy's gaps are first, first + step, ... up to t_max
         if parity_policy == "random":
-            first, step = t_min, 1
-        else:
-            first, step = t_min + (t_min - t_rec + (parity_policy == "flip")) % 2, 2
-        count = (t_max - first) // step + 1
-        if count <= 0:
+            gaps = range(t_min, t_max + 1)
+        else:  # the gaps of the recorded parity, or of the other one
+            gaps = range(t_min + (t_min - t_rec + (parity_policy == "flip")) % 2, t_max + 1, 2)
+        if not gaps:
             raise InvalidParameter(
                 f"no tick gap in [{t_min}, {t_max}] fits parity policy {parity_policy!r}"
             )
@@ -154,7 +154,7 @@ def replay_attack(
     for _ in range(sessions):
         if reuse_challenges:
             # the draw of Generator.choice over the policy's gaps
-            forced = (c1_rec, c2_rec, first + step * int(rng.integers(0, count)))
+            forced = (c1_rec, c2_rec, gaps[int(rng.integers(0, len(gaps)))])
         else:
             forced = None
         result = run_authentication(registry, attacker, forced_session=forced)

@@ -182,10 +182,7 @@ def _cmd_lfsr(args) -> list[str]:
                 f"additional_states = {result.additional_count}",
             ]
         return lines
-    pair = DualLfsrSpec(
-        (LfsrSpec.parse(args.poly), LfsrSpec.parse(args.poly2)),
-        rounds_per_response=len(args.bits),
-    )
+    pair = DualLfsrSpec((LfsrSpec.parse(args.poly), LfsrSpec.parse(args.poly2)))
     if not set(args.bits) <= {"0", "1"}:
         raise InvalidParameter(f"--bits {args.bits!r} is not a string of 0s and 1s")
     bits = [int(b) for b in args.bits]

@@ -156,17 +156,14 @@ def unpack_bits(packed, count: int) -> np.ndarray:
     return np.unpackbits(packed, axis=-1, count=count, bitorder="little")
 
 
-def serialize_response(bits: np.ndarray):
-    """Parallel-to-serial: lane i's bit becomes bit i of the integer.
-
-    The lane axis is axis 0.  A (k,) array gives one int; a (k, S) array
-    gives a list of S ints.  Python ints keep any k exact, k > 64 included.
-    """
+def serialize_response(bits: np.ndarray) -> int:
+    """Parallel-to-serial: lane i's bit of a (k,) array becomes bit i of
+    the integer.  Any other shape raises WidthMismatch.  Python ints keep
+    any k exact, k > 64 included."""
     bits = np.asarray(bits, dtype=np.uint8)
-    if bits.ndim == 1:
-        return int.from_bytes(pack_bits(bits).tobytes(), "little")
-    packed = pack_bits(bits.reshape(bits.shape[0], -1).T)
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+    if bits.ndim != 1:
+        raise WidthMismatch(f"response bits of shape {bits.shape} are not one (k,) vector")
+    return int.from_bytes(pack_bits(bits).tobytes(), "little")
 
 
 def build_device(config: DeviceConfig) -> "PufDevice":

@@ -264,12 +264,7 @@ def _split(n: int) -> list[int]:
 @functools.lru_cache(maxsize=None)
 def _mersenne_factors(order: int) -> tuple[int, ...]:
     """Prime factors of 2^order - 1 with multiplicity, ascending."""
-    n, small = (1 << order) - 1, []
-    for p in range(3, 1 << 10, 2):
-        while n % p == 0:
-            n //= p
-            small.append(p)
-    return tuple(sorted(small + _split(n)))
+    return tuple(sorted(_split((1 << order) - 1)))
 
 
 @functools.lru_cache(maxsize=4096)

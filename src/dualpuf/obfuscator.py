@@ -172,18 +172,15 @@ def trace_records(
     mode: int,
     response_bits,
 ) -> list[str]:
-    """Waveform dump, one line per round: round M prev chosen_lfsr challenge_bits.
+    """Waveform dump, one line per round of the given vote history, of any
+    nonzero length: round M prev chosen_lfsr challenge_bits.
 
     The candidate challenges come from run_rounds with an evaluator that
-    records them and answers the given vote history.
+    records them and answers the vote history.
     """
     history = [int(b) for b in response_bits]
-    if len(history) != spec.rounds_per_response:
-        raise WidthMismatch(
-            f"need {spec.rounds_per_response} response bits, got {len(history)}"
-        )
-    if any(bit not in (0, 1) for bit in history):
-        raise InvalidParameter(f"response bits {history} must each be 0 or 1")
+    if not history or any(bit not in (0, 1) for bit in history):
+        raise InvalidParameter(f"response bits {history} are not one or more 0s and 1s")
     seed, mode = map(int, check_external_challenge(external_challenge, spec.order, mode))
     recorded: list[np.ndarray] = []
 

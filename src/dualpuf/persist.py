@@ -32,12 +32,16 @@ def atomic_write(path: str, text: str) -> None:
 
 @contextmanager
 def reading(path: str, what: str):
-    """Open path for reading as text.  An OSError, KeyError, TypeError or
-    ValueError raised while the file is read or decoded inside the block
-    becomes SimulationError("cannot load <what> <path>: ...")."""
+    """Open path for reading as text.  A SimulationError raised while the
+    file is read or decoded inside the block keeps its class, its message
+    prefixed "cannot load <what> <path>: "; an OSError, KeyError, TypeError
+    or ValueError becomes SimulationError("cannot load <what> <path>: ...")."""
     try:
         with open(path) as fh:
             yield fh
+    except SimulationError as exc:
+        exc.args = (f"cannot load {what} {path}: {exc}",)
+        raise
     except (OSError, KeyError, TypeError, ValueError) as exc:
         raise SimulationError(f"cannot load {what} {path}: {exc!r}") from exc
 

@@ -224,7 +224,7 @@ def run_authentication(
         channel = SimChannel()
     c1, c2, t = forced_session if forced_session is not None else gen_session(registry)
     k, n = registry.k, registry.n_stages
-    expected = serialize_response(predict_response(registry, (c1, c2), (1, t & 1)).T)
+    expected = list(map(serialize_response, predict_response(registry, (c1, c2), (1, t & 1))))
     responder.begin_session()
     log_start = len(channel.log)
     tick0 = channel.last_tick + 1

@@ -27,12 +27,14 @@ FIGURE_LOGS = (
     ("test_acceptance", "ACCEPTANCE_LOG", "acceptance criteria"),
     ("test_exhaustive", "FIGURE_LOG", "exhaustive sigma-0 identity"),
     ("test_replay_coverage", "FIGURE_LOG", "replay from a store of all traffic"),
+    ("test_structure_attack", "FIGURE_LOG", "modeling with the public register pairs"),
 )
 
 
 def pytest_terminal_summary(terminalreporter):
-    # one visible pass line per acceptance criterion, per exhaustive order
-    # and per replay-coverage order, collected by those modules as they run
+    # one visible pass line per acceptance criterion, per exhaustive order,
+    # per replay-coverage order and for the structure-aware attack, collected
+    # by those modules as they run
     for module, attribute, title in FIGURE_LOGS:
         lines = getattr(sys.modules.get(module), attribute, None)
         if lines:

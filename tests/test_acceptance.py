@@ -290,6 +290,9 @@ def test_criterion_08_replay_wins_only_on_matched_parity():
 
 
 def test_criterion_09_obfuscation_defeats_the_linear_attack():
+    """The obfuscated interface defeats a linear attacker that ignores the
+    public register pairs; one that uses them models it from 2,000 CRPs
+    (test_structure_attack.py)."""
     t0 = time.perf_counter()
     naked_lane = sample_instance(32, 123)
     naked = train_linear_attack(

@@ -293,6 +293,9 @@ def test_training_input_validation():
     for bad_rate in (0.0, -0.5, math.nan, math.inf):
         with pytest.raises(InvalidParameter):
             train_linear_attack(*crps, 6, learning_rate=bad_rate)
+    # a split that trains on every CRP is no error: it holds none out
+    model = train_linear_attack(*crps, 6, split=0.999, epochs=5)
+    assert model.train_size == 64 and math.isnan(model.holdout_accuracy)
 
 
 def test_training_is_deterministic():

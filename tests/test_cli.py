@@ -307,6 +307,31 @@ def drop_key(path, key):
     Path(path).write_text(json.dumps(doc))
 
 
+def test_fuse_closes_the_raw_interface(capsys, tmp_path):
+    dev, _ = built_tag(capsys, tmp_path)
+    assert run_cli(capsys, "device", "crp", "--device", dev, "--challenge", "5")[0] == 0
+    assert run_cli(capsys, "device", "fuse", "--device", dev) == (0, ["fused"], "")
+    assert json.loads(Path(dev).read_text())["fused"] is True
+    assert_cli_error(capsys, "device", "crp", "--device", dev, "--challenge", "5")
+
+
+def test_register_needs_an_out_file(capsys, tmp_path):
+    dev, _ = built_tag(capsys, tmp_path)
+    assert_cli_error(capsys, "auth", "register", "--device", dev)
+    assert not json.loads(Path(dev).read_text())["fused"]
+
+
+def test_replay_needs_an_honest_session_that_passed(capsys, tmp_path):
+    # at sigma 0.8 the tag's votes miss the reader's noiseless prediction in
+    # more than the default tau of 7 of its 64 lanes
+    dev, reg = str(tmp_path / "dev.json"), str(tmp_path / "reg.json")
+    assert run_cli(capsys, "device", "build", "--stages", "8", "--lanes", "64", "--sigma", "0.8",
+                   "--seed", "1", "--out", dev)[0] == 0
+    assert run_cli(capsys, "auth", "register", "--device", dev, "--out", reg)[0] == 0
+    code, out, err = run_cli(capsys, "attack", "replay", "--device", dev, "--registry", reg)
+    assert (code, out, err) == (1, [], "error: the recorded honest session did not pass\n")
+
+
 def test_register_rejects_tau_of_k_or_more(capsys, tmp_path):
     dev, reg = built_tag(capsys, tmp_path)
     assert_cli_error(capsys, "auth", "register", "--device", dev, "--out", reg,
@@ -530,6 +555,15 @@ def test_missing_and_unwritable_files(capsys, tmp_path):
 
 
 TRACE = ("lfsr", "trace", "--poly", "0b1011", "--poly2", "0b1101", "--challenge", "1")
+
+
+def test_trace_takes_a_history_of_any_length(capsys):
+    # seven rounds from a pair of the default five; no history is an error
+    code, out, _ = run_cli(capsys, *TRACE, "--bits", "0011001")
+    pair = DualLfsrSpec((LfsrSpec(3, 0b1011), LfsrSpec(3, 0b1101)), 7)
+    expected, _ = reference.rounds(pair, 1, 1, lambda r, _: int("0011001"[r]))
+    assert code == 0 and [int(line.split()[4], 2) for line in out] == expected
+    assert_cli_error(capsys, *TRACE, "--bits", "")
 
 
 def test_trace_rejects_a_vote_that_is_not_a_digit(capsys):

@@ -122,7 +122,7 @@ def test_raw_table_matches_the_per_lane_vote_loop():
         ones = sum(reference.raw_bits(lane, challenges, draws[:, col]) for col in range(t))
         expected[i, challenges] = 2 * ones > t
     assert np.array_equal(table, expected)
-    assert len(set(serialize_response(table[:, 1:]))) > 1
+    assert len({serialize_response(column) for column in table[:, 1:].T}) > 1
 
 
 def test_fuse_is_permanent_and_idempotent():
@@ -208,12 +208,15 @@ def test_serialize_round_trip(bits):
 
 @pytest.mark.parametrize("k", [1, 8, 64, 65])
 def test_serialize_round_trip_2d(k):
+    # a (k, S) table packs column by column; the table itself is no response
     bits = np.random.default_rng(k).integers(0, 2, size=(k, 300), dtype=np.uint8)
     bits[:, 0] = 1  # the all-ones word, 2^k - 1
-    words = serialize_response(bits)
-    assert words == [serialize_response(bits[:, j]) for j in range(300)]
+    words = [serialize_response(column) for column in bits.T]
     assert words[0] == (1 << k) - 1
     assert np.array_equal(np.stack([reference.unpack(word, k) for word in words], axis=1), bits)
+    for shaped in (bits, bits[:, :1], bits[0, 0]):
+        with pytest.raises(WidthMismatch):
+            serialize_response(shaped)
 
 
 def test_serialize_lane_zero_is_lsb():

@@ -4,6 +4,7 @@ authentication with at most a SimulationError."""
 
 import copy
 import json
+import re
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from dualpuf.adversary import ReplayAttacker, eavesdrop
 from dualpuf.device import load_device
-from dualpuf.errors import SimulationError
+from dualpuf.errors import EvenVoterWidth, InvalidParameter, SimulationError, WidthMismatch
 from dualpuf.protocol import SessionTranscript, run_authentication
 from dualpuf.server import load_registry, save_registry
 
@@ -125,3 +126,22 @@ def test_one_change_to_a_file_ends_in_a_domain_error_or_a_working_object(files, 
             use()
         except SimulationError:
             pass
+
+
+@pytest.mark.parametrize("name, key, value, error", [
+    ("model.json", "mode", "nonsense", InvalidParameter),
+    ("table.json", "tau", 0.5, InvalidParameter),
+    ("table.json", "k", 7, WidthMismatch),
+    ("tag.json", "k", 2.0, InvalidParameter),
+    ("tag.json", "voter_t", 4, EvenVoterWidth),
+])
+def test_a_loader_keeps_the_class_of_a_domain_error(tmp_path, name, key, value, error):
+    # a caller that catches InvalidParameter from a loader sees it, and every
+    # domain error names the file it came from
+    doc = json.loads((DATA / name).read_text())
+    path = tmp_path / name
+    path.write_text(json.dumps({**doc, key: value}))
+    load = load_device if name == "tag.json" else load_registry
+    with pytest.raises(error, match=f"^cannot load .* {re.escape(str(path))}: ") as caught:
+        load(str(path))
+    assert type(caught.value) is error

@@ -98,9 +98,16 @@ def test_trace_records_format():
     assert [line.split()[3] for line in swapped] == ["2", "2", "2", "1", "1"]
 
 
-def test_width_mismatches():
-    with pytest.raises(WidthMismatch):
-        trace_records(PAIR, 0b001, 1, (0, 1))
+def test_a_history_of_any_length_traces_its_rounds():
+    # the history, not the pair's rounds_per_response, sets the round count
+    assert trace_records(PAIR, 0b001, 1, VOTES[:2]) == trace_records(PAIR, 0b001, 1, VOTES)[:2]
+    history = (0, 0, 1, 1, 0, 0, 1)
+    seven = DualLfsrSpec(PAIR.pair, rounds_per_response=7)
+    for mode in (0, 1):
+        expected, _ = reference.rounds(seven, 0b001, mode, lambda r, _: history[r])
+        assert traced(PAIR, 0b001, mode, history) == expected
+    with pytest.raises(InvalidParameter):
+        trace_records(PAIR, 0b001, 1, ())
 
 
 def test_histories_alter_the_following_selection():

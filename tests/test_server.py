@@ -24,7 +24,9 @@ from dualpuf.errors import (
     WidthMismatch,
     ZeroSeed,
 )
-from dualpuf.obfuscator import RESPOND_SLICE, run_rounds
+from dualpuf.lfsr import LfsrSpec
+from dualpuf.obfuscator import RESPOND_SLICE, DualLfsrSpec, run_rounds
+from dualpuf.persist import pair_to_json
 from dualpuf.protocol import run_registration
 from dualpuf.server import (
     DEFAULT_T_RANGE,
@@ -94,6 +96,24 @@ def test_registry_validation():
         register_from_ttp(lanes, default_lane_pairs(8, 2), tau=0)
     with pytest.raises(WidthMismatch):
         register_from_ttp([], (), tau=0)  # no register pairs, no lanes
+    with pytest.raises(WidthMismatch):
+        ServerRegistry(table=table, **{**good, "lane_pairs": ()})
+
+
+def test_a_table_registry_caps_at_order_20(tmp_path):
+    # two primitive polynomials of order 21: the constructor refuses the
+    # table before its shape, the loader before it decodes the string
+    pair = DualLfsrSpec((LfsrSpec(21, 1 << 21 | 0b101), LfsrSpec(21, 1 << 21 | 0b100111)))
+    settings = dict(lane_pairs=(pair,), tau=0, t_range=(2, 17), rng_seed=0)
+    with pytest.raises(InvalidParameter, match="caps at order 20"):
+        ServerRegistry(table=np.zeros((1, 2), dtype=np.uint8), **settings)
+    path = tmp_path / "r.json"
+    save_registry(table_registry(make_device(k=1)), str(path))
+    doc = json.loads(path.read_text())
+    doc.update(k=1, n_stages=21, lane_pairs=[pair_to_json(pair)], table="not base64!")
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InvalidParameter, match="caps at order 20"):
+        load_registry(str(path))
 
 
 def test_register_table_mode_requires_full_coverage():
