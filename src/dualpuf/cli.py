@@ -162,18 +162,8 @@ def _cmd_lfsr(args) -> list[str]:
     if args.command == "classify":
         spec = LfsrSpec.parse(args.poly)
         result = classify(spec)
-        width = spec.order
-        lines = [f"poly = {spec}", f"useless = {0:0{width}b}"]
-        lines += [
-            "useful = " + " ".join(f"{s:0{width}b}" for s in cycle)
-            for cycle in result.useful
-        ]
-        lines += [
-            "additional = " + " ".join(f"{s:0{width}b}" for s in cycle)
-            for cycle in result.additional
-        ]
         if args.format == "records":
-            lines = [
+            return [
                 f"poly = {spec.mask_str()}",
                 "useless_states = 1",
                 f"useful_cycles = {len(result.useful)}",
@@ -181,6 +171,10 @@ def _cmd_lfsr(args) -> list[str]:
                 f"additional_cycles = {len(result.additional)}",
                 f"additional_states = {result.additional_count}",
             ]
+        width = spec.order
+        lines = [f"poly = {spec}", f"useless = {0:0{width}b}"]
+        for name, cycles in (("useful", result.useful), ("additional", result.additional)):
+            lines += [f"{name} = " + " ".join(f"{s:0{width}b}" for s in cycle) for cycle in cycles]
         return lines
     pair = DualLfsrSpec((LfsrSpec.parse(args.poly), LfsrSpec.parse(args.poly2)))
     if not set(args.bits) <= {"0", "1"}:

@@ -85,11 +85,11 @@ class PufDevice:
 
     # -- enrollment-only raw path -------------------------------------------
 
-    def _naked_bits(self, challenges, rng: np.random.Generator) -> np.ndarray:
+    def _naked_bits(self, challenges) -> np.ndarray:
         """(k, *challenges.shape) voted naked bits of every lane."""
         if self.fused:
             raise InterfaceFused("raw interface is fused")
-        config = self.config
+        config, rng = self.config, self._noise_rng
         return vote_batch(self.bank.sums, challenges, config.sigma_noise, config.voter_t, rng)
 
     def raw_crp_query(self, challenge: int) -> np.ndarray:
@@ -102,15 +102,14 @@ class PufDevice:
             raise WidthMismatch(
                 f"challenge {challenge:#x} does not fit {self.config.n_stages} stages"
             )
-        return self._naked_bits(challenge, self._noise_rng)
+        return self._naked_bits(challenge)
 
-    def raw_crp_table(self, noise_stream: np.random.Generator | None = None) -> np.ndarray:
+    def raw_crp_table(self) -> np.ndarray:
         """Full naked-CRP table in the registry's layout: a (k, 2^n) uint8
         array whose column c holds every lane's voted bit at raw challenge
         c.  Column 0, the zero challenge, is unused and 0."""
         challenges = np.arange(1, 1 << self.config.n_stages, dtype=np.int64)
-        rng = noise_stream if noise_stream is not None else self._noise_rng
-        return np.pad(self._naked_bits(challenges, rng), ((0, 0), (1, 0)))
+        return np.pad(self._naked_bits(challenges), ((0, 0), (1, 0)))
 
     def fuse(self) -> None:
         """Permanently close the raw interface.  Idempotent."""

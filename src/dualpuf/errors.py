@@ -26,7 +26,7 @@ class ZeroSeed(SimulationError):
 
 
 class MalformedPolynomial(SimulationError):
-    """Characteristic polynomial without the required g_0 = g_n = 1 taps."""
+    """Polynomial mask that is no int, lacks the g_0 tap or is below order 2."""
 
 
 class OrderTooLarge(SimulationError):

@@ -53,33 +53,21 @@ _POLY_TERM = re.compile(r"^(?:x(?:\^0*(\d+))?|1)$")
 
 @dataclass(frozen=True)
 class LfsrSpec:
-    """Characteristic polynomial of a Galois LFSR.
+    """Characteristic polynomial of a Galois LFSR, held as its mask.
 
-    order: register length n (>= 2).
-    mask:  coefficient bits, bit i = g_i; g_0 and g_n must be 1.
+    mask: coefficient bits, bit i = g_i; g_0 must be 1, and the top set bit
+    g_n gives the register length n = order (>= 2).
     """
 
-    order: int
     mask: int
 
     def __post_init__(self) -> None:
-        if self.order < 2:
-            raise MalformedPolynomial(f"order {self.order} < 2")
+        if type(self.mask) is not int or self.mask < 0:
+            raise MalformedPolynomial(f"mask {self.mask!r} is not a nonnegative int")
         if self.mask & 1 == 0:
             raise MalformedPolynomial("g_0 = 0: no feedback loop, plain shift register")
-        if not self.mask >> self.order & 1:
-            raise MalformedPolynomial(
-                f"g_{self.order} = 0: register degenerates to order {self.order - 1}"
-            )
-        if self.mask >> self.order + 1:
-            raise MalformedPolynomial(f"mask 0b{self.mask:b} has taps above order {self.order}")
-
-    @classmethod
-    def from_mask(cls, mask: int) -> "LfsrSpec":
-        """Build a spec from a bare mask, reading the order off the top set bit."""
-        if mask <= 0:
-            raise MalformedPolynomial("empty polynomial mask")
-        return cls(mask.bit_length() - 1, mask)
+        if self.order < 2:
+            raise MalformedPolynomial(f"order {self.order} < 2")
 
     @classmethod
     def parse(cls, text: str) -> "LfsrSpec":
@@ -109,7 +97,12 @@ class LfsrSpec:
                 raise MalformedPolynomial(f"cannot parse polynomial {text[:40]!r}") from None
             if mask.bit_length() > MAX_PERIOD_CHECK_ORDER + 1:
                 raise OrderTooLarge(f"polynomial above order {MAX_PERIOD_CHECK_ORDER}")
-        return cls.from_mask(mask)
+        return cls(mask)
+
+    @property
+    def order(self) -> int:
+        """Register length n, the degree of the polynomial."""
+        return self.mask.bit_length() - 1
 
     @property
     def feed(self) -> int:
@@ -118,11 +111,8 @@ class LfsrSpec:
 
     def poly_str(self) -> str:
         """Human form, highest power first, e.g. ``x^3+x+1``."""
-        terms = []
-        for i in range(self.order, -1, -1):
-            if self.mask >> i & 1:
-                terms.append("1" if i == 0 else "x" if i == 1 else f"x^{i}")
-        return "+".join(terms)
+        powers = [i for i in range(self.order, -1, -1) if self.mask >> i & 1]
+        return "+".join("1" if i == 0 else "x" if i == 1 else f"x^{i}" for i in powers)
 
     def mask_str(self) -> str:
         return f"0b{self.mask:0{self.order + 1}b}"
@@ -141,10 +131,13 @@ class SequenceClassification:
     useful_count is the total number of states on useful cycles.
     """
 
-    useless: frozenset[int]
+    useless = frozenset({0})  # a class constant, not a field
     useful: tuple[tuple[int, ...], ...]
     additional: tuple[tuple[int, ...], ...]
-    useful_count: int
+
+    @property
+    def useful_count(self) -> int:
+        return sum(len(c) for c in self.useful)
 
     @property
     def additional_count(self) -> int:
@@ -184,12 +177,7 @@ def classify(spec: LfsrSpec) -> SequenceClassification:
     longest = max(len(c) for c in nonzero)
     useful = tuple(c for c in nonzero if len(c) == longest)
     additional = tuple(c for c in nonzero if len(c) < longest)
-    return SequenceClassification(
-        useless=frozenset({0}),
-        useful=useful,
-        additional=additional,
-        useful_count=sum(len(c) for c in useful),
-    )
+    return SequenceClassification(useful, additional)
 
 
 def _times_x(a, mask, order):
@@ -340,7 +328,7 @@ def find_primitive(order: int, count: int | None = None) -> tuple[LfsrSpec, ...]
             masks = masks[_x_power(full // p, masks, order) != 1]
         found += masks.tolist()
         start, size = stop, SEARCH_BLOCK
-    return tuple(LfsrSpec(order, m) for m in found[:want])
+    return tuple(LfsrSpec(m) for m in found[:want])
 
 
 def pair_indices(order: int, instance_index: int) -> tuple[int, int]:

@@ -7,7 +7,7 @@ import os
 import tempfile
 from contextlib import contextmanager
 
-from .errors import SimulationError
+from .errors import InvalidParameter, SimulationError, WidthMismatch, is_integer
 from .lfsr import LfsrSpec
 from .obfuscator import DualLfsrSpec
 
@@ -56,6 +56,12 @@ def pair_to_json(pair: DualLfsrSpec) -> dict:
 
 
 def pair_from_json(obj: dict) -> DualLfsrSpec:
-    """Inverse of pair_to_json."""
+    """Inverse of pair_to_json.  The masks give the order; the file's copy
+    must be an integer (InvalidParameter) equal to it (WidthMismatch)."""
     a, b = obj["masks"]
-    return DualLfsrSpec((LfsrSpec(obj["order"], a), LfsrSpec(obj["order"], b)), obj["rounds"])
+    pair, order = DualLfsrSpec((LfsrSpec(a), LfsrSpec(b)), obj["rounds"]), obj["order"]
+    if not is_integer(order):
+        raise InvalidParameter(f"register pair order {order!r} is not an integer")
+    if order != pair.order:
+        raise WidthMismatch(f"register pair order {order} for masks of order {pair.order}")
+    return pair

@@ -199,12 +199,13 @@ def run_registration(
         lane_data = list(device.lanes)
     else:
         raise InvalidParameter(f"unknown registration policy {policy!r}")
-    device.fuse()
     if tau is None:
         tau = default_tau(device.config.k, device.config.sigma_noise)
-    return register_from_ttp(
+    registry = register_from_ttp(
         lane_data, device.config.lane_pairs, tau=tau, t_range=t_range, rng_seed=rng_seed
     )
+    device.fuse()  # only once the registry stands, so a refused one leaves the tag open
+    return registry
 
 
 def run_authentication(

@@ -151,7 +151,7 @@ def compare(expected: int, payload, k: int, tau: int) -> tuple[int, int]:
     """(1 iff a k-bit response word is within tau flipped lanes of the
     expected word, that lane distance).  A payload that is not an integer or
     does not fit k lanes raises WidthMismatch."""
-    if not isinstance(payload, (int, np.integer)):
+    if not is_integer(payload):
         raise WidthMismatch(f"response {payload!r} is not an integer word")
     word = int(payload)
     if not 0 <= word < 1 << k:

@@ -91,7 +91,7 @@ def test_criterion_01_primitive_search_is_maximal():
 def test_criterion_02_reference_cycle_replay():
     # the package's own shift: with both registers on one polynomial both
     # candidates of every round are that register, seven shifts from seed 001
-    feed = LfsrSpec(3, 0b1011).feed
+    feed = LfsrSpec(0b1011).feed
     walked = []
 
     def record(candidates):
@@ -112,13 +112,13 @@ def test_criterion_03_classification_partition():
     assert len(masks) == 12  # every mask of orders 3-4 with unit end taps
     for mask in masks:
         order = mask.bit_length() - 1
-        spec = LfsrSpec(order, mask)
+        spec = LfsrSpec(mask)
         result = classify(spec)
         assert result.useless == frozenset({0})
         assert 1 + result.useful_count + result.additional_count == 1 << order
         if is_m_sequence(spec):
             assert result.additional == ()
-    assert classify(LfsrSpec(3, 0b1111)).additional_count >= 1
+    assert classify(LfsrSpec(0b1111)).additional_count >= 1
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
     _record(

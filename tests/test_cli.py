@@ -69,7 +69,7 @@ def test_trace_matches_the_library(capsys):
         "--challenge", "0b001", "--mode", "1", "--bits", "00110",
     )
     assert code == 0
-    pair = DualLfsrSpec((LfsrSpec(3, 0b1011), LfsrSpec(3, 0b1101)), 5)
+    pair = DualLfsrSpec((LfsrSpec(0b1011), LfsrSpec(0b1101)), 5)
     assert out == trace_records(pair, 1, 1, [0, 0, 1, 1, 0])
 
 
@@ -560,7 +560,7 @@ TRACE = ("lfsr", "trace", "--poly", "0b1011", "--poly2", "0b1101", "--challenge"
 def test_trace_takes_a_history_of_any_length(capsys):
     # seven rounds from a pair of the default five; no history is an error
     code, out, _ = run_cli(capsys, *TRACE, "--bits", "0011001")
-    pair = DualLfsrSpec((LfsrSpec(3, 0b1011), LfsrSpec(3, 0b1101)), 7)
+    pair = DualLfsrSpec((LfsrSpec(0b1011), LfsrSpec(0b1101)), 7)
     expected, _ = reference.rounds(pair, 1, 1, lambda r, _: int("0011001"[r]))
     assert code == 0 and [int(line.split()[4], 2) for line in out] == expected
     assert_cli_error(capsys, *TRACE, "--bits", "")
@@ -574,7 +574,7 @@ def test_trace_rejects_a_vote_above_one(capsys):
     # a 2 used to be masked to 0, so 021 traced as 001
     assert_cli_error(capsys, *TRACE, "--bits", "021")
     with pytest.raises(ValueError):
-        trace_records(DualLfsrSpec((LfsrSpec(3, 0b1011), LfsrSpec(3, 0b1101)), 3), 1, 1, (0, 2, 1))
+        trace_records(DualLfsrSpec((LfsrSpec(0b1011), LfsrSpec(0b1101)), 3), 1, 1, (0, 2, 1))
 
 
 def test_trace_rejects_a_malformed_challenge(capsys):

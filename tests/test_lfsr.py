@@ -4,6 +4,7 @@ primitive-polynomial discovery."""
 import hashlib
 import math
 import time
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from dualpuf.errors import (
 )
 from dualpuf.lfsr import (
     LfsrSpec,
+    SequenceClassification,
     _is_prime,
     _mersenne_factors,
     classify,
@@ -37,7 +39,7 @@ def valid_specs(max_order=10, min_order=2):
     """Strategy over well-formed polynomials: unit low and high taps."""
     return st.integers(min_order, max_order).flatmap(
         lambda n: st.integers(0, (1 << (n - 1)) - 1).map(
-            lambda mid: LfsrSpec(n, 1 | (mid << 1) | (1 << n))
+            lambda mid: LfsrSpec(1 | (mid << 1) | (1 << n))
         )
     )
 
@@ -46,7 +48,7 @@ def valid_specs(max_order=10, min_order=2):
 
 
 def test_parse_equivalent_forms():
-    expected = LfsrSpec(3, 0b1011)
+    expected = LfsrSpec(0b1011)
     for text in ("0b1011", "0xb", "11", "x^3+x+1", "x^3 + x + 1", "1+x+x^3"):
         assert LfsrSpec.parse(text) == expected
 
@@ -77,21 +79,26 @@ def test_parse_rejects_malformed(text):
 
 def test_parse_bounds_the_widest_register():
     assert LfsrSpec.parse("x^62+x^6+x^5+x^3+1").order == 62
-    assert LfsrSpec.parse("x^062+1") == LfsrSpec(62, 1 | 1 << 62)
+    assert LfsrSpec.parse("x^062+1") == LfsrSpec(1 | 1 << 62)
     for text in ("x^" + "9" * 5000 + "+1", "0x" + "f" * 5000):
         with pytest.raises(OrderTooLarge):
             LfsrSpec.parse(text)
 
 
 def test_spec_validation():
-    with pytest.raises(MalformedPolynomial):
-        LfsrSpec(1, 0b11)          # order below 2
-    with pytest.raises(MalformedPolynomial):
-        LfsrSpec(3, 0b111)         # top tap missing
-    with pytest.raises(MalformedPolynomial):
-        LfsrSpec(2, 0b1011)        # taps above the order
-    with pytest.raises(MalformedPolynomial):
-        LfsrSpec.from_mask(0)
+    # the mask is the whole polynomial: its top set bit is the order, so only
+    # the order below 2, a missing g_0 and a mask that is no int remain
+    for mask in (0b11, 0b1, 0b1010, 0, -0b1011, True, 11.0, np.int64(11), "0b1011"):
+        with pytest.raises(MalformedPolynomial):
+            LfsrSpec(mask)
+
+
+def test_a_spec_is_its_mask():
+    assert [f.name for f in fields(LfsrSpec)] == ["mask"]
+    assert LfsrSpec(0b1011).order == 3 and LfsrSpec(0b1011).feed == 0b101
+    assert LfsrSpec.parse("x^3+x+1") == LfsrSpec(0b1011)
+    assert [f.name for f in fields(SequenceClassification)] == ["useful", "additional"]
+    assert SequenceClassification.useless == frozenset({0})
 
 
 @given(valid_specs())
@@ -102,7 +109,7 @@ def test_text_forms_round_trip(spec):
 
 
 def test_string_forms():
-    spec = LfsrSpec(3, 0b1011)
+    spec = LfsrSpec(0b1011)
     assert spec.poly_str() == "x^3+x+1"
     assert spec.mask_str() == "0b1011"
     assert str(spec) == "x^3+x+1 (0b1011)"
@@ -120,7 +127,7 @@ def test_seed_rejection():
 
 def test_known_seven_state_cycle():
     # all seven nonzero 3-bit states on one cycle, first shift 001 -> 101
-    feed = np.int64(LfsrSpec(3, 0b1011).feed)
+    feed = np.int64(LfsrSpec(0b1011).feed)
     state = np.int64(0b001)
     seen = []
     for _ in range(7):
@@ -142,8 +149,8 @@ def test_step_array_matches_scalar(spec, raw):
 
 
 def test_period_oracle():
-    assert period(LfsrSpec(3, 0b1011), 1) == 7
-    dense = LfsrSpec(3, 0b1111)
+    assert period(LfsrSpec(0b1011), 1) == 7
+    dense = LfsrSpec(0b1111)
     assert period(dense, 1) == 4
     assert period(dense, 3) == 2
     assert period(dense, 5) == 1
@@ -205,17 +212,17 @@ def test_find_primitive_prefix():
 
 
 def test_is_m_sequence():
-    assert is_m_sequence(LfsrSpec(3, 0b1011))
-    assert not is_m_sequence(LfsrSpec(3, 0b1111))
+    assert is_m_sequence(LfsrSpec(0b1011))
+    assert not is_m_sequence(LfsrSpec(0b1111))
 
 
 def test_period_check_order_cap():
     # 62 is the widest register run_rounds' int64 arithmetic holds, so the
     # check refuses order 63, and so does a register pair built from it
-    wide = (LfsrSpec.from_mask(0x4000000000000069), LfsrSpec.from_mask(0x40000000000000AF))
+    wide = (LfsrSpec(0x4000000000000069), LfsrSpec(0x40000000000000AF))
     assert all(is_m_sequence(spec) for spec in wide)
     DualLfsrSpec(wide)
-    a, b = LfsrSpec(63, (1 << 63) | 0b11), LfsrSpec(63, (1 << 63) | 0b1001)
+    a, b = LfsrSpec((1 << 63) | 0b11), LfsrSpec((1 << 63) | 0b1001)
     with pytest.raises(OrderTooLarge):
         is_m_sequence(a)
     with pytest.raises(OrderTooLarge):
@@ -342,7 +349,7 @@ def test_x_power_matches_the_bit_serial_product_on_arrays(case):
 def test_is_m_sequence_matches_the_walk_exhaustively():
     for order in range(2, 11):
         for mid in range(1 << order - 1):
-            spec = LfsrSpec(order, 1 | mid << 1 | 1 << order)
+            spec = LfsrSpec(1 | mid << 1 | 1 << order)
             assert is_m_sequence(spec) == (period(spec, 1) == (1 << order) - 1)
 
 
@@ -386,7 +393,7 @@ def test_provisioning_at_order_20():
 
 
 def test_classify_dense_cubic_oracle():
-    result = classify(LfsrSpec(3, 0b1111))
+    result = classify(LfsrSpec(0b1111))
     assert result.useless == frozenset({0})
     assert result.useful == ((1, 7, 4, 2),)
     assert result.additional == ((3, 6), (5,))
@@ -395,7 +402,7 @@ def test_classify_dense_cubic_oracle():
 
 
 def test_classify_primitive_has_no_leftover_cycles():
-    result = classify(LfsrSpec(3, 0b1011))
+    result = classify(LfsrSpec(0b1011))
     assert result.useless == frozenset({0})
     assert len(result.useful) == 1 and len(result.useful[0]) == 7
     assert result.additional == ()
@@ -425,7 +432,7 @@ def test_same_order_primitives_share_useful_state_set():
 
 def test_classify_order_cap():
     with pytest.raises(OrderTooLarge):
-        classify(LfsrSpec(25, (1 << 25) | 1))
+        classify(LfsrSpec((1 << 25) | 1))
 
 
 # -- pair selection ----------------------------------------------------------
@@ -433,8 +440,8 @@ def test_classify_order_cap():
 
 def test_default_lane_pairs_enumeration():
     first, second, third = (p.pair for p in default_lane_pairs(3, 3))
-    assert first == (LfsrSpec(3, 0b1011), LfsrSpec(3, 0b1101))
-    assert second == (LfsrSpec(3, 0b1101), LfsrSpec(3, 0b1011))
+    assert first == (LfsrSpec(0b1011), LfsrSpec(0b1101))
+    assert second == (LfsrSpec(0b1101), LfsrSpec(0b1011))
     assert third == first  # wraps
 
 

@@ -145,3 +145,22 @@ def test_a_loader_keeps_the_class_of_a_domain_error(tmp_path, name, key, value, 
     with pytest.raises(error, match=f"^cannot load .* {re.escape(str(path))}: ") as caught:
         load(str(path))
     assert type(caught.value) is error
+
+
+@pytest.mark.parametrize("name", ["tag.json", "table.json", "model.json"])
+@pytest.mark.parametrize("order, error", [
+    (9, WidthMismatch), (7, WidthMismatch),
+    (8.0, InvalidParameter), (True, InvalidParameter), ("8", InvalidParameter),
+])
+def test_a_pair_order_must_be_its_masks_order(tmp_path, name, order, error):
+    # the masks give a pair's order; the file's copy is checked once, in
+    # the pair codec, whichever file carries the pair
+    doc = json.loads((DATA / name).read_text())
+    doc["lane_pairs"][1]["order"] = order
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    load = load_device if name == "tag.json" else load_registry
+    prefix = f"^cannot load .* {re.escape(str(path))}: register pair order "
+    with pytest.raises(error, match=prefix) as caught:
+        load(str(path))
+    assert type(caught.value) is error

@@ -22,7 +22,7 @@ from dualpuf.obfuscator import (
 from dualpuf.protocol import run_registration
 from dualpuf.server import predict_response
 
-PAIR = DualLfsrSpec((LfsrSpec(3, 0b1011), LfsrSpec(3, 0b1101)))
+PAIR = DualLfsrSpec((LfsrSpec(0b1011), LfsrSpec(0b1101)))
 VOTES = (0, 0, 1, 1, 0)
 
 
@@ -34,11 +34,11 @@ def traced(spec, external_challenge, mode, votes):
 
 def test_pair_validation():
     with pytest.raises(WidthMismatch):
-        DualLfsrSpec((LfsrSpec(3, 0b1011), LfsrSpec(4, 0b10011)))
+        DualLfsrSpec((LfsrSpec(0b1011), LfsrSpec(0b10011)))
     with pytest.raises(ValueError):
-        DualLfsrSpec((LfsrSpec(3, 0b1011), LfsrSpec(3, 0b1011)))
+        DualLfsrSpec((LfsrSpec(0b1011), LfsrSpec(0b1011)))
     with pytest.raises(ValueError):
-        DualLfsrSpec((LfsrSpec(3, 0b1111), LfsrSpec(3, 0b1011)))  # not maximal
+        DualLfsrSpec((LfsrSpec(0b1111), LfsrSpec(0b1011)))  # not maximal
     with pytest.raises(ValueError):
         DualLfsrSpec(PAIR.pair, rounds_per_response=0)
 
@@ -292,7 +292,8 @@ def test_one_lane_call_per_response(monkeypatch):
     assert calls(lambda: collect_obfuscated_crps(lane, 500)) == (0, 1, 1)
     # the raw harvest places every challenge once, then sums and draws once
     # per lane
-    assert calls(lambda: tag.raw_crp_table(CountingStream(real_rng(2), counts))) == (1, 8, 8)
+    tag._noise_rng = CountingStream(real_rng(2), counts)
+    assert calls(tag.raw_crp_table) == (1, 8, 8)
     assert calls(lambda: collect_naked_crps(lane.lanes[0], 500)) == (1, 1, 0)
 
 

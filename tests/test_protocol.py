@@ -12,7 +12,8 @@ from conftest import make_device
 from dualpuf.adversary import ReplayAttacker
 from dualpuf.device import serialize_response
 from dualpuf.errors import (
-    ChannelTimeout, InterfaceFused, NonMonotonicTicks, SimulationError, WidthMismatch, ZeroSeed,
+    ChannelTimeout, InterfaceFused, InvalidParameter, NonMonotonicTicks, SimulationError,
+    WidthMismatch, ZeroSeed,
 )
 from dualpuf.obfuscator import candidate_rows, run_rounds
 from dualpuf.protocol import (
@@ -205,6 +206,19 @@ def test_bad_registration_policy_leaves_the_interface_alive():
         run_registration(device, policy="bogus")
     assert not device.fused
     assert run_registration(device, policy="full").mode == TABLE_MODE
+
+
+def test_a_refused_registration_leaves_the_tag_open():
+    # the registry is built before the fuse blows, so a tau or a tick-gap
+    # range the reader refuses costs the tag nothing
+    device = make_device(k=8, n_stages=8)
+    with pytest.raises(InvalidParameter):
+        run_registration(device, tau=99)
+    with pytest.raises(InvalidParameter):
+        run_registration(device, policy="params", t_range=(1, 4))
+    assert not device.fused
+    assert run_registration(device).mode == TABLE_MODE
+    assert device.fused
 
 
 # -- authentication -----------------------------------------------------------

@@ -103,7 +103,7 @@ def test_registry_validation():
 def test_a_table_registry_caps_at_order_20(tmp_path):
     # two primitive polynomials of order 21: the constructor refuses the
     # table before its shape, the loader before it decodes the string
-    pair = DualLfsrSpec((LfsrSpec(21, 1 << 21 | 0b101), LfsrSpec(21, 1 << 21 | 0b100111)))
+    pair = DualLfsrSpec((LfsrSpec(1 << 21 | 0b101), LfsrSpec(1 << 21 | 0b100111)))
     settings = dict(lane_pairs=(pair,), tau=0, t_range=(2, 17), rng_seed=0)
     with pytest.raises(InvalidParameter, match="caps at order 20"):
         ServerRegistry(table=np.zeros((1, 2), dtype=np.uint8), **settings)
@@ -335,6 +335,12 @@ def test_compare_thresholds():
     for bad in (1 << 8, -1, 5.0, "5", [base], None):
         with pytest.raises(WidthMismatch):
             compare(base, bad, 8, 0)
+
+
+def test_compare_refuses_a_bool_word():
+    for expected, payload in ((1, True), (0, False)):
+        with pytest.raises(WidthMismatch):
+            compare(expected, payload, 8, 0)
 
 
 NOT_INTEGERS = st.one_of(

@@ -250,8 +250,6 @@ def test_every_defaulted_parameter_is_passed_somewhere():
     # knob nobody turns: it becomes a constant or goes
     calling = SOURCES + sorted((Path(__file__).parents[1] / "perfbench").glob("*.py"))
     allowed = {
-        # tests substitute a counting noise stream
-        "PufDevice.raw_crp_table.noise_stream",
         # interceptor experiments put a tap on the channel
         "run_authentication.channel",
         # a per-lane attacker picks the mode and the lane it models
