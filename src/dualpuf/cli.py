@@ -310,8 +310,8 @@ def dispatch(argv) -> int:
         else:
             lines = _cmd_metrics(args)
         _emit(args, lines)
-    except SimulationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (SimulationError, MemoryError) as exc:  # a count too large to allocate
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     return 0
 

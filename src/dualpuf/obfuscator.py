@@ -137,18 +137,13 @@ _CHUNK_SHIFTS = np.arange(0, 64, SEED_CHUNK)[:, None]
 
 def check_external_challenge(challenge, order: int, mode=1):
     """Return an external challenge and a session mode, or arrays of them,
-    as int64 (a pair of Python ints as ints, tuples of them checked as ints),
-    the mode reduced to its parity bit.  Either one not of an integer dtype,
-    or a sequence or object array holding anything but Python or NumPy ints
-    (a bool is none) raises InvalidParameter; a challenge that is zero, the
-    stuck state, or has a bit set at or above order ZeroSeed."""
-    fits = range(1, 1 << order)
-    if type(challenge) is int and type(mode) is int and challenge in fits:
+    as int64 (a pair of Python ints as ints), the mode reduced to its parity
+    bit.  Either one not of an integer dtype, or a sequence or object array
+    holding anything but Python or NumPy ints (a bool is none) raises
+    InvalidParameter; a challenge that is zero, the stuck state, or has a
+    bit set at or above order ZeroSeed."""
+    if type(challenge) is int and type(mode) is int and 0 < challenge < 1 << order:
         return challenge, mode & 1  # one challenge as a frame carries it
-    if type(challenge) is tuple and type(mode) is tuple and all(
-            type(v) is int for v in challenge + mode) and all(c in fits for c in challenge):
-        modes = [m & 1 for m in mode]  # a session's pair
-        return np.array(challenge, dtype=np.int64), np.array(modes, dtype=np.int64)
     seeds, modes = np.asarray(challenge), np.asarray(mode)
     for what, raw, given in (("external challenge", challenge, seeds), ("mode", mode, modes)):
         if isinstance(raw, (list, tuple)) and given.dtype.kind in "iu":

@@ -99,15 +99,19 @@ def lane_bits(mu: np.ndarray, noise: np.ndarray | None = None) -> np.ndarray:
     *shape) and the (evaluations, *shape, voter_t) block voter_noise drew in
     C order: with none, the sign of mu, else the majority of mu plus each
     draw on the last axis, which an evaluation's alternatives share.  A sum
-    of exactly 0 votes 0; other layouts raise WidthMismatch."""
+    of exactly 0 votes 0; other layouts raise WidthMismatch.  A vote v counts
+    as v > -mu, which is fl(mu + v) > 0 for a finite float mu and a finite
+    or infinite v: a float sum is zero only for opposite operands, rounding
+    keeps the sign.  For an odd voter_t, 2 * ones > voter_t exactly when
+    ones > voter_t // 2; the least unsigned type holding voter_t holds ones."""
     if mu.ndim < 2 or noise is not None and noise.shape[:-1] != mu.shape[:1] + mu.shape[2:]:
         raise WidthMismatch(f"noise of shape {np.shape(noise)} for delay sums of shape {mu.shape}")
     if noise is None:
         return (mu > 0).view(np.uint8)
-    # votes first, so the majority adds whole arrays; alternatives share a size-1 axis
+    # votes first, so the count adds whole arrays; alternatives share a size-1 axis
     votes = np.ascontiguousarray(noise.transpose(-1, *range(noise.ndim - 1)))[:, :, None]
-    ones = ((mu + votes) > 0).sum(axis=0)
-    return (2 * ones > noise.shape[-1]).astype(np.uint8)
+    t = noise.shape[-1]
+    return ((votes > -mu).sum(axis=0, dtype=np.min_scalar_type(t)) > t // 2).view(np.uint8)
 
 
 def vote_batch(

@@ -9,8 +9,8 @@ parity becomes the selection mode of the second response.  The first
 response of a session always runs in mode 1.
 
 The reader fixes C1, C2 and t before it sends anything, so it predicts both
-responses it expects, R(C1, mode 1) and R(C2, t & 1), in one evaluation when
-it draws the session, and packs them into the two k-bit words it expects.
+responses it expects, R(C1, mode 1) and R(C2, t & 1), one scalar call each,
+before C1 goes out, and packs them into the two k-bit words it expects.
 A response word passes when the popcount of its XOR with the expected word
 is at most tau.  Authentication passes only when both comparisons pass; a
 failed first comparison rejects immediately and C2 is never sent.
@@ -217,15 +217,15 @@ def run_authentication(
     """One two-time session against any responder (honest tag or attacker).
 
     forced_session injects (C1, C2, t) instead of drawing them; the harness
-    hook for replay experiments.  Both responses are predicted before C1 is
-    sent, so an out-of-range challenge raises ZeroSeed before any frame.
-    Timeouts become a 0 decision, never an exception.
+    hook for replay experiments.  Both responses are predicted, one scalar
+    call each, before C1 is sent, so an out-of-range challenge raises
+    ZeroSeed before any frame.  Timeouts become a 0 decision, never an error.
     """
     if channel is None:
         channel = SimChannel()
     c1, c2, t = forced_session if forced_session is not None else gen_session(registry)
     k, n = registry.k, registry.n_stages
-    expected = list(map(serialize_response, predict_response(registry, (c1, c2), (1, t & 1))))
+    expected = [serialize_response(predict_response(registry, c, m)) for c, m in ((c1, 1), (c2, t & 1))]
     responder.begin_session()
     log_start = len(channel.log)
     tick0 = channel.last_tick + 1

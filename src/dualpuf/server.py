@@ -128,9 +128,9 @@ def register_from_ttp(
 
 def predict_response(registry: ServerRegistry, challenge, mode) -> np.ndarray:
     """R_m: the tag responses the server expects, an S + (k,) uint8 array
-    for a challenge and a mode that broadcast to a shape S.  run_authentication
-    predicts a session's (C1, mode 1) and (C2, t & 1) in one call.  A
-    challenge outside the nonzero n-bit range raises ZeroSeed, and a
+    for a challenge and a mode that broadcast to a shape S; one int of each,
+    as run_authentication passes, takes the per-frame path to one (k,) row.
+    A challenge outside the nonzero n-bit range raises ZeroSeed, and a
     challenge or mode that is not an integer InvalidParameter."""
     return registry._bank.respond(challenge, mode)
 

@@ -602,6 +602,17 @@ def test_model_attack_rejects_an_empty_holdout(capsys):
     assert_cli_error(capsys, "attack", "model", "--stages", "8", "--test", "0")
 
 
+@pytest.mark.parametrize("argv", [
+    ("metrics", "--stages", "8", "--challenges"),
+    ("attack", "model", "--stages", "8", "--train"),
+])
+def test_a_count_no_machine_can_allocate_is_an_error(capsys, argv):
+    # 10^15 int64 challenges are 7.1 PiB, beyond any address space
+    code, out, err = run_cli(capsys, *argv, str(10**15))
+    assert (code, out) == (1, [])
+    assert err.startswith("error: Unable to allocate") and "Traceback" not in err
+
+
 def test_register_rejects_a_tick_gap_beyond_int64(capsys, tmp_path):
     dev, reg = built_tag(capsys, tmp_path)
     assert_cli_error(capsys, "auth", "register", "--device", dev, "--out", reg,

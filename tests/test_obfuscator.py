@@ -350,10 +350,9 @@ def test_seed_rows_are_linear_images_of_the_one_shift_walk(order, rounds, k, dra
 
 @pytest.mark.parametrize("bad", [0, 1 << 8, -1, True, 2.5])
 def test_a_session_pair_is_checked_as_the_same_array(bad):
-    # the tuple fast path for a session's (C1, C2) and (1, t & 1) answers
-    # every pair as the generic path answers it as a list and as an array;
-    # NumPy casts a bool among ints to 1, so the array that keeps a bool is
-    # an object array, and a bool anywhere is refused
+    # a pair of challenges and modes is checked the same as a tuple, a list
+    # and an array; NumPy casts a bool among ints to 1, so the array that
+    # keeps a bool is an object array, and a bool anywhere is refused
     def outcome(challenge, mode):
         try:
             seeds, modes = check_external_challenge(challenge, 8, mode)

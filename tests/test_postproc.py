@@ -174,6 +174,32 @@ def test_one_vote_over_a_batch_is_the_votes_of_its_evaluations(
     assert not lane_bits(np.zeros_like(mu)).any()
 
 
+@pytest.mark.parametrize("voter_t", [1, 3, 5, 257])
+def test_the_vote_count_is_exact_at_its_edges(voter_t):
+    # lane_bits counts the votes v > -mu; the one-vote-at-a-time restatement
+    # adds mu + v and takes its sign.  They agree on exact ties, signed zeros
+    # and infinite votes, and at 257 votes a count kept in uint8 would wrap
+    big, tiny = float(np.finfo(float).max), float(np.finfo(float).smallest_subnormal)
+    mus = [0.0, -0.0, 1.0, -1.0, 0.3, -0.3, tiny, -tiny, big, -big]
+    with np.errstate(over="ignore"):  # sigma * n past the largest float
+        infinities = voter_noise((2,), big, 1, ScriptedRng([[2.0, -2.0]])).ravel().tolist()
+    assert infinities == [math.inf, -math.inf]
+    rng = np.random.default_rng(voter_t)
+    half = voter_t // 2
+    for m in mus:
+        pool = [-m, m, 0.0, -0.0, *infinities, math.nextafter(-m, 1), math.nextafter(-m, -1)]
+        blocks = [[v] * voter_t for v in pool]  # unanimous, 257 ones among them
+        blocks += [[math.inf] * half + [-m] * (voter_t - half),  # a tie short of a majority
+                   [math.inf] * (half + 1) + [-math.inf] * (voter_t - half - 1)]
+        blocks += [rng.choice(pool, voter_t).tolist() for _ in range(20)]
+        mu = np.array([[m, -m]] * len(blocks))  # two alternatives share each block
+        bits = lane_bits(mu, np.array(blocks))
+        for e, votes in enumerate(blocks):
+            for alternative, a in enumerate((m, -m)):
+                expected = 2 * sum(a + v > 0 for v in votes) > voter_t
+                assert bits[e, alternative] == expected, (m, a, votes)
+
+
 def test_vote_batch_matches_scalar_stream():
     inst = sample_instance(6, 9)
     challenges = np.arange(64)

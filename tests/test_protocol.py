@@ -269,36 +269,50 @@ def test_out_of_range_challenge_raises_before_any_frame():
         assert channel.log == []
 
 
-def counted_rounds(monkeypatch, registry):
+def counted_rounds(monkeypatch, registry, channel):
     """Count the run_rounds calls of the tags (device) and the reader
-    (server), told apart by the row tables of the registry's lane bank."""
+    (server), told apart by the row tables of the registry's lane bank, and
+    note each reader call's seed and the frames on the channel by then."""
     counts = {"device": 0, "server": 0}
+    reader_calls = []
 
     def counted(*args):
-        counts["server" if args[0] is registry._bank.rows else "device"] += 1
+        if args[0] is registry._bank.rows:
+            counts["server"] += 1
+            reader_calls.append((type(args[1]), len(channel.log)))
+        else:
+            counts["device"] += 1
         return run_rounds(*args)
 
     monkeypatch.setattr("dualpuf.obfuscator.run_rounds", counted)
-    return counts
+    return counts, reader_calls
 
 
-def test_one_reader_evaluation_per_session(monkeypatch):
+def test_two_scalar_reader_evaluations_before_the_first_frame(monkeypatch):
+    # the reader predicts R(C1, 1) and R(C2, t & 1) with one scalar call
+    # each, both before C1 goes on the wire, whatever the session's outcome
     device, registry = honest_setup(k=16)
     clone = make_device(k=16, device_seed=32)
-    counts = counted_rounds(monkeypatch, registry)
-    assert run_authentication(registry, device).passed
-    assert counts == {"device": 2, "server": 1}
+    channel = SimChannel()
+    counts, reader_calls = counted_rounds(monkeypatch, registry, channel)
+    assert run_authentication(registry, device, channel).passed
+    assert counts == {"device": 2, "server": 2}
+    assert reader_calls == [(int, 0), (int, 0)]
 
     counts.update(device=0, server=0)
-    result = run_authentication(registry, clone)
+    result = run_authentication(registry, clone, channel)
     assert (result.d1, result.d2) == (0, 0)
-    assert counts == {"device": 1, "server": 1}
+    assert counts == {"device": 1, "server": 2}
+    assert reader_calls[2:] == [(int, 4), (int, 4)]
     assert [f.kind for f in result.transcript.frames] == [CHALLENGE, RESPONSE]
 
     counts.update(device=0, server=0)
     attacker = ReplayAttacker({f.payload: 0 for f in result.transcript.challenge_frames()})
-    result = run_authentication(registry, attacker, forced_session=(*result.session[:2], 4))
-    assert (result.d1, counts) == (0, {"device": 0, "server": 1})
+    result = run_authentication(
+        registry, attacker, channel, forced_session=(*result.session[:2], 4)
+    )
+    assert (result.d1, counts) == (0, {"device": 0, "server": 2})
+    assert reader_calls[4:] == [(int, 6), (int, 6)]
 
 
 def test_seed_rows_are_built_once_per_tag_and_registry(monkeypatch):

@@ -27,7 +27,7 @@ from dualpuf.errors import (
 from dualpuf.lfsr import LfsrSpec
 from dualpuf.obfuscator import RESPOND_SLICE, DualLfsrSpec, run_rounds
 from dualpuf.persist import pair_to_json
-from dualpuf.protocol import run_registration
+from dualpuf.protocol import run_authentication, run_registration
 from dualpuf.server import (
     DEFAULT_T_RANGE,
     MODEL_MODE,
@@ -263,6 +263,30 @@ def test_array_prediction_matches_scalar_calls():
             single = predict_response(registry, int(challenge), int(modes[j]))
             assert single.shape == (8,) and np.array_equal(batch[i, j], single)
         assert predict_response(registry, [], 1).shape == (0, 8)
+
+
+def test_a_session_pair_predicts_as_its_two_scalar_calls(monkeypatch):
+    # run_authentication predicts R(C1, 1) and R(C2, t & 1) with two scalar
+    # calls; one batched call on the pair, as a tuple, a list or an int64
+    # array, gives the same two rows on either reader, session after session
+    dev = make_device(k=16)
+    calls = []
+
+    def recorded(registry, challenge, mode):
+        calls.append((challenge, mode, predict_response(registry, challenge, mode)))
+        return calls[-1][2]
+
+    monkeypatch.setattr("dualpuf.protocol.predict_response", recorded)
+    for registry in (table_registry(dev), model_registry(dev)):
+        for _ in range(1000):
+            calls.clear()
+            result = run_authentication(registry, dev)
+            c1, c2, t = result.session
+            assert result.passed and [call[:2] for call in calls] == [(c1, 1), (c2, t & 1)]
+            scalar = np.array([row for *_, row in calls])
+            for pair in (tuple, list, lambda v: np.array(v, dtype=np.int64)):
+                batch = predict_response(registry, pair([c1, c2]), pair([1, t & 1]))
+                assert batch.dtype == np.uint8 and np.array_equal(batch, scalar)
 
 
 def test_prediction_in_slices_matches_scalar_calls(monkeypatch):
